@@ -8,7 +8,7 @@ minutes; shrink max_epochs for a faster look.
 
 import numpy as np
 
-from cpmr.evaluation import ablation_run, synthetic_trend_dataset, window_sweep
+from cpmr.evaluation import ablation_run, sweep, synthetic_trend_dataset
 from cpmr.model import ModelConfig
 from cpmr.training import TrainConfig
 
@@ -30,7 +30,7 @@ def main():
         print(f"  {variant:10s} {report.mrr:.4f}")
 
     print("\ncontext window sweep (planted window = 10 days):")
-    for row in window_sweep(ds, [5, 10, 15, 20], model_cfg, train_cfg):
+    for row in sweep(ds, "s_days", [5, 10, 15, 20], model_cfg, train_cfg):
         print(f"  s={row['s_days']:2d}  MRR {row['mrr']:.4f}  "
               f"Recall@10 {row['recall_at_10']:.4f}")
 

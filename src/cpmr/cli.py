@@ -1,8 +1,8 @@
 """Command-line entry point: preprocess, train, eval, sweep, ablate, gradcheck.
 
 Exit status: 0 success, 2 user/config error, 3 numerical abort. The
-CPMR_THREADS environment variable caps BLAS thread pools (set before
-numpy is first imported, so heavy imports happen lazily inside main).
+CPMR_THREADS environment variable caps BLAS thread pools (applied when the
+package is imported, before numpy).
 """
 
 from __future__ import annotations
@@ -12,13 +12,20 @@ import json
 import os
 import sys
 
+import numpy as np
 
-def _cap_threads():
-    n = os.environ.get("CPMR_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, n)
+from . import autodiff as ad
+from . import data
+from .errors import ConfigError, DataError, NumericalError
+from .evaluation import ablation_run, incremental_eval, sweep, sweep_rows_to_csv
+from .gradcheck import TOLERANCE, run_suite
+from .model import CpmrModel
+from .runconfig import RunConfig
+from .training import train
+
+
+def int_list(text):
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def _build_parser():
@@ -43,7 +50,8 @@ def _build_parser():
     sw = sub.add_parser("sweep", help="sweep s_days or n_tbptt")
     sw.add_argument("--config", required=True)
     sw.add_argument("--param", required=True, choices=["s_days", "n_tbptt"])
-    sw.add_argument("--values", required=True, help="comma-separated integers")
+    sw.add_argument("--values", required=True, type=int_list,
+                    help="comma-separated integers")
 
     sa = sub.add_parser("ablate", help="train/evaluate one model variant")
     sa.add_argument("--config", required=True)
@@ -56,15 +64,13 @@ def _build_parser():
 
 
 def cmd_preprocess(args):
-    from . import data
-
     with open(args.input, "rb") as fh:
         events = data.parse_interactions(fh, args.format)
     if not events:
-        raise_user_error("input contains no interaction records")
+        raise DataError("input contains no interaction records")
     events = data.k_core_filter(events, args.k_core)
     if not events:
-        raise_user_error(f"no interactions survive the {args.k_core}-core filter")
+        raise DataError(f"no interactions survive the {args.k_core}-core filter")
     ds = data.canonicalize(events)
     os.makedirs(args.output, exist_ok=True)
     out = os.path.join(args.output, "dataset.bin")
@@ -75,25 +81,13 @@ def cmd_preprocess(args):
     return 0
 
 
-def raise_user_error(msg):
-    from .errors import DataError
-
-    raise DataError(msg)
-
-
 def _load_run(config_path):
-    from . import data
-    from .runconfig import RunConfig
-
     run = RunConfig.from_file(config_path)
     ds = data.load_dataset(run.data_path)
     return run, ds
 
 
 def cmd_train(args):
-    from . import autodiff as ad
-    from .training import train
-
     run, ds = _load_run(args.config)
     print(run.echo())
     os.makedirs(run.output_dir, exist_ok=True)
@@ -106,13 +100,15 @@ def cmd_train(args):
     return 0
 
 
+def _append_metrics(run, report):
+    os.makedirs(run.output_dir, exist_ok=True)
+    line = json.dumps(report.to_dict())
+    with open(os.path.join(run.output_dir, "metrics.jsonl"), "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    print(line)
+
+
 def cmd_eval(args):
-    import numpy as np
-
-    from . import autodiff as ad
-    from .evaluation import incremental_eval
-    from .model import CpmrModel
-
     run, ds = _load_run(args.config)
     split = args.split or run.eval_split
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, run.model,
@@ -120,63 +116,32 @@ def cmd_eval(args):
     model.load_params(ad.load_checkpoint(args.checkpoint))
     report = incremental_eval(ds, model, split=split, seed=run.train.seed,
                               filter_interacted=run.eval_filter)
-    os.makedirs(run.output_dir, exist_ok=True)
-    line = json.dumps(report.to_dict())
-    with open(os.path.join(run.output_dir, "metrics.jsonl"), "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-    print(line)
+    _append_metrics(run, report)
     return 0
 
 
 def cmd_sweep(args):
-    import dataclasses
-
-    from .evaluation import incremental_eval, sweep_rows_to_csv, window_sweep
-    from .training import train as train_fn
-
     run, ds = _load_run(args.config)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise_user_error("empty sweep value list")
+    if not args.values:
+        raise ConfigError("empty sweep value list")
     os.makedirs(run.output_dir, exist_ok=True)
-    if args.param == "s_days":
-        rows = window_sweep(ds, values, run.model, run.train, split=run.eval_split)
-        sweep_rows_to_csv(rows, os.path.join(run.output_dir, "sweep.csv"))
-    else:
-        rows = []
-        for v in values:
-            tcfg = dataclasses.replace(run.train, n_tbptt=v)
-            model, _ = train_fn(ds, run.model, tcfg)
-            report = incremental_eval(ds, model, split=run.eval_split,
-                                      seed=tcfg.seed)
-            rows.append({"n_tbptt": v, "mrr": report.mrr,
-                         "recall_at_10": report.recall_at_10})
-        with open(os.path.join(run.output_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
-            fh.write("n_tbptt,mrr,recall_at_10\n")
-            for r in rows:
-                fh.write(f"{r['n_tbptt']},{r['mrr']!r},{r['recall_at_10']!r}\n")
+    rows = sweep(ds, args.param, args.values, run.model, run.train,
+                 split=run.eval_split)
+    sweep_rows_to_csv(rows, os.path.join(run.output_dir, "sweep.csv"))
     for r in rows:
         print(json.dumps(r))
     return 0
 
 
 def cmd_ablate(args):
-    from .evaluation import ablation_run
-
     run, ds = _load_run(args.config)
     report = ablation_run(ds, args.variant, run.model, run.train,
                           split=run.eval_split)
-    os.makedirs(run.output_dir, exist_ok=True)
-    line = json.dumps(report.to_dict())
-    with open(os.path.join(run.output_dir, "metrics.jsonl"), "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-    print(line)
+    _append_metrics(run, report)
     return 0
 
 
 def cmd_gradcheck(args):
-    from .gradcheck import TOLERANCE, run_suite
-
     lines, worst = run_suite(args.seed)
     for name, err in lines:
         status = "ok" if err <= TOLERANCE else "FAIL"
@@ -186,10 +151,7 @@ def cmd_gradcheck(args):
 
 
 def main(argv=None):
-    _cap_threads()
     args = _build_parser().parse_args(argv)
-    from .errors import ConfigError, DataError, NumericalError
-
     handlers = {
         "preprocess": cmd_preprocess,
         "train": cmd_train,

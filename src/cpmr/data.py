@@ -177,20 +177,26 @@ def load_dataset(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != _HEADER:
             raise DataError(f"{path}: not a canonical dataset file")
-        n_users = int(fh.readline().split()[1])
-        n_items = int(fh.readline().split()[1])
-        day_unit = float(fh.readline().split()[1])
-        _, a, b = fh.readline().split()
-        users, items, days, t_norm = [], [], [], []
-        for line in fh:
-            u, i, d, t = line.split()
-            users.append(int(u))
-            items.append(int(i))
-            days.append(int(d))
-            t_norm.append(float(t))
+        lineno = 2
+        try:
+            n_users = int(fh.readline().split()[1])
+            n_items = int(fh.readline().split()[1])
+            day_unit = float(fh.readline().split()[1])
+            _, a, b = fh.readline().split()
+            split = (int(a), int(b))
+            users, items, days, t_norm = [], [], [], []
+            for lineno, line in enumerate(fh, start=6):
+                u, i, d, t = line.split()
+                users.append(int(u))
+                items.append(int(i))
+                days.append(int(d))
+                t_norm.append(float(t))
+        except (ValueError, IndexError) as exc:
+            where = "header" if lineno == 2 else f"line {lineno}"
+            raise DataError(f"{path}: malformed dataset {where}: {exc}") from exc
     return Dataset(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
                    np.array(days, dtype=np.int64), np.array(t_norm),
-                   n_users, n_items, day_unit, (int(a), int(b)))
+                   n_users, n_items, day_unit, split)
 
 
 def summarize(ds: Dataset) -> dict:

@@ -49,12 +49,6 @@ def rank_from_scores(scores, target):
     return 1 + higher + (ties + 1) // 2
 
 
-def rank_target(model: CpmrModel, user, item, z, day) -> RankRecord:
-    """Score one user against every item and rank the ground truth."""
-    scores = model.score_all_items(int(user), z)
-    return RankRecord(int(user), int(day), int(item), rank_from_scores(scores, int(item)))
-
-
 def mrr(records):
     if not len(records):
         raise DataError("cannot compute MRR of zero rank records")
@@ -160,27 +154,31 @@ def ablation_run(dataset, variant, model_config: ModelConfig,
     return report
 
 
-def window_sweep(dataset, s_values, model_config: ModelConfig,
-                 train_config: TrainConfig, split="test"):
-    """Train/evaluate once per context window length; rows in input order."""
+def sweep(dataset, param, values, model_config: ModelConfig,
+          train_config: TrainConfig, split="test"):
+    """Train/evaluate once per value of ``s_days`` or ``n_tbptt``; rows in input order."""
+    if param not in ("s_days", "n_tbptt"):
+        raise ConfigError(f"cannot sweep {param!r}: expected s_days or n_tbptt")
     rows = []
-    for s in s_values:
-        if s < 1:
-            raise ConfigError(f"context window {s} must be >= 1 day")
-        cfg = dataclasses.replace(model_config, s_days=int(s))
-        model, _ = train(dataset, cfg, train_config)
-        report = incremental_eval(dataset, model, split=split,
-                                  seed=train_config.seed)
-        rows.append({"s_days": int(s), "mrr": report.mrr,
+    for v in values:
+        mcfg, tcfg = model_config, train_config
+        if param == "s_days":
+            mcfg = dataclasses.replace(model_config, s_days=int(v))
+        else:
+            tcfg = dataclasses.replace(train_config, n_tbptt=int(v))
+        model, _ = train(dataset, mcfg, tcfg)
+        report = incremental_eval(dataset, model, split=split, seed=tcfg.seed)
+        rows.append({param: int(v), "mrr": report.mrr,
                      "recall_at_10": report.recall_at_10})
     return rows
 
 
 def sweep_rows_to_csv(rows, path):
+    """One header line from the row keys, then one line per row (floats as repr)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("s_days,mrr,recall_at_10\n")
+        fh.write(",".join(rows[0]) + "\n")
         for r in rows:
-            fh.write(f"{r['s_days']},{r['mrr']!r},{r['recall_at_10']!r}\n")
+            fh.write(",".join(repr(v) for v in r.values()) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ ALPHA0 = 0.98
 
 
 class EdgeStore:
-    """Sorted interaction log with per-day ranges and an advancing cursor."""
+    """Sorted interaction log with per-day ranges."""
 
     def __init__(self, user_ids, item_ids, days, n_users, n_items):
         days = np.asarray(days, dtype=np.int64)
@@ -29,25 +29,15 @@ class EdgeStore:
         self.days = days
         self.n_users = int(n_users)
         self.n_items = int(n_items)
-        self.cursor = -1
 
     @classmethod
     def from_dataset(cls, ds):
         return cls(ds.user_ids, ds.item_ids, ds.days, ds.n_users, ds.n_items)
 
-    def interaction_days(self, lo=None, hi=None):
-        """Distinct days with at least one edge, restricted to [lo, hi)."""
+    def interaction_days(self, hi=None):
+        """Distinct days with at least one edge, restricted to days < hi."""
         d = np.unique(self.days)
-        if lo is not None:
-            d = d[d >= lo]
-        if hi is not None:
-            d = d[d < hi]
-        return d
-
-    def advance_to(self, day):
-        if day < self.cursor:
-            raise ConfigError(f"cursor may only advance ({self.cursor} -> {day})")
-        self.cursor = day
+        return d if hi is None else d[d < hi]
 
     def _range(self, lo, hi):
         a = np.searchsorted(self.days, lo, side="left")
@@ -106,24 +96,14 @@ def normalize_adjacency(biadj, alpha0=ALPHA0):
     return (off + eye).tocsr()
 
 
-def learnable_adjacency(nadj, alpha, row_scale=False):
+def learnable_adjacency(nadj, alpha):
     """Scale each column j of the normalized adjacency by sigmoid(alpha[j]).
 
-    Column scaling weights the source node of each message; ``row_scale``
-    switches to weighting the receiving node instead.
+    Column scaling weights the source node of each message.
     """
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
     n = nadj.shape[0]
     if alpha.shape[0] != n:
         raise ShapeError(f"alpha length {alpha.shape[0]} vs {n} nodes")
     s = 1.0 / (1.0 + np.exp(-alpha))
-    d = sp.diags(s)
-    return (d @ nadj).tocsr() if row_scale else (nadj @ d).tocsr()
-
-
-def dump_adjacency(path, mat):
-    """Debug dump as ``row col value`` triplets."""
-    coo = mat.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v!r}\n")
+    return (nadj @ sp.diags(s)).tocsr()

@@ -11,7 +11,8 @@ states discretely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,8 +32,6 @@ class ModelConfig:
     disable_his: bool = False
     disable_fusion: bool = False
     literal_update: bool = False
-    row_scale_alpha: bool = False
-    fusion_bias: bool = True
     alpha0: float = ALPHA0
     tau_max: float = 0.125  # max normalized interval per Taylor sub-step
     # Multiplier on the normalized inter-day interval. At 1.0 the whole
@@ -77,7 +76,6 @@ class TemporalStates:
     x_his: Var | None
     x_ctx: Var | None
     day: int
-    phase: str = "post"
 
 
 def evolve(x, e, adj, dt, order, tau_max=0.125):
@@ -85,8 +83,8 @@ def evolve(x, e, adj, dt, order, tau_max=0.125):
 
     ``adj`` is a (sparse) matrix with singular values < 1. The flow
     X(dt) = P(dt) E + Q(dt) X with Q = exp((A-I) dt) and
-    P = (A-I)^-1 (Q - I) is evaluated inverse-free via truncated Taylor
-    series over sub-intervals of length <= tau_max.
+    P = (A-I)^-1 (Q - I) is evaluated inverse-free as one truncated Taylor
+    series in Horner form over sub-intervals of length <= tau_max.
     """
     xv, ev = ad.constant(x), ad.constant(e)
     out = _evolve_var(xv, ev, lambda y: ad.spmm(adj, y), dt, order, tau_max)
@@ -102,18 +100,17 @@ def _evolve_var(x: Var, e: Var, apply_a, dt, order, tau_max):
         return x
     m = max(1, int(np.ceil(dt / tau_max)))
     tau = dt / m
+    inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
     for _ in range(m):
-        # Q(tau) X = sum_k M^k X / k!  with  M Y = tau (A Y - Y)
-        q_term, q_sum = x, x
-        for k in range(1, order + 1):
-            q_term = ad.scale(ad.sub(apply_a(q_term), q_term), tau / k)
-            q_sum = ad.add(q_sum, q_term)
-        # P(tau) E = tau * sum_k M^k E / (k+1)!
-        p_term, p_sum = e, e
-        for k in range(1, order):
-            p_term = ad.scale(ad.sub(apply_a(p_term), p_term), tau / (k + 1))
-            p_sum = ad.add(p_sum, p_term)
-        x = ad.add(ad.scale(p_sum, tau), q_sum)
+        # Q(tau) X + P(tau) E = sum_k M^k (X / k! + tau E / (k+1)!) with
+        # M Y = tau (A Y - Y), the E series stopping at k = order - 1;
+        # evaluated in Horner form, one application of A per order
+        y = ad.scale(x, inv_fact[order])
+        for k in range(order - 1, -1, -1):
+            y = ad.add(ad.scale(ad.sub(apply_a(y), y), tau),
+                       ad.add(ad.scale(x, inv_fact[k]),
+                              ad.scale(e, tau * inv_fact[k + 1])))
+        x = y
     return x
 
 
@@ -128,7 +125,6 @@ class CpmrModel:
         self.config = config
         self.params: dict[str, Var] = {}
         self._init_params(rng if rng is not None else np.random.default_rng(0))
-        self.last_prefusion = None  # (x_his-, x_ctx-) values, for instrumentation
 
     # -- parameters ---------------------------------------------------------
 
@@ -177,11 +173,9 @@ class CpmrModel:
                                   f"{self.params[name].value.shape} for {name!r}")
             self.params[name].value = arr.copy()
 
-    def _linear(self, x, prefix, bias=True):
-        out = ad.matmul(x, self.params[f"{prefix}.w"])
-        if bias and f"{prefix}.b" in self.params:
-            out = ad.add_bias(out, self.params[f"{prefix}.b"])
-        return out
+    def _linear(self, x, prefix):
+        return ad.add_bias(ad.matmul(x, self.params[f"{prefix}.w"]),
+                           self.params[f"{prefix}.b"])
 
     # -- recurrence pieces --------------------------------------------------
 
@@ -193,17 +187,13 @@ class CpmrModel:
         return TemporalStates(
             x_his=ad.scale(e, 1.0) if not cfg.disable_his else None,
             x_ctx=ad.scale(e, 1.0) if not cfg.disable_ctx else None,
-            day=0, phase="post")
-
-    def _apply_learnable(self, nadj, alpha):
-        s = ad.sigmoid(alpha)
-        if self.config.row_scale_alpha:
-            return lambda y: ad.scale_rows(ad.spmm(nadj, y), s)
-        return lambda y: ad.spmm(nadj, ad.scale_rows(y, s))
+            day=0)
 
     def evolve_states(self, x, nadj, scenario, dt):
-        apply_a = self._apply_learnable(nadj, self.params[f"alpha_{scenario}"])
-        return _evolve_var(x, self.params["embed"], apply_a, dt,
+        """Evolve by ``dt`` on A = N diag(sigmoid(alpha)): gates on message sources."""
+        s = ad.sigmoid(self.params[f"alpha_{scenario}"])
+        return _evolve_var(x, self.params["embed"],
+                           lambda y: ad.spmm(nadj, ad.scale_rows(y, s)), dt,
                            self.config.taylor_order, self.config.tau_max)
 
     def fuse(self, xh, xc):
@@ -216,10 +206,10 @@ class CpmrModel:
             idx = np.arange(rows.start, rows.stop)
             slices = [ad.row_select(p, idx) for p in parts]
             x_in = slices[0] if len(slices) == 1 else ad.concat_cols(*slices)
-            shared = self._linear(x_in, f"fusion.{cls}.expert_shared", cfg.fusion_bias)
+            shared = self._linear(x_in, f"fusion.{cls}.expert_shared")
             for t in cfg.scenarios + ["final"]:
-                w = ad.softmax_rows(self._linear(x_in, f"fusion.{cls}.gate_{t}", cfg.fusion_bias))
-                e = self._linear(x_in, f"fusion.{cls}.expert_{t}", cfg.fusion_bias)
+                w = ad.softmax_rows(self._linear(x_in, f"fusion.{cls}.gate_{t}"))
+                e = self._linear(x_in, f"fusion.{cls}.expert_{t}")
                 out = ad.add(ad.scale_rows(e, ad.col_select(w, 0)),
                              ad.scale_rows(shared, ad.col_select(w, 1)))
                 results[t].append(out)
@@ -266,9 +256,9 @@ class CpmrModel:
         predictions at day_k, before the instant update.
         """
         cfg = self.config
-        if states.day != day_prev or states.phase != "post":
-            raise SequencingError(f"states clock at ({states.day}, {states.phase}), "
-                                  f"step expected ({day_prev}, 'post')")
+        if states.day != day_prev:
+            raise SequencingError(f"states clock at day {states.day}, "
+                                  f"step expected day {day_prev}")
         if day_k < day_prev:
             raise SequencingError(f"cannot step backwards {day_prev} -> {day_k}")
         dt = (day_k - day_prev) * self.day_unit * cfg.time_scale
@@ -281,8 +271,6 @@ class CpmrModel:
             nadj = normalize_adjacency(
                 store.context_biadjacency(day_k, cfg.s_days), cfg.alpha0)
             xc_minus = self.evolve_states(states.x_ctx, nadj, "ctx", dt)
-        self.last_prefusion = (None if xh_minus is None else xh_minus.value.copy(),
-                               None if xc_minus is None else xc_minus.value.copy())
 
         if cfg.disable_fusion:
             if xh_minus is not None and xc_minus is not None:
@@ -303,7 +291,7 @@ class CpmrModel:
         new = TemporalStates(
             x_his=self.update_instant(xh_k, b_ins, "his") if xh_k is not None else None,
             x_ctx=self.update_instant(xc_k, b_ins, "ctx") if xc_k is not None else None,
-            day=day_k, phase="post")
+            day=day_k)
         return z, new
 
     # -- prediction ---------------------------------------------------------

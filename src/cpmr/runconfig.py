@@ -11,7 +11,6 @@ from .training import TrainConfig
 
 _DEFAULTS = {
     "data.path": None,            # required
-    "data.format": "amazon_csv",
     "output.dir": ".",
     "eval.split": "test",
     "eval.filter_interacted": False,
@@ -26,10 +25,11 @@ def _coerce(value, template):
         if value.lower() in ("0", "false", "no"):
             return False
         raise ConfigError(f"expected a boolean, got {value!r}")
-    if isinstance(template, int):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
+    if isinstance(template, (int, float)):
+        try:
+            return type(template)(value)
+        except ValueError:
+            raise ConfigError(f"expected {type(template).__name__}, got {value!r}") from None
     return value
 
 
@@ -53,7 +53,7 @@ class RunConfig:
                     raise ConfigError(f"unknown config field {key!r}")
                 train_kw[name] = _coerce(value, train_fields[name].default)
             elif key == "seeds":
-                flat["seeds"] = [int(s) for s in value.split(",") if s.strip() != ""]
+                flat["seeds"] = [_coerce(s, 0) for s in value.split(",") if s.strip() != ""]
                 if not flat["seeds"]:
                     raise ConfigError("seeds list must be non-empty")
             elif key in _DEFAULTS:
@@ -63,7 +63,6 @@ class RunConfig:
         if flat["data.path"] is None:
             raise ConfigError("missing required config field 'data.path'")
         self.data_path = flat["data.path"]
-        self.data_format = flat["data.format"]
         self.output_dir = flat["output.dir"]
         self.eval_split = flat["eval.split"]
         self.eval_filter = flat["eval.filter_interacted"]
@@ -89,7 +88,6 @@ class RunConfig:
         """Every resolved setting, defaults included, as sorted key=value lines."""
         out = {
             "data.path": self.data_path,
-            "data.format": self.data_format,
             "output.dir": self.output_dir,
             "eval.split": self.eval_split,
             "eval.filter_interacted": self.eval_filter,

@@ -9,7 +9,6 @@ states detached so gradients never cross segment boundaries.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass, asdict
 
@@ -19,8 +18,6 @@ from . import autodiff as ad
 from .errors import ConfigError, NumericalError
 from .graphs import EdgeStore
 from .model import CpmrModel, ModelConfig, TemporalStates
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -41,11 +38,15 @@ class TrainConfig:
 
 
 class InteractionHistory:
-    """Per-user and per-item sets of past partners, advanced day by day."""
+    """Per-user and per-item sets of past partners, advanced day by day.
+
+    ``fallbacks`` counts the negative draws whose candidate pool was empty.
+    """
 
     def __init__(self, n_users, n_items):
         self.by_user = [set() for _ in range(n_users)]
         self.by_item = [set() for _ in range(n_items)]
+        self.fallbacks = 0
 
     def add_day(self, users, items):
         for u, i in zip(users, items):
@@ -60,22 +61,23 @@ def sample_negatives(user, item, history: InteractionHistory, n_users, n_items,
     Uniform without replacement from users who never interacted with the
     item (items the user never interacted with) strictly before now. An
     empty pool falls back to sampling everything but the positive, with
-    replacement if the pool is still short.
+    replacement if the pool is still short; ``history.fallbacks`` counts
+    these.
     """
-    neg_users = _draw(history.by_item[item], n_users, user, n_neg, rng)
-    neg_items = _draw(history.by_user[user], n_items, item, n_neg, rng)
+    neg_users, empty_u = _draw(history.by_item[item], n_users, user, n_neg, rng)
+    neg_items, empty_i = _draw(history.by_user[user], n_items, item, n_neg, rng)
+    history.fallbacks += empty_u + empty_i
     return neg_users, neg_items
 
 
 def _draw(excluded, n_total, positive, n_neg, rng):
+    """(negatives, whether the candidate pool was empty)."""
     pool = np.setdiff1d(np.arange(n_total), np.fromiter(excluded, dtype=np.int64,
                                                         count=len(excluded)))
-    if len(pool) == 0:
-        log.warning("empty negative-candidate pool, falling back to all-but-positive")
+    empty = len(pool) == 0
+    if empty:
         pool = np.setdiff1d(np.arange(n_total), [positive])
-    if len(pool) >= n_neg:
-        return rng.choice(pool, size=n_neg, replace=False)
-    return rng.choice(pool, size=n_neg, replace=True)
+    return rng.choice(pool, size=n_neg, replace=len(pool) < n_neg), empty
 
 
 def infonce_loss(lambda_pos, lambda_negs):
@@ -116,7 +118,7 @@ def _detach(states: TemporalStates):
     return TemporalStates(
         x_his=None if states.x_his is None else ad.constant(states.x_his.value),
         x_ctx=None if states.x_ctx is None else ad.constant(states.x_ctx.value),
-        day=states.day, phase=states.phase)
+        day=states.day)
 
 
 @dataclass
@@ -160,11 +162,12 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig,
     try:
         for epoch in range(cfg.max_epochs):
             lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_period)
-            states, losses = _train_epoch(model, store, dataset, train_days,
-                                          cfg, lr, opt, epoch, segments, log_fh)
+            states, losses, fallbacks = _train_epoch(model, store, train_days, cfg,
+                                                     lr, opt, epoch, segments, log_fh)
             val_metric = eval_fn(model, states)
             epoch_log.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                              "val_mrr": val_metric, "lr": lr})
+                              "val_mrr": val_metric, "lr": lr,
+                              "negative_fallbacks": fallbacks})
             if log_fh:
                 log_fh.write(json.dumps(epoch_log[-1]) + "\n")
                 log_fh.flush()
@@ -182,53 +185,44 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig,
                    "best_epoch": best[2], "best_val_mrr": best[0]}
 
 
-def _train_epoch(model, store, dataset, train_days, cfg, lr, opt, epoch,
-                 segments, log_fh):
+def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh):
+    """One tape per TBPTT segment; returns (end states, day losses, fallbacks)."""
     rng = np.random.default_rng([cfg.seed, epoch])
     history = InteractionHistory(model.n_users, model.n_items)
     day_prev = 0
     day_losses = []
-    seg_losses = []        # Vars of current segment
-    seg_days = []
-    tape = ad.Tape()
-    tape.__enter__()
-    states = model.init_states()   # inside the tape: E's t=0 copy is differentiable
-    t0 = time.monotonic()
-    try:
-        for pos, day in enumerate(train_days):
-            z, states = model.step(states, store, day_prev, int(day))
-            users, items = store.instant_edges(int(day))
-            loss = batch_loss(model, z, users, items, history, cfg.n_neg, rng)
-            if not np.isfinite(loss.value[0, 0]):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch} day {day} "
-                    f"(segment days {seg_days + [int(day)]}, lr {lr})")
-            seg_losses.append(loss)
-            seg_days.append(int(day))
-            day_losses.append(float(loss.value[0, 0]))
-            history.add_day(users, items)
-            day_prev = int(day)
-
-            if len(seg_losses) == cfg.n_tbptt or pos == len(train_days) - 1:
-                total = seg_losses[0]
-                for l in seg_losses[1:]:
-                    total = ad.add(total, l)
-                total = ad.scale(total, 1.0 / len(seg_losses))
-                grads = ad.backward(total, tape, params=model.params.values())
-                named = {name: grads[var] for name, var in model.params.items()}
-                ad.adam_step(model.params, named, lr, cfg.weight_decay, opt)
-                rec = SegmentRecord(epoch, seg_days[0], seg_days[-1],
-                                    len(seg_days), float(total.value[0, 0]), lr,
-                                    time.monotonic() - t0)
-                segments.append(rec)
-                if log_fh:
-                    log_fh.write(json.dumps(asdict(rec)) + "\n")
-                states = _detach(states)
-                seg_losses, seg_days = [], []
-                tape.__exit__(None, None, None)
-                tape = ad.Tape()
-                tape.__enter__()
-                t0 = time.monotonic()
-    finally:
-        tape.__exit__(None, None, None)
-    return _detach(states), day_losses
+    states = None
+    for start in range(0, len(train_days), cfg.n_tbptt):
+        seg_days = [int(d) for d in train_days[start:start + cfg.n_tbptt]]
+        t0 = time.monotonic()
+        with ad.Tape() as tape:
+            if states is None:
+                # inside the tape: E's t=0 copy is differentiable
+                states = model.init_states()
+            seg_losses = []
+            for day in seg_days:
+                z, states = model.step(states, store, day_prev, day)
+                users, items = store.instant_edges(day)
+                loss = batch_loss(model, z, users, items, history, cfg.n_neg, rng)
+                if not np.isfinite(loss.value[0, 0]):
+                    raise NumericalError(
+                        f"non-finite loss at epoch {epoch} day {day} (segment days "
+                        f"{seg_days[:len(seg_losses) + 1]}, lr {lr})")
+                seg_losses.append(loss)
+                day_losses.append(float(loss.value[0, 0]))
+                history.add_day(users, items)
+                day_prev = day
+            total = seg_losses[0]
+            for l in seg_losses[1:]:
+                total = ad.add(total, l)
+            total = ad.scale(total, 1.0 / len(seg_losses))
+            grads = ad.backward(total, tape, params=model.params.values())
+            named = {name: grads[var] for name, var in model.params.items()}
+            ad.adam_step(model.params, named, lr, cfg.weight_decay, opt)
+        rec = SegmentRecord(epoch, seg_days[0], seg_days[-1], len(seg_days),
+                            float(total.value[0, 0]), lr, time.monotonic() - t0)
+        segments.append(rec)
+        if log_fh:
+            log_fh.write(json.dumps(asdict(rec)) + "\n")
+        states = _detach(states)
+    return states, day_losses, history.fallbacks

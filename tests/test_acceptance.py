@@ -17,8 +17,7 @@ import scipy.sparse as sp
 from cpmr import autodiff as ad
 from cpmr.data import canonicalize, k_core_filter, parse_interactions
 from cpmr.evaluation import (ablation_run, incremental_eval, rank_from_scores,
-                             synthetic_trend_dataset, validation_mrr,
-                             window_sweep)
+                             sweep, synthetic_trend_dataset, validation_mrr)
 from cpmr.graphs import EdgeStore, normalize_adjacency
 from cpmr.model import CpmrModel, ModelConfig, evolve
 from cpmr.training import TrainConfig, infonce_loss, train
@@ -236,7 +235,7 @@ def test_criterion_6a_context_ablation():
 def test_criterion_6b_window_sweep_optimum():
     ds, mcfg, tcfg = _trend_setup()
     grid = [5, 10, 15, 20]
-    rows = window_sweep(ds, grid, mcfg, tcfg(0))
+    rows = sweep(ds, "s_days", grid, mcfg, tcfg(0))
     best = max(rows, key=lambda r: r["mrr"])["s_days"]
     report("6b", abs(best - 10) <= 5,
            f"window sweep over {grid}: best s={best} "

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cpmr
 from cpmr.cli import main
 from cpmr.errors import ConfigError
 from cpmr.runconfig import RunConfig
@@ -202,3 +206,45 @@ def test_runconfig_with_seed(tmp_path):
     other = run.with_seed(9)
     assert other.train.seed == 9 and run.train.seed == 1
     assert other.model is run.model
+
+
+def test_bad_config_value_exit_code(workspace, capsys):
+    tmp_path, out, _ = workspace
+    bad = tmp_path / "bad.cfg"
+    write_config(bad, out / "dataset.bin", out, extra=["model.d=abc"])
+    rc = main(["train", "--config", str(bad)])
+    assert rc == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
+def test_malformed_dataset_record_exit_code(workspace, capsys):
+    tmp_path, out, cfg = workspace
+    path = out / "dataset.bin"
+    lines = path.read_text().splitlines()
+    lines[7] = "0 1 x 0.5"                      # non-integer day
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--config", str(cfg)])
+    assert rc == 2
+    assert "line 8" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                    reason="counts threads in /proc/self/task on a multi-CPU Linux host")
+def test_cpmr_threads_caps_blas():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cpmr.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env.update(CPMR_THREADS="1", PYTHONPATH=src)
+    code = ("import os, cpmr, numpy as np; a = np.random.rand(800, 800); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "1"
+
+
+def test_sweep_non_integer_values_exit_code(workspace):
+    tmp_path, out, cfg = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--param", "s_days", "--values", "2,x"])
+    assert exc.value.code == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cpmr.errors import ConfigError, ShapeError
+from cpmr.errors import ShapeError
 from cpmr.graphs import (EdgeStore, learnable_adjacency, normalize_adjacency)
 
 
@@ -104,13 +104,6 @@ def test_history_monotone():
         prev = cur
 
 
-def test_cursor_only_advances():
-    store = EdgeStore([0], [0], [0], 1, 1)
-    store.advance_to(3)
-    with pytest.raises(ConfigError):
-        store.advance_to(2)
-
-
 def test_normalize_single_edge():
     b = sp.csr_matrix(np.array([[1.0]]))
     nadj = normalize_adjacency(b).toarray()
@@ -170,9 +163,6 @@ def test_learnable_adjacency_hand_computed():
     s = 1.0 / (1.0 + np.exp(-alpha))
     got = learnable_adjacency(sp.csr_matrix(nadj), alpha).toarray()
     np.testing.assert_allclose(got, nadj * s[None, :], atol=1e-15)
-    # row-scale variant scales by the receiving node instead
-    got_r = learnable_adjacency(sp.csr_matrix(nadj), alpha, row_scale=True).toarray()
-    np.testing.assert_allclose(got_r, nadj * s[:, None], atol=1e-15)
 
 
 def test_learnable_adjacency_singular_values_below_one():

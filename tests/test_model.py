@@ -104,7 +104,7 @@ def test_init_states_copy_embeddings():
     states = model.init_states()
     np.testing.assert_array_equal(states.x_his.value, model.params["embed"].value)
     np.testing.assert_array_equal(states.x_ctx.value, model.params["embed"].value)
-    assert states.day == 0 and states.phase == "post"
+    assert states.day == 0
 
 
 def _np_linear(x, w, b=None):
@@ -203,28 +203,28 @@ def test_step_scripted_oracle():
     z, new = model.step(states, store, 0, 2)
 
     dt = 2 * model.day_unit
-    sig = 1.0 / (1.0 + np.exp(-model.params["alpha_his"].value))
-    for scen, biadj in (("his", store.history_biadjacency(2)),
-                        ("ctx", store.context_biadjacency(2, 3))):
+    pre = {}
+    for scen, x, biadj in (("his", states.x_his, store.history_biadjacency(2)),
+                           ("ctx", states.x_ctx, store.context_biadjacency(2, 3))):
         nadj = normalize_adjacency(biadj)
         alpha = model.params[f"alpha_{scen}"].value.reshape(-1)
         a = learnable_adjacency(nadj, alpha).toarray()
         want = np.linalg.solve(
             np.eye(8) - a, (np.eye(8) - _expm(a, dt)) @ model.params["embed"].value
         ) + _expm(a, dt) @ model.params["embed"].value
-        got = model.last_prefusion[0 if scen == "his" else 1]
-        np.testing.assert_allclose(got, want, atol=1e-8)
+        pre[scen] = model.evolve_states(x, nadj, scen, dt).value
+        np.testing.assert_allclose(pre[scen], want, atol=1e-8)
 
-    # fused z feeds the post-update states through the instant graph of day 2
-    xh_k, xc_k, z2 = model.fuse(ad.constant(model.last_prefusion[0]),
-                                ad.constant(model.last_prefusion[1]))
+    # the evolved states fuse into z, which feeds the post-update states
+    # through the instant graph of day 2
+    xh_k, xc_k, z2 = model.fuse(ad.constant(pre["his"]), ad.constant(pre["ctx"]))
     np.testing.assert_allclose(z.value, z2.value, atol=1e-12)
     iu, ii = store.instant_edges(2)
     b = sp.coo_matrix((np.ones(len(iu)), (iu, ii)), shape=(4, 4)).tocsr()
     np.testing.assert_allclose(new.x_his.value,
                                model.update_instant(xh_k, b, "his").value,
                                atol=1e-12)
-    assert new.day == 2 and new.phase == "post"
+    assert new.day == 2
 
 
 def _expm(a, dt):
@@ -271,8 +271,13 @@ def test_both_scenarios_disabled_rejected():
 def test_wo_fusion_sums_scenarios():
     model = make_model(variant="wo_fusion")
     store = toy_store()
-    z, new = model.step(model.init_states(), store, 0, 1)
-    want = model.last_prefusion[0] + model.last_prefusion[1]
+    states = model.init_states()
+    z, new = model.step(states, store, 0, 1)
+    dt = model.day_unit
+    want = (model.evolve_states(states.x_his, normalize_adjacency(
+                store.history_biadjacency(1)), "his", dt).value
+            + model.evolve_states(states.x_ctx, normalize_adjacency(
+                store.context_biadjacency(1, 3)), "ctx", dt).value)
     np.testing.assert_allclose(z.value, want, atol=1e-12)
     assert not any("fusion" in k for k in model.params)
 

@@ -1,3 +1,6 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -249,3 +252,25 @@ def test_train_log_file_written(tmp_path):
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert any("val_mrr" in l for l in lines)
     assert any("day_start" in l for l in lines)
+
+
+def test_sample_negatives_counts_fallbacks():
+    history = InteractionHistory(3, 3)
+    history.add_day([0, 0, 0], [0, 1, 2])      # user 0 saw every item
+    rng = np.random.default_rng(3)
+    sample_negatives(0, 1, history, 3, 3, 2, rng)   # item pool empty
+    sample_negatives(1, 1, history, 3, 3, 2, rng)   # both pools non-empty
+    assert history.fallbacks == 1
+
+
+def test_empty_negative_pools_counted_not_logged(tmp_path, caplog):
+    ds = tiny_dataset(n_users=3, n_items=3, n_days=12, per_day=6)   # dense
+    path = tmp_path / "train.log"
+    with caplog.at_level(logging.WARNING):
+        _, hist = train(ds, ModelConfig(**SMALL_MODEL), quick_cfg(max_epochs=1),
+                        log_path=path)
+    assert not caplog.records
+    epoch_line = [json.loads(l) for l in path.read_text().splitlines()
+                  if "val_mrr" in json.loads(l)][0]
+    assert epoch_line["negative_fallbacks"] == hist["epochs"][0]["negative_fallbacks"]
+    assert epoch_line["negative_fallbacks"] > 0
