@@ -11,13 +11,10 @@ gradients flow through the dense operand.
 
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import CpmrError, DataError, ShapeError
+from . import arrayfile
+from .errors import CpmrError, DataFormatError, ShapeError  # noqa: F401 (ad.DataFormatError)
 
 _ACTIVE_TAPE = None
 
@@ -394,50 +391,21 @@ def adam_step(params, grads, lr, weight_decay, state: AdamState):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, JSON manifest, raw little-endian f64
+# checkpoints: named float64 matrices in a cpmr array file
 
 
-_MAGIC = b"CPMRCKPT"
-_VERSION = 1
+def save_checkpoint(path, params, meta=None):
+    """Write named tensors (dict name -> Var or ndarray) and JSON-able ``meta``."""
+    arrays = {name: np.asarray(v.value if isinstance(v, Var) else v, dtype="<f8")
+              for name, v in sorted(params.items())}
+    arrayfile.save(path, "checkpoint", arrays, meta or {})
 
 
-def save_checkpoint(path, params):
-    """Write named tensors; ``params``: dict name -> Var or ndarray."""
-    entries = []
-    blocks = []
-    for name in sorted(params):
-        val = params[name].value if isinstance(params[name], Var) else np.asarray(params[name])
-        val = np.ascontiguousarray(val, dtype="<f8")
-        entries.append({"name": name, "rows": int(val.shape[0]), "cols": int(val.shape[1])})
-        blocks.append(val.tobytes())
-    manifest = json.dumps({"version": _VERSION, "tensors": entries}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(manifest)))
-        fh.write(manifest)
-        for b in blocks:
-            fh.write(b)
+def read_checkpoint(path):
+    """(meta, dict name -> ndarray), bit-exact; ``CpmrModel.load_params`` checks them."""
+    return arrayfile.load(path, "checkpoint")
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as dict name -> ndarray (bit-exact)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise DataFormatError(f"bad checkpoint magic in {path}")
-        version, mlen = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise DataFormatError(f"unsupported checkpoint version {version}")
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        out = {}
-        for entry in manifest["tensors"]:
-            rows, cols = entry["rows"], entry["cols"]
-            raw = fh.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
-                raise DataFormatError(f"truncated checkpoint {path}")
-            out[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-    return out
-
-
-class DataFormatError(DataError):
-    """Corrupt or incompatible checkpoint file."""
+    """Read a checkpoint's tensors back as dict name -> ndarray (bit-exact)."""
+    return read_checkpoint(path)[1]

@@ -93,11 +93,18 @@ def cmd_train(args):
     os.makedirs(run.output_dir, exist_ok=True)
     model, history = train(ds, run.model, run.train,
                            log_path=os.path.join(run.output_dir, "train.log"))
-    ad.save_checkpoint(os.path.join(run.output_dir, "checkpoint.bin"), model.params)
+    path = os.path.join(run.output_dir, "checkpoint.bin")
+    ad.save_checkpoint(path, model.params, _provenance(run, ds))
     print(json.dumps({"best_epoch": history["best_epoch"],
-                      "best_val_mrr": history["best_val_mrr"],
-                      "checkpoint": os.path.join(run.output_dir, "checkpoint.bin")}))
+                      "best_val_mrr": history["best_val_mrr"], "checkpoint": path}))
     return 0
+
+
+def _provenance(run, ds):
+    """What a checkpoint is trained with: the model settings and the dataset's shape."""
+    return {**{k: v for k, v in run.settings.items() if k.startswith("model.")},
+            "dataset.n_users": ds.n_users, "dataset.n_items": ds.n_items,
+            "dataset.n_events": len(ds), "dataset.split": list(ds.split)}
 
 
 def _append_metrics(run, report):
@@ -111,9 +118,15 @@ def _append_metrics(run, report):
 def cmd_eval(args):
     run, ds = _load_run(args.config)
     split = args.split or run.eval_split
+    meta, params = ad.read_checkpoint(args.checkpoint)
+    want = _provenance(run, ds)
+    diff = [f"{k}={meta.get(k)!r} (this run: {want.get(k)!r})"
+            for k in sorted(meta.keys() | want.keys()) if meta.get(k) != want.get(k)]
+    if diff:
+        raise ConfigError(f"checkpoint {args.checkpoint} was trained with {', '.join(diff)}")
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, run.model,
                       rng=np.random.default_rng(run.train.seed))
-    model.load_params(ad.load_checkpoint(args.checkpoint))
+    model.load_params(params)
     report = incremental_eval(ds, model, split=split, seed=run.train.seed,
                               filter_interacted=run.eval_filter)
     _append_metrics(run, report)

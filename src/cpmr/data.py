@@ -3,7 +3,9 @@
 The canonical dataset keeps interactions as parallel numpy arrays sorted by
 (day, user_id, item_id), with timestamps coarsened to day indices and
 normalized into [0, 1] over the full span. Splits are placed on whole-day
-boundaries so no day is shared between train/validation/test.
+boundaries so no day is shared between train/validation/test. On disk a
+dataset is a cpmr array file (:mod:`cpmr.arrayfile`) holding those arrays,
+the user and item counts, the day unit and the split.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateSpanError, ParseError
+from . import arrayfile
+from .errors import ConfigError, DataError, DataFormatError, DegenerateSpanError, ParseError
 
 SECONDS_PER_DAY = 86400
 
@@ -157,46 +160,40 @@ def _boundary(day_starts, target, n):
 
 
 # ---------------------------------------------------------------------------
-# canonical dataset file: text header + one record per line
+# dataset file: the four arrays and the counts in a cpmr array file
 
-_HEADER = "cpmr-dataset v1"
+_ARRAYS = {"user_ids": "<i8", "item_ids": "<i8", "days": "<i8", "t_norm": "<f8"}
 
 
 def save_dataset(path, ds: Dataset):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER}\n")
-        fh.write(f"n_users {ds.n_users}\n")
-        fh.write(f"n_items {ds.n_items}\n")
-        fh.write(f"day_unit {float(ds.day_unit)!r}\n")
-        fh.write(f"split {ds.split[0]} {ds.split[1]}\n")
-        for u, i, d, t in zip(ds.user_ids, ds.item_ids, ds.days, ds.t_norm):
-            fh.write(f"{u} {i} {d} {float(t)!r}\n")
+    arrays = {name: np.asarray(getattr(ds, name), dtype=dt) for name, dt in _ARRAYS.items()}
+    arrayfile.save(path, "dataset", arrays,
+                   {"n_users": int(ds.n_users), "n_items": int(ds.n_items),
+                    "day_unit": float(ds.day_unit), "split": [int(i) for i in ds.split]})
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != _HEADER:
-            raise DataError(f"{path}: not a canonical dataset file")
-        lineno = 2
-        try:
-            n_users = int(fh.readline().split()[1])
-            n_items = int(fh.readline().split()[1])
-            day_unit = float(fh.readline().split()[1])
-            _, a, b = fh.readline().split()
-            split = (int(a), int(b))
-            users, items, days, t_norm = [], [], [], []
-            for lineno, line in enumerate(fh, start=6):
-                u, i, d, t = line.split()
-                users.append(int(u))
-                items.append(int(i))
-                days.append(int(d))
-                t_norm.append(float(t))
-        except (ValueError, IndexError) as exc:
-            where = "header" if lineno == 2 else f"line {lineno}"
-            raise DataError(f"{path}: malformed dataset {where}: {exc}") from exc
-    return Dataset(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
-                   np.array(days, dtype=np.int64), np.array(t_norm),
-                   n_users, n_items, day_unit, split)
+    """Read a dataset file, checking everything in it that can be wrong."""
+    meta, arrays = arrayfile.load(path, "dataset")
+    n = len(arrays.get("days", ()))
+    layout = {k: (a.dtype.str, a.shape) for k, a in arrays.items()}
+    if layout != {k: (dt, (n,)) for k, dt in _ARRAYS.items()}:
+        raise DataFormatError(f"{path}: arrays {layout}, expected {n} each of {_ARRAYS}")
+    u, i, days = arrays["user_ids"], arrays["item_ids"], arrays["days"]
+    n_users, n_items, day_unit, split = map(meta.get, ("n_users", "n_items", "day_unit",
+                                                       "split"))
+    if not (isinstance(split, list) and [type(v) for v in (n_users, n_items, day_unit, *split)]
+            == [int, int, float, int, int]):
+        raise DataFormatError(f"{path}: dataset metadata of the wrong types: {meta}")
+    wrong = [why for why, bad in (
+        (f"split {split} outside [0, {n}]", not 0 <= split[0] <= split[1] <= n),
+        (f"user ids outside [0, {n_users})", np.any((u < 0) | (u >= n_users))),
+        (f"item ids outside [0, {n_items})", np.any((i < 0) | (i >= n_items))),
+        ("days unsorted or negative", np.any(days[:1] < 0) or np.any(days[1:] < days[:-1])),
+    ) if bad]
+    if wrong:
+        raise DataFormatError(f"{path}: invalid dataset: {'; '.join(wrong)}")
+    return Dataset(u, i, days, arrays["t_norm"], n_users, n_items, day_unit, tuple(split))
 
 
 def summarize(ds: Dataset) -> dict:

@@ -23,6 +23,10 @@ class ParseError(DataError):
         self.line_number = line_number
 
 
+class DataFormatError(DataError):
+    """A dataset or checkpoint file that is corrupt, invalid or of another format."""
+
+
 class DegenerateSpanError(DataError):
     """All events fall on a single day, so time cannot be normalized."""
 

@@ -31,7 +31,6 @@ class ModelConfig:
     disable_ctx: bool = False
     disable_his: bool = False
     disable_fusion: bool = False
-    literal_update: bool = False
     alpha0: float = ALPHA0
     tau_max: float = 0.125  # max normalized interval per Taylor sub-step
     # Multiplier on the normalized inter-day interval. At 1.0 the whole
@@ -44,8 +43,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.d < 1 or self.s_days < 1 or self.taylor_order < 1:
             raise ConfigError("d, s_days and taylor_order must all be >= 1")
-        if self.time_scale <= 0:
-            raise ConfigError("time_scale must be positive")
+        if self.time_scale <= 0 or self.tau_max <= 0:
+            raise ConfigError("time_scale and tau_max must be positive")
         if self.disable_ctx and self.disable_his:
             raise ConfigError("at least one of the his/ctx scenarios is required")
 
@@ -168,8 +167,8 @@ class CpmrModel:
             raise ConfigError(f"checkpoint mismatch: missing {sorted(missing)}, "
                               f"unexpected {sorted(extra)}")
         for name, arr in values.items():
-            if arr.shape != self.params[name].value.shape:
-                raise ConfigError(f"checkpoint shape {arr.shape} vs "
+            if arr.dtype != np.float64 or arr.shape != self.params[name].value.shape:
+                raise ConfigError(f"checkpoint {arr.dtype} {arr.shape} vs float64 "
                                   f"{self.params[name].value.shape} for {name!r}")
             self.params[name].value = arr.copy()
 
@@ -241,12 +240,8 @@ class CpmrModel:
         mask_u = (deg_u > 0).astype(np.float64).reshape(-1, 1)
         mask_i = (deg_i > 0).astype(np.float64).reshape(-1, 1)
 
-        if self.config.literal_update:
-            new_u = ad.masked_add(self_u, mask_u, delta_u)
-            new_i = ad.masked_add(self_i, mask_i, delta_i)
-        else:
-            new_u = ad.masked_add(x_u, mask_u, ad.add(ad.sub(self_u, x_u), delta_u))
-            new_i = ad.masked_add(x_i, mask_i, ad.add(ad.sub(self_i, x_i), delta_i))
+        new_u = ad.masked_add(x_u, mask_u, ad.add(ad.sub(self_u, x_u), delta_u))
+        new_i = ad.masked_add(x_i, mask_i, ad.add(ad.sub(self_i, x_i), delta_i))
         return ad.concat_rows(new_u, new_i)
 
     def step(self, states: TemporalStates, store, day_prev, day_k):

@@ -14,8 +14,8 @@ _DEFAULTS = {
     "output.dir": ".",
     "eval.split": "test",
     "eval.filter_interacted": False,
-    "seeds": [0],
 }
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig}
 
 
 def _coerce(value, template):
@@ -34,28 +34,17 @@ def _coerce(value, template):
 
 
 class RunConfig:
-    """Resolved configuration for one run: data, model, train, eval, seeds."""
+    """Resolved configuration for one run: data, model, train, eval."""
 
     def __init__(self, raw: dict):
-        model_fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
-        train_fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-        model_kw, train_kw = {}, {}
+        fields = {f"{sec}.{f.name}": (sec, f) for sec, cls in _SECTIONS.items()
+                  for f in dataclasses.fields(cls)}
+        kw = {sec: {} for sec in _SECTIONS}
         flat = dict(_DEFAULTS)
         for key, value in raw.items():
-            if key.startswith("model."):
-                name = key[len("model."):]
-                if name not in model_fields:
-                    raise ConfigError(f"unknown config field {key!r}")
-                model_kw[name] = _coerce(value, model_fields[name].default)
-            elif key.startswith("train."):
-                name = key[len("train."):]
-                if name not in train_fields:
-                    raise ConfigError(f"unknown config field {key!r}")
-                train_kw[name] = _coerce(value, train_fields[name].default)
-            elif key == "seeds":
-                flat["seeds"] = [_coerce(s, 0) for s in value.split(",") if s.strip() != ""]
-                if not flat["seeds"]:
-                    raise ConfigError("seeds list must be non-empty")
+            if key in fields:
+                sec, f = fields[key]
+                kw[sec][f.name] = _coerce(value, f.default)
             elif key in _DEFAULTS:
                 flat[key] = _coerce(value, _DEFAULTS[key] if _DEFAULTS[key] is not None else "")
             else:
@@ -66,9 +55,10 @@ class RunConfig:
         self.output_dir = flat["output.dir"]
         self.eval_split = flat["eval.split"]
         self.eval_filter = flat["eval.filter_interacted"]
-        self.seeds = flat["seeds"]
-        self.model = ModelConfig(**model_kw)
-        self.train = TrainConfig(**{"seed": self.seeds[0], **train_kw})
+        self.model = ModelConfig(**kw["model"])
+        self.train = TrainConfig(**kw["train"])
+        self.settings = {**flat, **{f"{sec}.{k}": v for sec in _SECTIONS for k, v in
+                                    dataclasses.asdict(getattr(self, sec)).items()}}
 
     @classmethod
     def from_file(cls, path):
@@ -86,21 +76,4 @@ class RunConfig:
 
     def echo(self):
         """Every resolved setting, defaults included, as sorted key=value lines."""
-        out = {
-            "data.path": self.data_path,
-            "output.dir": self.output_dir,
-            "eval.split": self.eval_split,
-            "eval.filter_interacted": self.eval_filter,
-            "seeds": ",".join(str(s) for s in self.seeds),
-        }
-        for name, value in dataclasses.asdict(self.model).items():
-            out[f"model.{name}"] = value
-        for name, value in dataclasses.asdict(self.train).items():
-            out[f"train.{name}"] = value
-        return "\n".join(f"{k}={out[k]}" for k in sorted(out))
-
-    def with_seed(self, seed):
-        cfg = RunConfig.__new__(RunConfig)
-        cfg.__dict__.update(self.__dict__)
-        cfg.train = dataclasses.replace(self.train, seed=int(seed))
-        return cfg
+        return "\n".join(f"{k}={v}" for k, v in sorted(self.settings.items()))

@@ -33,8 +33,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_tbptt < 1 or self.n_neg < 1:
-            raise ConfigError("n_tbptt and n_neg must be >= 1")
+        if min(self.n_tbptt, self.n_neg, self.lr_decay_period) < 1:
+            raise ConfigError("n_tbptt, n_neg and lr_decay_period must be >= 1")
+        if self.lr < 0 or self.weight_decay < 0:     # lr = 0 freezes the parameters
+            raise ConfigError("lr and weight_decay must be non-negative")
 
 
 class InteractionHistory:
@@ -59,10 +61,10 @@ def sample_negatives(user, item, history: InteractionHistory, n_users, n_items,
     """Negative users/items valid at the interaction's moment.
 
     Uniform without replacement from users who never interacted with the
-    item (items the user never interacted with) strictly before now. An
-    empty pool falls back to sampling everything but the positive, with
-    replacement if the pool is still short; ``history.fallbacks`` counts
-    these.
+    item (items the user never interacted with) strictly before now, the
+    positive itself excluded. An empty pool falls back to sampling everything
+    but the positive, with replacement if the pool is still short;
+    ``history.fallbacks`` counts these.
     """
     neg_users, empty_u = _draw(history.by_item[item], n_users, user, n_neg, rng)
     neg_items, empty_i = _draw(history.by_user[user], n_items, item, n_neg, rng)
@@ -72,8 +74,7 @@ def sample_negatives(user, item, history: InteractionHistory, n_users, n_items,
 
 def _draw(excluded, n_total, positive, n_neg, rng):
     """(negatives, whether the candidate pool was empty)."""
-    pool = np.setdiff1d(np.arange(n_total), np.fromiter(excluded, dtype=np.int64,
-                                                        count=len(excluded)))
+    pool = np.setdiff1d(np.arange(n_total), [positive, *excluded])
     empty = len(pool) == 0
     if empty:
         pool = np.setdiff1d(np.arange(n_total), [positive])

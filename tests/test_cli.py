@@ -168,12 +168,11 @@ def test_missing_required_config_field(tmp_path):
 
 def test_runconfig_defaults_and_echo(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("data.path=ds.bin\n# comment\n\nmodel.d=8\nseeds=3,4\n")
+    cfg.write_text("data.path=ds.bin\n# comment\n\nmodel.d=8\ntrain.seed=3\n")
     run = RunConfig.from_file(cfg)
     assert run.model.d == 8
     assert run.model.s_days == 5                 # untouched default
-    assert run.seeds == [3, 4]
-    assert run.train.seed == 3                   # first seed drives training
+    assert run.train.seed == 3
     echo = run.echo()
     assert "train.n_tbptt=20" in echo            # defaults echoed
     assert "model.d=8" in echo
@@ -189,23 +188,14 @@ def test_runconfig_bad_line(tmp_path):
 
 def test_runconfig_bool_coercion(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("data.path=x\nmodel.literal_update=true\n"
+    cfg.write_text("data.path=x\nmodel.disable_fusion=true\n"
                    "eval.filter_interacted=no\n")
     run = RunConfig.from_file(cfg)
-    assert run.model.literal_update is True
+    assert run.model.disable_fusion is True
     assert run.eval_filter is False
-    cfg.write_text("data.path=x\nmodel.literal_update=maybe\n")
+    cfg.write_text("data.path=x\nmodel.disable_fusion=maybe\n")
     with pytest.raises(ConfigError):
         RunConfig.from_file(cfg)
-
-
-def test_runconfig_with_seed(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("data.path=x\nseeds=1,2\n")
-    run = RunConfig.from_file(cfg)
-    other = run.with_seed(9)
-    assert other.train.seed == 9 and run.train.seed == 1
-    assert other.model is run.model
 
 
 def test_bad_config_value_exit_code(workspace, capsys):
@@ -220,12 +210,38 @@ def test_bad_config_value_exit_code(workspace, capsys):
 def test_malformed_dataset_record_exit_code(workspace, capsys):
     tmp_path, out, cfg = workspace
     path = out / "dataset.bin"
-    lines = path.read_text().splitlines()
-    lines[7] = "0 1 x 0.5"                      # non-integer day
-    path.write_text("\n".join(lines) + "\n")
+    ds = cpmr.load_dataset(path)
+    ds.user_ids[3] = 999                        # out of range for 7 users
+    cpmr.save_dataset(path, ds)
     rc = main(["train", "--config", str(cfg)])
     assert rc == 2
-    assert "line 8" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and "user ids" in err
+
+
+@pytest.mark.parametrize("line", ["model.tau_max=0", "model.tau_max=-1", "train.lr=-1",
+                                  "train.weight_decay=-0.1", "train.lr_decay_period=0",
+                                  "seeds=0,1,2"])
+def test_config_out_of_range_exit_code(workspace, capsys, line):
+    tmp_path, out, _ = workspace
+    bad = tmp_path / "bad.cfg"
+    write_config(bad, out / "dataset.bin", out, extra=[line])
+    rc = main(["train", "--config", str(bad)])
+    assert rc == 2
+    assert line.partition("=")[0].rpartition(".")[2] in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_of_another_config(workspace, capsys):
+    tmp_path, out, cfg = workspace
+    assert main(["train", "--config", str(cfg)]) == 0
+    other = tmp_path / "other.cfg"
+    write_config(other, out / "dataset.bin", out,
+                 extra=["model.s_days=9", "model.time_scale=40"])
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(other), "--checkpoint", str(out / "checkpoint.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model.s_days=3" in err and "model.time_scale=1.0" in err
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,

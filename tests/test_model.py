@@ -168,18 +168,6 @@ def test_update_instant_masked_oracle():
     np.testing.assert_allclose(out, np.concatenate([want_u, want_i]), atol=1e-12)
 
 
-def test_update_instant_literal_transforms_all_rows():
-    model = make_model(n_users=3, n_items=3, d=4, literal_update=True)
-    rng = np.random.default_rng(14)
-    x = ad.constant(rng.normal(size=(6, 4)))
-    b = sp.csr_matrix((3, 3))              # empty instant graph
-    out = model.update_instant(x, b, "ctx").value
-    p = {k: v.value for k, v in model.params.items()}
-    want = np.concatenate([x.value[:3] @ p["update.ctx.w_u2u"],
-                           x.value[3:] @ p["update.ctx.w_i2i"]])
-    np.testing.assert_allclose(out, want, atol=1e-12)
-
-
 def test_update_instant_masked_uninvolved_untouched():
     model = make_model(n_users=3, n_items=3, d=4)
     rng = np.random.default_rng(15)

@@ -79,8 +79,9 @@ def test_sample_negatives_uniform_over_pool():
     for _ in range(2000):
         _, neg_i = sample_negatives(0, 0, history, 4, 4, 1, rng)
         counts[neg_i[0]] += 1
-    # empty history: every item (positive included) is a candidate
-    assert counts.min() > 2000 / 4 * 0.8
+    # empty history: every item but the positive is a candidate
+    assert counts[0] == 0
+    assert counts[1:].min() > 2000 / 3 * 0.8
 
 
 def test_sample_negatives_exhausted_pool_falls_back():
