@@ -5,11 +5,13 @@ their backward rules on the active :class:`Tape` (a context manager); with no
 active tape they run as plain numpy forward computations, which is the
 no-grad path used during evaluation.
 
-Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm``;
-gradients flow through the dense operand.
+Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
+``graph_flow``; gradients flow through the dense operands.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -274,6 +276,46 @@ def mean_all(x: Var) -> Var:
     n = x.value.size
     out = Var(np.array([[x.value.sum() / n]]))
     _record(out, [(x, lambda g, x=x, n=n: np.full_like(x.value, g[0, 0] / n))])
+    return out
+
+
+def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
+    """``steps`` Horner sub-steps of length ``tau`` of dX/dt = (N diag(gate) - I) X + E.
+
+    Each sets y = X / K!, then y <- tau (N (gate * y) - y) + X / k! + tau E / (k+1)!
+    for k = K-1 ... 0; under a tape only the K iterates of each sub-step are kept.
+    """
+    _check(x.shape == e.shape and gate.shape == (x.shape[0], 1)
+           and n.shape == (x.shape[0],) * 2, "graph_flow", x.shape, e.shape, gate.shape, n.shape)
+    inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
+    s, ev, cur = gate.value, e.value, x.value
+    kept = [] if _ACTIVE_TAPE is not None else None
+    for _ in range(steps):
+        y = cur * inv_fact[order]
+        for k in range(order - 1, -1, -1):
+            if kept is not None:
+                kept.append(y)
+            y = ((np.asarray(n @ (y * s)) - y) * tau
+                 + (cur * inv_fact[k] + ev * (tau * inv_fact[k + 1])))
+        cur = y
+    out = Var(cur)
+    joint = []
+
+    def adjoint(g, i):
+        if not joint:                 # one transposed pass serves all three inputs
+            nt, g_e, g_s = n.T, np.zeros_like(ev), np.zeros_like(s)
+            for _ in range(steps):
+                g_cur = 0.0
+                for k in range(order):
+                    h = np.asarray(nt @ g)
+                    g_s += tau * np.sum(h * kept.pop(), axis=1, keepdims=True)
+                    g_cur = g_cur + g * inv_fact[k]
+                    g_e += g * (tau * inv_fact[k + 1])
+                    g = (s * h - g) * tau            # G <- tau (gate * N^T G - G)
+                g = g_cur + g * inv_fact[order]      # the adjoint of the sub-step's input
+            joint.extend((g, g_e, g_s))
+        return joint[i]
+    _record(out, [(v, lambda g, i=i: adjoint(g, i)) for i, v in enumerate((x, e, gate))])
     return out
 
 

@@ -31,6 +31,8 @@ def op_checks(seed=0):
                      format="csr")
     mask = (rng.random((3, 1)) > 0.4).astype(float)
     idx = np.array([2, 0, 2, 1])
+    # non-symmetric: a backward using N in place of N^T fails
+    flow_n = 0.4 * sp.random(5, 5, density=0.5, random_state=seed + 1, format="csr")
 
     cases = {
         "matmul": (mats((3, 4), (4, 2)),
@@ -72,6 +74,9 @@ def op_checks(seed=0):
                         ad.reshape(p[0], (6, 2)), ad.constant(_cmat(2, rows=6))))),
         "sum_all": (mats((3, 2)), lambda p: ad.sum_all(p[0])),
         "mean_all": (mats((3, 2)), lambda p: ad.mean_all(p[0])),
+        "graph_flow": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
+                       lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
+                           *p, flow_n, 0.3, 2, 3), ad.constant(_cmat(2, rows=5))))),
     }
     for name, (params, f) in cases.items():
         yield name, ad.grad_check(f, params, h=1e-5)

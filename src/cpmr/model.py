@@ -3,15 +3,14 @@
 Each user and item carries a static embedding plus two temporal states
 (historical and contextual). Between interaction days the states follow a
 linear graph ODE whose closed-form flow is applied through a truncated
-Taylor series of repeated sparse products; at each interaction day the two
-states are fused through a shared-expert gating block, predictions are made
-from the fused representation, and the instant interactions then jump the
-states discretely.
+Taylor series of repeated sparse products (``ad.graph_flow``, one tape node
+per evolution); at each interaction day the two states are fused through a
+shared-expert gating block, predictions are made from the fused
+representation, and the instant interactions then jump the states discretely.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,8 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, SequencingError
 from .graphs import ALPHA0, normalize_adjacency
+
+MAX_SUBSTEPS = 10_000  # per evolution; a day gap <= span takes <= ceil(time_scale / tau_max)
 
 
 @dataclass
@@ -45,6 +46,10 @@ class ModelConfig:
             raise ConfigError("d, s_days and taylor_order must all be >= 1")
         if self.time_scale <= 0 or self.tau_max <= 0:
             raise ConfigError("time_scale and tau_max must be positive")
+        if self.time_scale / self.tau_max > MAX_SUBSTEPS:     # ceil(r) > M iff r > M
+            raise ConfigError(f"time_scale / tau_max is over {MAX_SUBSTEPS} sub-steps")
+        if not 0 < self.alpha0 < 1:
+            raise ConfigError(f"alpha0 must lie in (0, 1), got {self.alpha0}")
         if self.disable_ctx and self.disable_his:
             raise ConfigError("at least one of the his/ctx scenarios is required")
 
@@ -85,12 +90,11 @@ def evolve(x, e, adj, dt, order, tau_max=0.125):
     P = (A-I)^-1 (Q - I) is evaluated inverse-free as one truncated Taylor
     series in Horner form over sub-intervals of length <= tau_max.
     """
-    xv, ev = ad.constant(x), ad.constant(e)
-    out = _evolve_var(xv, ev, lambda y: ad.spmm(adj, y), dt, order, tau_max)
-    return out.value
+    gate = ad.constant(np.ones((np.shape(x)[0], 1)))
+    return _evolve_var(ad.constant(x), ad.constant(e), gate, adj, dt, order, tau_max).value
 
 
-def _evolve_var(x: Var, e: Var, apply_a, dt, order, tau_max):
+def _evolve_var(x: Var, e: Var, gate: Var, n, dt, order, tau_max):
     if order < 1:
         raise ConfigError(f"series truncation order must be >= 1, got {order}")
     if dt < 0:
@@ -98,19 +102,7 @@ def _evolve_var(x: Var, e: Var, apply_a, dt, order, tau_max):
     if dt == 0:
         return x
     m = max(1, int(np.ceil(dt / tau_max)))
-    tau = dt / m
-    inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
-    for _ in range(m):
-        # Q(tau) X + P(tau) E = sum_k M^k (X / k! + tau E / (k+1)!) with
-        # M Y = tau (A Y - Y), the E series stopping at k = order - 1;
-        # evaluated in Horner form, one application of A per order
-        y = ad.scale(x, inv_fact[order])
-        for k in range(order - 1, -1, -1):
-            y = ad.add(ad.scale(ad.sub(apply_a(y), y), tau),
-                       ad.add(ad.scale(x, inv_fact[k]),
-                              ad.scale(e, tau * inv_fact[k + 1])))
-        x = y
-    return x
+    return ad.graph_flow(x, e, gate, n, dt / m, m, order)
 
 
 class CpmrModel:
@@ -190,10 +182,8 @@ class CpmrModel:
 
     def evolve_states(self, x, nadj, scenario, dt):
         """Evolve by ``dt`` on A = N diag(sigmoid(alpha)): gates on message sources."""
-        s = ad.sigmoid(self.params[f"alpha_{scenario}"])
-        return _evolve_var(x, self.params["embed"],
-                           lambda y: ad.spmm(nadj, ad.scale_rows(y, s)), dt,
-                           self.config.taylor_order, self.config.tau_max)
+        return _evolve_var(x, self.params["embed"], ad.sigmoid(self.params[f"alpha_{scenario}"]),
+                           nadj, dt, self.config.taylor_order, self.config.tau_max)
 
     def fuse(self, xh, xc):
         """Gated mutual update; returns (x_his, x_ctx, z) per entity class."""

@@ -54,6 +54,8 @@ class RunConfig:
         self.data_path = flat["data.path"]
         self.output_dir = flat["output.dir"]
         self.eval_split = flat["eval.split"]
+        if self.eval_split not in ("val", "test"):
+            raise ConfigError(f"eval.split must be 'val' or 'test', got {self.eval_split!r}")
         self.eval_filter = flat["eval.filter_interacted"]
         self.model = ModelConfig(**kw["model"])
         self.train = TrainConfig(**kw["train"])

@@ -33,8 +33,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_tbptt, self.n_neg, self.lr_decay_period) < 1:
-            raise ConfigError("n_tbptt, n_neg and lr_decay_period must be >= 1")
+        if min(self.n_tbptt, self.n_neg, self.lr_decay_period, self.max_epochs) < 1:
+            raise ConfigError("n_tbptt, n_neg, lr_decay_period and max_epochs must be >= 1")
         if self.lr < 0 or self.weight_decay < 0:     # lr = 0 freezes the parameters
             raise ConfigError("lr and weight_decay must be non-negative")
 

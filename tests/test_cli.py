@@ -221,7 +221,9 @@ def test_malformed_dataset_record_exit_code(workspace, capsys):
 
 @pytest.mark.parametrize("line", ["model.tau_max=0", "model.tau_max=-1", "train.lr=-1",
                                   "train.weight_decay=-0.1", "train.lr_decay_period=0",
-                                  "seeds=0,1,2"])
+                                  "seeds=0,1,2", "model.time_scale=1e9", "model.alpha0=5",
+                                  "model.alpha0=0", "model.alpha0=1", "train.max_epochs=0",
+                                  "eval.split=bogus"])
 def test_config_out_of_range_exit_code(workspace, capsys, line):
     tmp_path, out, _ = workspace
     bad = tmp_path / "bad.cfg"

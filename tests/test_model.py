@@ -327,3 +327,62 @@ def test_load_params_validates():
     with pytest.raises(ConfigError):
         model.load_params(bad)
     model.load_params(good)
+
+
+def _gated_model(seed):
+    model = make_model(seed=seed)
+    rng = np.random.default_rng(seed)
+    model.params["alpha_his"].value = rng.normal(scale=2.0, size=(8, 1))
+    return model, ad.Var(rng.normal(size=(8, 6)))
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.4, 3.0])
+def test_evolve_states_gated_matches_expm_multiply(dt):
+    from scipy.sparse.linalg import expm_multiply
+    model, x = _gated_model(31)
+    nadj = normalize_adjacency(toy_store().history_biadjacency(3))
+    got = model.evolve_states(x, nadj, "his", dt).value
+    gate = 1.0 / (1.0 + np.exp(-model.params["alpha_his"].value[:, 0]))
+    assert np.ptp(gate) > 0.5
+    a = nadj @ sp.diags(gate)
+    eye = sp.identity(8, format="csr")
+    aug = sp.bmat([[a - eye, eye], [None, sp.csr_matrix((8, 8))]], format="csr")
+    want = expm_multiply(dt * aug, np.vstack([x.value, model.params["embed"].value]))[:8]
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-6   # as criterion 2
+
+
+def test_evolve_states_is_one_flow_node_on_the_tape():
+    model, x = _gated_model(32)
+    nadj = normalize_adjacency(toy_store().history_biadjacency(3))
+    with ad.Tape() as tape:
+        out = model.evolve_states(x, nadj, "his", 1.0)      # 8 sub-steps
+    # the flow itself, plus the n x 1 sigmoid of the gates
+    assert [o for o, _ in tape.nodes if o.shape == x.shape] == [out]
+    assert len(tape.nodes) == 2
+
+
+def test_evolve_states_without_tape_keeps_no_iterates():
+    import tracemalloc
+    model = CpmrModel(150, 150, day_unit=0.01, config=ModelConfig(d=16, taylor_order=6),
+                      rng=np.random.default_rng(0))
+    rng = np.random.default_rng(33)
+    b = sp.csr_matrix((rng.random((150, 150)) < 0.05).astype(float))
+    nadj = normalize_adjacency(b)
+    x = ad.Var(rng.normal(size=(300, 16)))
+    state_bytes = x.value.nbytes
+
+    def traced_bytes(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return out, kept
+
+    _, kept = traced_bytes(lambda: model.evolve_states(x, nadj, "his", 5.0))
+    assert kept < 3 * state_bytes             # the output, no iterates
+    with ad.Tape() as tape:
+        _, kept_taped = traced_bytes(lambda: model.evolve_states(x, nadj, "his", 5.0))
+    assert len(tape.nodes) == 2
+    assert kept_taped > 40 * 6 * state_bytes  # 40 sub-steps x 6 iterates
