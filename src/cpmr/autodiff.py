@@ -233,6 +233,17 @@ def row_select(x: Var, idx) -> Var:
     return out
 
 
+def row_block(x: Var, start, stop) -> Var:
+    """Rows start:stop of x as a view: ``row_select`` over an ``arange``, without the copy."""
+    out = Var(x.value[start:stop])
+    def vjp(g, x=x, start=start, stop=stop):
+        z = np.zeros_like(x.value)
+        z[start:stop] += g          # 0 + g, as np.add.at gives, signed zeros included
+        return z
+    _record(out, [(x, vjp)])
+    return out
+
+
 def col_select(x: Var, j: int) -> Var:
     out = Var(x.value[:, j:j + 1].copy())
     def vjp(g, x=x, j=j):

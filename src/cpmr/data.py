@@ -77,10 +77,14 @@ def parse_interactions(source, fmt) -> list[RawEvent]:
         sep = "\t"
     else:
         raise ConfigError(f"unknown input format {fmt!r}")
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        source = source.read()           # the caller's handle stays open and its own
     if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, io.RawIOBase) or isinstance(source, io.BufferedIOBase):
-        source = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            source = io.StringIO(source.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: byte {source[exc.start]:#04x}",
+                             source.count(b"\n", 0, exc.start) + 1) from exc
     events = []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
@@ -93,10 +97,10 @@ def parse_interactions(source, fmt) -> list[RawEvent]:
         try:
             ts = int(float(ts_s))
             rating = float(rating_s) if rating_s != "" else None
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:     # OverflowError: int(inf)
             raise ParseError(f"bad numeric field: {line!r}", lineno) from exc
-        if ts < 0:
-            raise ParseError(f"negative timestamp: {line!r}", lineno)
+        if not 0 <= ts < 2 ** 63:
+            raise ParseError(f"timestamp outside [0, 2^63): {line!r}", lineno)
         events.append(RawEvent(user, item, ts, rating))
     return events
 

@@ -191,9 +191,8 @@ class CpmrModel:
         parts = [x for x in (xh, xc) if x is not None]
         n_u = self.n_users
         results = {"his": [], "ctx": [], "final": []}
-        for cls, rows in (("user", slice(0, n_u)), ("item", slice(n_u, self.n_nodes))):
-            idx = np.arange(rows.start, rows.stop)
-            slices = [ad.row_select(p, idx) for p in parts]
+        for cls, start, stop in (("user", 0, n_u), ("item", n_u, self.n_nodes)):
+            slices = [ad.row_block(p, start, stop) for p in parts]
             x_in = slices[0] if len(slices) == 1 else ad.concat_cols(*slices)
             shared = self._linear(x_in, f"fusion.{cls}.expert_shared")
             for t in cfg.scenarios + ["final"]:
@@ -209,10 +208,8 @@ class CpmrModel:
     def update_instant(self, x, b_ins, scenario):
         """Discrete jump of one scenario's states from the instant graph."""
         n_u = self.n_users
-        idx_u = np.arange(n_u)
-        idx_i = np.arange(n_u, self.n_nodes)
-        x_u = ad.row_select(x, idx_u)
-        x_i = ad.row_select(x, idx_i)
+        x_u = ad.row_block(x, 0, n_u)
+        x_i = ad.row_block(x, n_u, self.n_nodes)
 
         deg_u = np.asarray(b_ins.sum(axis=1)).reshape(-1)
         deg_i = np.asarray(b_ins.sum(axis=0)).reshape(-1)

@@ -64,7 +64,9 @@ def sample_negatives(user, item, history: InteractionHistory, n_users, n_items,
     item (items the user never interacted with) strictly before now, the
     positive itself excluded. An empty pool falls back to sampling everything
     but the positive, with replacement if the pool is still short;
-    ``history.fallbacks`` counts these.
+    ``history.fallbacks`` counts these. ``rng.choice`` draws positions in the
+    sorted pool, so a seed gives the same negatives as the earlier
+    ``np.setdiff1d`` pools did.
     """
     neg_users, empty_u = _draw(history.by_item[item], n_users, user, n_neg, rng)
     neg_items, empty_i = _draw(history.by_user[user], n_items, item, n_neg, rng)
@@ -74,11 +76,15 @@ def sample_negatives(user, item, history: InteractionHistory, n_users, n_items,
 
 def _draw(excluded, n_total, positive, n_neg, rng):
     """(negatives, whether the candidate pool was empty)."""
-    pool = np.setdiff1d(np.arange(n_total), [positive, *excluded])
-    empty = len(pool) == 0
+    keep = np.ones(n_total, dtype=bool)
+    keep[np.fromiter(excluded, np.intp, len(excluded))] = False
+    keep[positive] = False
+    empty = not keep.any()
     if empty:
-        pool = np.setdiff1d(np.arange(n_total), [positive])
-    return rng.choice(pool, size=n_neg, replace=len(pool) < n_neg), empty
+        keep[:] = True
+        keep[positive] = False
+    pool = keep.nonzero()[0]
+    return pool[rng.choice(len(pool), size=n_neg, replace=len(pool) < n_neg)], empty
 
 
 def infonce_loss(lambda_pos, lambda_negs):
@@ -209,6 +215,10 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch} day {day} (segment days "
                         f"{seg_days[:len(seg_losses) + 1]}, lr {lr})")
+                for sc, x in (("his", states.x_his), ("ctx", states.x_ctx)):
+                    if x is not None and not np.isfinite(x.value).all():
+                        raise NumericalError(f"non-finite {sc} states at epoch {epoch} day "
+                                             f"{day} (loss {loss.value[0, 0]:.6g}, lr {lr})")
                 seg_losses.append(loss)
                 day_losses.append(float(loss.value[0, 0]))
                 history.add_day(users, items)

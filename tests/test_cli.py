@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +75,30 @@ def test_preprocess_overfiltered(tmp_path, capsys):
     rc = main(["preprocess", "--input", str(raw), "--format", "amazon_csv",
                "--output", str(tmp_path), "--k-core", "5"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("row", [b"a,b\xff,1.0,0", b"a,b,1.0,inf", b"a,b,1.0,1e25"],
+                         ids=["non-utf8", "inf-timestamp", "int64-overflow"])
+def test_preprocess_malformed_line_exit_code(tmp_path, capsys, row):
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(b"c,d,1.0,0\n" + row + b"\n")
+    rc = main(["preprocess", "--input", str(raw), "--format", "amazon_csv",
+               "--output", str(tmp_path), "--k-core", "1"])
+    assert rc == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
+def test_preprocess_leaves_no_unclosed_file(workspace):
+    tmp_path, out, _ = workspace
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with open(tmp_path / "raw.csv", "rb") as fh:
+            assert cpmr.parse_interactions(fh, "amazon_csv")
+            assert not fh.closed                # still the caller's handle
+        assert main(["preprocess", "--input", str(tmp_path / "raw.csv"),
+                     "--format", "amazon_csv", "--output", str(out), "--k-core", "2"]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_train_eval_round_trip(workspace, capsys):

@@ -176,6 +176,33 @@ def test_update_instant_masked_uninvolved_untouched():
     np.testing.assert_array_equal(out, x.value)
 
 
+def test_row_blocks_give_the_row_select_gradients(monkeypatch):
+    """fuse and update_instant: the gradients through ``row_block`` equal,
+    bit for bit, those through ``row_select`` over an ``arange``."""
+    model = make_model(n_users=3, n_items=5, d=4)
+    rng = np.random.default_rng(17)
+    xh, xc = ad.Var(rng.normal(size=(8, 4))), ad.Var(rng.normal(size=(8, 4)))
+    b = sp.csr_matrix(np.array([[1.0, 0, 0, 1, 0], [0, 0, 0, 0, 0], [0, 1, 0, 1, 0]]))
+    weight = ad.constant(rng.normal(size=(8, 4)))
+    inputs = [xh, xc, *model.params.values()]
+
+    def gradients():
+        with ad.Tape() as tape:
+            h, c, z = model.fuse(xh, xc)
+            out = ad.add(ad.add(model.update_instant(h, b, "his"),
+                                model.update_instant(c, b, "ctx")), z)
+            loss = ad.mean_all(ad.hadamard(out, weight))
+        grads = ad.backward(loss, tape, params=inputs)
+        return [grads[v] for v in inputs]
+
+    got = gradients()
+    monkeypatch.setattr(ad, "row_block",
+                        lambda x, start, stop: ad.row_select(x, np.arange(start, stop)))
+    want = gradients()
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+    assert np.abs(got[0]).max() > 0 and np.abs(got[1]).max() > 0
+
+
 def toy_store():
     users = np.array([0, 1, 2, 0, 3, 1])
     items = np.array([0, 1, 2, 3, 0, 2])

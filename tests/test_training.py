@@ -93,6 +93,24 @@ def test_sample_negatives_exhausted_pool_falls_back():
     assert 1 not in neg_i                       # fallback excludes the positive
 
 
+def test_sample_negatives_pinned_stream():
+    """The exact draws of a fixed history and seed, as the setdiff1d pools gave them."""
+    history = InteractionHistory(6, 9)
+    history.add_day([0, 0, 1, 2, 3], [1, 4, 4, 7, 8])
+    history.add_day([0] * 6, [0, 2, 3, 5, 6, 7])     # user 0: every item but 8
+    history.add_day([1, 2, 3, 4, 5], [3] * 5)        # item 3: every user
+    rng = np.random.default_rng(20231)
+    got = [tuple(a.tolist() for a in sample_negatives(u, i, history, 6, 9, n, rng))
+           for u, i, n in [(1, 0, 4), (2, 5, 3), (0, 2, 3), (4, 3, 3), (0, 8, 2), (5, 1, 4)]]
+    assert got == [([4, 3, 5, 2], [1, 5, 7, 6]),
+                   ([5, 1, 4], [8, 1, 0]),
+                   ([1, 2, 5], [8, 8, 8]),     # item pool {8}: with replacement
+                   ([5, 0, 1], [7, 0, 4]),     # user pool empty: fallback
+                   ([5, 2], [7, 1]),           # item pool empty: fallback
+                   ([2, 1, 4, 3], [0, 2, 8, 6])]
+    assert history.fallbacks == 2
+
+
 def test_batch_loss_matches_scalar_oracle():
     ds = tiny_dataset()
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit,
@@ -243,6 +261,33 @@ def test_nan_loss_raises_numerical_error():
             train(ds, cfg, quick_cfg(max_epochs=1))
     finally:
         tr.CpmrModel = orig
+
+
+def test_non_finite_state_with_finite_loss_raises(monkeypatch):
+    import cpmr.training as tr
+    # user w (id 0) meets every item on day 0 and then goes quiet: from day 2 on
+    # it is isolated in the one-day context graph and never a negative user
+    events = [RawEvent("w", f"i{k}", 0) for k in range(3)]
+    for day in range(1, 12):
+        for u, i in ((day % 3, day % 3), ((day + 1) % 3, (day + 2) % 3)):
+            events.append(RawEvent(f"u{u}", f"i{i}", day * SECONDS_PER_DAY))
+    ds = canonicalize(events)
+
+    class NanGate(tr.CpmrModel):
+        def step(self, states, store, day_prev, day_k):
+            if day_k == 4:
+                self.params["alpha_ctx"].value[0, 0] = np.nan
+            return super().step(states, store, day_prev, day_k)
+
+    losses = []
+    def recorded(*args):
+        losses.append(batch_loss(*args))
+        return losses[-1]
+    monkeypatch.setattr(tr, "CpmrModel", NanGate)
+    monkeypatch.setattr(tr, "batch_loss", recorded)
+    with pytest.raises(NumericalError, match="non-finite his states at epoch 0 day 4"):
+        train(ds, ModelConfig(**{**SMALL_MODEL, "s_days": 1}), quick_cfg(max_epochs=1))
+    assert len(losses) == 5 and all(np.isfinite(l.value[0, 0]) for l in losses)
 
 
 def test_train_log_file_written(tmp_path):
