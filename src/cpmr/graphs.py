@@ -1,10 +1,18 @@
-"""Time-indexed bipartite interaction graph and its materialized views.
+"""Time-indexed bipartite interaction graph and its per-day sparse operators.
 
 An :class:`EdgeStore` keeps the chronologically sorted interaction log and
 serves three views at any day d: the instant graph (edges exactly at d),
 the history graph (edges strictly before d), and the context graph (edges
 in the trailing window [d - s, d)). Bi-adjacencies are 0/1 scipy CSR
 matrices of shape (n_users, n_items); duplicate (u, i) pairs collapse.
+
+Every (u, i) pair is keyed as ``u * n_items + i``. The store indexes the
+distinct keys in ascending order with the day each pair first appears, so
+the history view is a mask over that index; the context and instant views
+take the distinct keys of their day range. Sorted distinct keys are already
+CSR order (rows ascending, columns ascending within a row), so each view,
+the normalized adjacency and the instant averaging operators are written
+as CSR arrays directly, the same arrays scipy's COO round-trips produced.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ ALPHA0 = 0.98
 
 
 class EdgeStore:
-    """Sorted interaction log with per-day ranges."""
+    """Sorted interaction log with per-day ranges and a first-day pair index."""
 
     def __init__(self, user_ids, item_ids, days, n_users, n_items):
         days = np.asarray(days, dtype=np.int64)
@@ -29,6 +37,10 @@ class EdgeStore:
         self.days = days
         self.n_users = int(n_users)
         self.n_items = int(n_items)
+        self._keys = self.users * self.n_items + self.items
+        # distinct pairs, ascending, and the day each first appears
+        self._pairs, first = np.unique(self._keys, return_index=True)
+        self._first_day = days[first]
 
     @classmethod
     def from_dataset(cls, ds):
@@ -49,24 +61,62 @@ class EdgeStore:
         a, b = self._range(day, day + 1)
         return self.users[a:b], self.items[a:b]
 
+    def instant_biadjacency(self, day):
+        """0/1 bi-adjacency of the interactions exactly at ``day``."""
+        a, b = self._range(day, day + 1)
+        return self._biadjacency(np.unique(self._keys[a:b]))
+
     def history_biadjacency(self, day):
         """0/1 bi-adjacency of all interactions strictly before ``day``."""
-        a, b = self._range(np.iinfo(np.int64).min, day)
-        return self._biadjacency(self.users[a:b], self.items[a:b])
+        return self._biadjacency(self._pairs[self._first_day < day])
 
     def context_biadjacency(self, day, s_days):
         """0/1 bi-adjacency of interactions in [day - s_days, day)."""
         if s_days < 1:
             raise ConfigError(f"context window must be >= 1 day, got {s_days}")
         a, b = self._range(day - s_days, day)
-        return self._biadjacency(self.users[a:b], self.items[a:b])
+        return self._biadjacency(np.unique(self._keys[a:b]))
 
-    def _biadjacency(self, u, i):
-        mat = sp.coo_matrix((np.ones(len(u)), (u, i)),
-                            shape=(self.n_users, self.n_items)).tocsr()
+    def _biadjacency(self, keys):
+        """CSR of the ascending distinct pair ``keys``, every value 1."""
+        rows, cols = np.divmod(keys, self.n_items)
+        return _csr(np.ones(len(keys)), cols, _indptr(rows, self.n_users),
+                    (self.n_users, self.n_items))
+
+
+def _csr(data, indices, indptr, shape):
+    """CSR from arrays in canonical order, dropping explicit zeros as scipy's sums do.
+
+    Index arrays are int32 when ``nnz`` and both dimensions fit, as scipy
+    chooses for the matrices it builds; casting here spares its content scan.
+    """
+    keep = data != 0
+    if not keep.all():
+        indptr = _indptr(_rows(indptr)[keep], shape[0])
+        data, indices = data[keep], indices[keep]
+    idx = np.int32 if max(len(data), *shape) <= np.iinfo(np.int32).max else np.int64
+    mat = sp.csr_matrix((data, indices.astype(idx, copy=False),
+                         indptr.astype(idx, copy=False)), shape=shape)
+    mat.has_canonical_format = True
+    return mat
+
+
+def _canonical(mat):
+    """``mat`` as CSR with sorted indices and no duplicates; a copy if it had to change."""
+    if mat.format != "csr" or not mat.has_canonical_format:
+        mat = mat.tocsr(copy=True)
         mat.sum_duplicates()
-        mat.data[:] = 1.0
-        return mat
+    return mat
+
+
+def _rows(indptr):
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _indptr(rows, n_rows):
+    """CSR row pointers of entries grouped by ascending row."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
 
 
 def normalize_adjacency(biadj, alpha0=ALPHA0):
@@ -75,25 +125,73 @@ def normalize_adjacency(biadj, alpha0=ALPHA0):
     Zero-degree nodes take D^-1/2 = 0 (pseudo-inverse convention), keeping
     only the self-loop. Both triangles get identical arithmetic, so the
     result is exactly symmetric.
-    """
-    n_u, n_i = biadj.shape
-    n = n_u + n_i
-    coo = biadj.tocoo()
-    rows = np.concatenate([coo.row, coo.col + n_u])
-    cols = np.concatenate([coo.col + n_u, coo.row])
-    vals = np.concatenate([coo.data, coo.data])
 
-    deg = np.zeros(n)
-    np.add.at(deg, rows, vals)
+    The CSR rows are written straight from B's arrays: a user row is its
+    diagonal entry, then its items in ascending order; an item row is its
+    users in ascending order, then its diagonal entry. An off-diagonal value
+    is ``(alpha0/2) * (dinv[r] * dinv[c]) * b`` and a diagonal one alpha0/2,
+    with zeros dropped: the arrays of ``(off + alpha0/2 I).tocsr()`` over
+    the COO of both triangles. A non-canonical B is canonicalized first.
+    """
+    b = _canonical(biadj)
+    n_u, n_i = b.shape
+    n = n_u + n_i
+    nnz = b.nnz
+    user = _rows(b.indptr)
+    item = b.indices.astype(np.int64)
+    deg = np.concatenate([np.bincount(user, weights=b.data, minlength=n_u),
+                          np.bincount(item, weights=b.data, minlength=n_i)])
     dinv_sqrt = np.zeros(n)
     nz = deg > 0
     dinv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
 
-    # symmetric per-entry scaling: value = (alpha0/2) * (dinv[i] * dinv[j])
-    scaled = (alpha0 / 2.0) * (dinv_sqrt[rows] * dinv_sqrt[cols]) * vals
-    off = sp.coo_matrix((scaled, (rows, cols)), shape=(n, n))
-    eye = sp.identity(n, format="coo") * (alpha0 / 2.0)
-    return (off + eye).tocsr()
+    half = alpha0 / 2.0
+    vals = half * (dinv_sqrt[user] * dinv_sqrt[item + n_u]) * b.data
+    by_item = np.argsort(item, kind="stable")        # users ascending within an item
+    # every user row gains its diagonal before its items, every item row after its users
+    indptr = np.concatenate([b.indptr[:n_u] + np.arange(n_u),
+                             nnz + n_u + _indptr(item, n_i) + np.arange(n_i + 1)])
+    indices = np.empty(2 * nnz + n, dtype=np.int64)
+    data = np.empty(2 * nnz + n)
+    diag = np.concatenate([indptr[:n_u], indptr[n_u + 1:] - 1])
+    indices[diag] = np.arange(n)
+    data[diag] = half
+    pos = np.arange(nnz)
+    user_pos = pos + user + 1
+    indices[user_pos] = item + n_u
+    data[user_pos] = vals
+    item_pos = nnz + n_u + pos + item[by_item]
+    indices[item_pos] = user[by_item]
+    data[item_pos] = vals[by_item]
+    return _csr(data, indices, indptr, (n, n))
+
+
+def averaging_operators(biadj):
+    """(D_u^-1 B, D_i^-1 B^T): each user's and each item's mean over its partners.
+
+    ``D`` holds B's row (column) sums, added up as ``B.sum(axis)`` does; a
+    node of degree <= 0 gets an empty row. Rows store their columns in
+    descending order, with value ``dinv[row] * b``: the arrays of
+    ``sp.diags(dinv) @ B``, whose stored order fixes the order in which a
+    sparse product sums.
+    """
+    b = _canonical(biadj)
+    n_u, n_i = b.shape
+    user = _rows(b.indptr)
+    item = b.indices.astype(np.int64)
+    deg_u = np.zeros(n_u)
+    full = np.flatnonzero(np.diff(b.indptr))
+    if full.size:
+        deg_u[full] = np.add.reduceat(b.data, b.indptr[full])
+    deg_i = np.bincount(item, weights=b.data, minlength=n_i)
+    out = []
+    for rows, cols, deg, n_cols in ((user, item, deg_u, n_i), (item, user, deg_i, n_u)):
+        dinv = np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
+        # reverse B's entries, then group them stably by row: columns descend within a row
+        rev = len(rows) - 1 - np.argsort(rows[::-1], kind="stable")
+        out.append(_csr(dinv[rows[rev]] * b.data[rev], cols[rev],
+                        _indptr(rows, len(deg)), (len(deg), n_cols)))
+    return tuple(out)
 
 
 def learnable_adjacency(nadj, alpha):

@@ -11,15 +11,15 @@ representation, and the instant interactions then jump the states discretely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, SequencingError
-from .graphs import ALPHA0, normalize_adjacency
+from .graphs import ALPHA0, averaging_operators, normalize_adjacency
 
 MAX_SUBSTEPS = 10_000  # per evolution; a day gap <= span takes <= ceil(time_scale / tau_max)
 
@@ -42,6 +42,9 @@ class ModelConfig:
     time_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha0", "tau_max", "time_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d < 1 or self.s_days < 1 or self.taylor_order < 1:
             raise ConfigError("d, s_days and taylor_order must all be >= 1")
         if self.time_scale <= 0 or self.tau_max <= 0:
@@ -211,21 +214,16 @@ class CpmrModel:
         x_u = ad.row_block(x, 0, n_u)
         x_i = ad.row_block(x, n_u, self.n_nodes)
 
-        deg_u = np.asarray(b_ins.sum(axis=1)).reshape(-1)
-        deg_i = np.asarray(b_ins.sum(axis=0)).reshape(-1)
-        dinv_u = np.where(deg_u > 0, 1.0 / np.maximum(deg_u, 1), 0.0)
-        dinv_i = np.where(deg_i > 0, 1.0 / np.maximum(deg_i, 1), 0.0)
-        db_u = sp.diags(dinv_u) @ b_ins          # users <- items averaging
-        db_i = sp.diags(dinv_i) @ b_ins.T        # items <- users averaging
-
-        delta_u = ad.relu(ad.matmul(ad.spmm(db_u.tocsr(), x_i),
+        db_u, db_i = averaging_operators(b_ins)   # users <- items, items <- users
+        delta_u = ad.relu(ad.matmul(ad.spmm(db_u, x_i),
                                     self.params[f"update.{scenario}.w_i2u"]))
-        delta_i = ad.relu(ad.matmul(ad.spmm(db_i.tocsr(), x_u),
+        delta_i = ad.relu(ad.matmul(ad.spmm(db_i, x_u),
                                     self.params[f"update.{scenario}.w_u2i"]))
         self_u = ad.matmul(x_u, self.params[f"update.{scenario}.w_u2u"])
         self_i = ad.matmul(x_i, self.params[f"update.{scenario}.w_i2i"])
-        mask_u = (deg_u > 0).astype(np.float64).reshape(-1, 1)
-        mask_i = (deg_i > 0).astype(np.float64).reshape(-1, 1)
+        # a node is involved that day iff its averaging row is not empty
+        mask_u = (np.diff(db_u.indptr) > 0).astype(np.float64).reshape(-1, 1)
+        mask_i = (np.diff(db_i.indptr) > 0).astype(np.float64).reshape(-1, 1)
 
         new_u = ad.masked_add(x_u, mask_u, ad.add(ad.sub(self_u, x_u), delta_u))
         new_i = ad.masked_add(x_i, mask_i, ad.add(ad.sub(self_i, x_i), delta_i))
@@ -264,12 +262,7 @@ class CpmrModel:
         else:
             xh_k, xc_k, z = self.fuse(xh_minus, xc_minus)
 
-        iu, ii = store.instant_edges(day_k)
-        b_ins = sp.coo_matrix((np.ones(len(iu)), (iu, ii)),
-                              shape=(self.n_users, self.n_items)).tocsr()
-        b_ins.sum_duplicates()
-        if b_ins.nnz:
-            b_ins.data[:] = 1.0
+        b_ins = store.instant_biadjacency(day_k)
         new = TemporalStates(
             x_his=self.update_instant(xh_k, b_ins, "his") if xh_k is not None else None,
             x_ctx=self.update_instant(xc_k, b_ins, "ctx") if xc_k is not None else None,

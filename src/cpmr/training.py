@@ -9,6 +9,7 @@ states detached so gradients never cross segment boundaries.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, asdict
 
@@ -35,8 +36,14 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.n_tbptt, self.n_neg, self.lr_decay_period, self.max_epochs) < 1:
             raise ConfigError("n_tbptt, n_neg, lr_decay_period and max_epochs must be >= 1")
-        if self.lr < 0 or self.weight_decay < 0:     # lr = 0 freezes the parameters
-            raise ConfigError("lr and weight_decay must be non-negative")
+        for name in ("lr", "weight_decay", "lr_decay_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        # lr = 0 freezes the parameters; a negative decay factor would flip the lr's sign
+        if min(self.lr, self.weight_decay, self.lr_decay_factor) < 0:
+            raise ConfigError("lr, weight_decay and lr_decay_factor must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class InteractionHistory:

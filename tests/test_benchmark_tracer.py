@@ -1,10 +1,17 @@
 """The benchmark's ``--trace 1`` run patches cpmr names where they are looked
-up; entering and leaving its patch context guards every one of them."""
+up; entering and leaving its patch context guards every one of them, and a
+traced run must reach the graph layers through those names."""
 
 import os
 import sys
 
+import numpy as np
 import pytest
+
+from cpmr.data import SECONDS_PER_DAY, RawEvent, canonicalize
+from cpmr.evaluation import incremental_eval
+from cpmr.model import ModelConfig
+from cpmr.training import TrainConfig, train
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks")
@@ -27,3 +34,23 @@ def test_tracer_patches_and_restores_every_name(tracer):
     with tracer.patched(tr):
         assert all(owner.__dict__[name] is not before[owner, name] for owner, name in names)
     assert all(owner.__dict__[name] is before[owner, name] for owner, name in names)
+
+
+def test_traced_run_reaches_every_graph_layer(tracer):
+    """train and a test replay call the graph views, the normalization and the
+    instant update by the names the tracer wraps; a path that bypassed them
+    would leave their per-layer figures at zero."""
+    rng = np.random.default_rng(3)
+    ds = canonicalize([RawEvent(f"u{rng.integers(6)}", f"i{rng.integers(6)}",
+                                day * SECONDS_PER_DAY)
+                       for day in range(12) for _ in range(4)])
+    tr = tracer.Tracer()
+    with tracer.patched(tr), tr.in_phase("run"):
+        model, _ = train(ds, ModelConfig(d=4, s_days=3, taylor_order=3),
+                         TrainConfig(lr=1e-2, n_tbptt=4, n_neg=2, max_epochs=1))
+        incremental_eval(ds, model, split="test")
+    history = tr.counts["run", "graphs.history_calls"]
+    assert history > 0
+    assert tr.calls["run", "graphs.views"] > history          # context views as well
+    assert tr.calls["run", "graphs.normalize"] > 0
+    assert tr.calls["run", "model.update_instant"] > 0

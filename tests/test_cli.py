@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,11 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cpmr
 from cpmr.cli import main
 from cpmr.errors import ConfigError
+from cpmr.model import ModelConfig
 from cpmr.runconfig import RunConfig
+from cpmr.training import TrainConfig
 
 
 def write_raw_log(path, seed=0, n_users=7, n_items=7, n_days=14, per_day=5):
@@ -224,6 +229,35 @@ def test_runconfig_bool_coercion(tmp_path):
         RunConfig.from_file(cfg)
 
 
+_NUMERIC_KEYS = sorted(f"{sec}.{f.name}" for sec, cls in (("model", ModelConfig),
+                                                             ("train", TrainConfig))
+                       for f in dataclasses.fields(cls))
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0", "0", "-0.0",
+                     "1e308", "-1e308", "1e999", "5e-324", "-1", "1", "0.5", "2", "true",
+                     "no", "", " ", "abc", "1_000", "0x10", "1e3"]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.booleans().map(str),
+    st.text(max_size=6))
+
+
+@given(st.dictionaries(st.sampled_from(_NUMERIC_KEYS), _FUZZ_VALUES, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_runconfig_fuzz_finite_or_config_error(values):
+    """Any model.* / train.* values either build a config whose numbers are
+    all finite or raise ConfigError."""
+    try:
+        run = RunConfig({"data.path": "x", **values})
+    except ConfigError:
+        return
+    for cfg in (run.model, run.train):
+        for f in dataclasses.fields(cfg):
+            v = getattr(cfg, f.name)
+            assert isinstance(v, (bool, int, float))
+            assert math.isfinite(v), (f.name, v)
+
+
 def test_bad_config_value_exit_code(workspace, capsys):
     tmp_path, out, _ = workspace
     bad = tmp_path / "bad.cfg"
@@ -249,7 +283,11 @@ def test_malformed_dataset_record_exit_code(workspace, capsys):
                                   "train.weight_decay=-0.1", "train.lr_decay_period=0",
                                   "seeds=0,1,2", "model.time_scale=1e9", "model.alpha0=5",
                                   "model.alpha0=0", "model.alpha0=1", "train.max_epochs=0",
-                                  "eval.split=bogus"])
+                                  "eval.split=bogus", "model.time_scale=nan",
+                                  "model.time_scale=inf", "model.tau_max=nan",
+                                  "model.alpha0=nan", "train.lr=nan", "train.lr=inf",
+                                  "train.weight_decay=nan", "train.lr_decay_factor=nan",
+                                  "train.lr_decay_factor=-1", "train.seed=-1"])
 def test_config_out_of_range_exit_code(workspace, capsys, line):
     tmp_path, out, _ = workspace
     bad = tmp_path / "bad.cfg"

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import cpmr.model
+from cpmr.data import SECONDS_PER_DAY, RawEvent, canonicalize
 from cpmr.errors import ShapeError
-from cpmr.graphs import (EdgeStore, learnable_adjacency, normalize_adjacency)
+from cpmr.evaluation import incremental_eval, validation_mrr
+from cpmr.graphs import (EdgeStore, averaging_operators, learnable_adjacency,
+                         normalize_adjacency)
+from cpmr.model import ModelConfig
+from cpmr.training import TrainConfig, train
 
 
 def make_store(rng, n_edges=50, n_users=8, n_items=6, n_days=10):
@@ -178,3 +184,160 @@ def test_learnable_adjacency_dimension_mismatch():
     b = sp.csr_matrix(np.array([[1.0]]))
     with pytest.raises(ShapeError):
         learnable_adjacency(normalize_adjacency(b), np.zeros(3))
+
+
+# -- byte equality with the COO constructions the CSR builders replaced -------
+
+def reference_biadjacency(u, i, n_users, n_items):
+    mat = sp.coo_matrix((np.ones(len(u)), (u, i)), shape=(n_users, n_items)).tocsr()
+    mat.sum_duplicates()
+    mat.data[:] = 1.0
+    return mat
+
+
+def reference_history(store, day):
+    mask = store.days < day
+    return reference_biadjacency(store.users[mask], store.items[mask],
+                                 store.n_users, store.n_items)
+
+
+def reference_context(store, day, s_days):
+    mask = (store.days >= day - s_days) & (store.days < day)
+    return reference_biadjacency(store.users[mask], store.items[mask],
+                                 store.n_users, store.n_items)
+
+
+def reference_instant(store, day):
+    u, i = store.instant_edges(day)
+    return reference_biadjacency(u, i, store.n_users, store.n_items)
+
+
+def reference_normalize(biadj, alpha0=0.98):
+    n_u, n_i = biadj.shape
+    n = n_u + n_i
+    coo = biadj.tocoo()
+    rows = np.concatenate([coo.row, coo.col + n_u])
+    cols = np.concatenate([coo.col + n_u, coo.row])
+    vals = np.concatenate([coo.data, coo.data])
+    deg = np.zeros(n)
+    np.add.at(deg, rows, vals)
+    dinv_sqrt = np.zeros(n)
+    nz = deg > 0
+    dinv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+    scaled = (alpha0 / 2.0) * (dinv_sqrt[rows] * dinv_sqrt[cols]) * vals
+    off = sp.coo_matrix((scaled, (rows, cols)), shape=(n, n))
+    eye = sp.identity(n, format="coo") * (alpha0 / 2.0)
+    return (off + eye).tocsr()
+
+
+def reference_averaging(b_ins):
+    deg_u = np.asarray(b_ins.sum(axis=1)).reshape(-1)
+    deg_i = np.asarray(b_ins.sum(axis=0)).reshape(-1)
+    dinv_u = np.where(deg_u > 0, 1.0 / np.maximum(deg_u, 1), 0.0)
+    dinv_i = np.where(deg_i > 0, 1.0 / np.maximum(deg_i, 1), 0.0)
+    return (sp.diags(dinv_u) @ b_ins).tocsr(), (sp.diags(dinv_i) @ b_ins.T).tocsr()
+
+
+def csr_bytes(mat):
+    assert mat.format == "csr"
+    return (mat.shape, mat.indptr.dtype.str, mat.indptr.tobytes(),
+            mat.indices.dtype.str, mat.indices.tobytes(), mat.data.dtype.str, mat.data.tobytes())
+
+
+def random_log(seed):
+    """A day-sorted log with repeated pairs, empty days, isolated users and items."""
+    rng = np.random.default_rng(seed)
+    n_users, n_items = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+    n_edges = int(rng.integers(0, 80))
+    days = np.sort(rng.choice(np.arange(0, 40, 3), size=n_edges))   # gaps: empty days
+    # the last user and item never interact
+    users = rng.integers(0, max(1, n_users - 1), size=n_edges)
+    items = rng.integers(0, max(1, n_items - 1), size=n_edges)
+    return EdgeStore(users, items, days, n_users, n_items)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_views_are_the_coo_constructions_byte_for_byte(seed):
+    store = random_log(seed)
+    for day in range(-1, 44):
+        assert csr_bytes(store.history_biadjacency(day)) == \
+            csr_bytes(reference_history(store, day))
+        assert csr_bytes(store.instant_biadjacency(day)) == \
+            csr_bytes(reference_instant(store, day))
+        for s in (1, 3, 7, 100):
+            assert csr_bytes(store.context_biadjacency(day, s)) == \
+                csr_bytes(reference_context(store, day, s))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_operators_are_the_coo_constructions_byte_for_byte(seed):
+    store = random_log(seed)
+    rng = np.random.default_rng(1000 + seed)
+    alpha0 = float(rng.uniform(0.1, 0.99))
+    mats = [store.history_biadjacency(day) for day in range(0, 44, 5)]
+    mats += [store.instant_biadjacency(day) for day in range(0, 44, 3)]
+    weighted = sp.random(7, 5, density=float(rng.uniform(0.1, 0.9)), format="csr",
+                         random_state=np.random.RandomState(seed))
+    signed = weighted.copy()          # explicit zeros and negative weights
+    signed.data = rng.choice([0.0, -1.0, 1.0, 2.5, float(rng.normal())], size=signed.nnz)
+    mats += [sp.csr_matrix((0, 0)), sp.csr_matrix((3, 0)), sp.csr_matrix((0, 4)),
+             sp.csr_matrix((5, 4)), weighted, signed]
+    for b in mats:
+        assert csr_bytes(normalize_adjacency(b, alpha0)) == \
+            csr_bytes(reference_normalize(b, alpha0))
+        for got, want in zip(averaging_operators(b), reference_averaging(b)):
+            assert csr_bytes(got) == csr_bytes(want)
+
+
+def test_operators_of_a_non_canonical_biadjacency_are_those_of_its_canonical_form():
+    # (0, 2) stored twice and row 1 unsorted
+    b = sp.csr_matrix((np.array([1.0, 1.0, 1.0, 1.0, 1.0]), np.array([2, 0, 2, 3, 1]),
+                       np.array([0, 3, 5, 5])), shape=(3, 4))
+    assert not b.has_canonical_format
+    canon = b.copy()
+    canon.sum_duplicates()
+    assert csr_bytes(normalize_adjacency(b)) == csr_bytes(normalize_adjacency(canon))
+    for got, want in zip(averaging_operators(b), averaging_operators(canon)):
+        assert csr_bytes(got) == csr_bytes(want)
+    assert b.indices.tolist() == [2, 0, 2, 3, 1]      # the input is left alone
+
+
+def test_training_and_replay_match_the_coo_constructions_byte_for_byte(monkeypatch):
+    """Two epochs and a test replay give the same segment losses, test MRR
+    and parameters, byte for byte, with the CSR builders as with the COO
+    constructions they replaced."""
+    rng = np.random.default_rng(23)
+    # several items per user and day, so the averaging rows sum three or more terms
+    events = [RawEvent(f"u{rng.integers(5)}", f"i{rng.integers(8)}", day * SECONDS_PER_DAY)
+              for day in range(24) if day % 5 != 3          # every fifth day is empty
+              for _ in range(int(rng.integers(1, 13)))]
+    ds = canonicalize(events)
+
+    def run():
+        model, hist = train(ds, ModelConfig(d=6, s_days=3, taylor_order=3, time_scale=5.0),
+                            TrainConfig(lr=1e-2, n_tbptt=4, n_neg=2, max_epochs=2, seed=0),
+                            eval_fn=lambda m, states: validation_mrr(m, states, ds))
+        report = incremental_eval(ds, model, split="test", seed=0)
+        return ([float(r.mean_loss).hex() for r in hist["segments"]], float(report.mrr).hex(),
+                {name: p.value.tobytes() for name, p in model.params.items()})
+
+    got = run()
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(EdgeStore, "history_biadjacency", counted("history", reference_history))
+    monkeypatch.setattr(EdgeStore, "context_biadjacency", counted("context", reference_context))
+    monkeypatch.setattr(EdgeStore, "instant_biadjacency", counted("instant", reference_instant))
+    monkeypatch.setattr(cpmr.model, "normalize_adjacency",
+                        counted("normalize", reference_normalize))
+    monkeypatch.setattr(cpmr.model, "averaging_operators",
+                        counted("averaging", reference_averaging))
+    want = run()
+    assert sorted(calls) == ["averaging", "context", "history", "instant", "normalize"]
+    assert len(got[0]) >= 4
+    assert got == want
