@@ -5,6 +5,12 @@ their backward rules on the active :class:`Tape` (a context manager); with no
 active tape they run as plain numpy forward computations, which is the
 no-grad path used during evaluation.
 
+Ownership: the tape holds handles (:class:`TapeNode`), not values. A handle
+knows its ``Var`` only through a weak reference, so reference counting frees
+each intermediate as soon as the forward code drops it. A backward rule
+captures the arrays or shapes it reads, never a ``Var`` it does not read;
+what no rule reads is not kept.
+
 Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 ``graph_flow``; gradients flow through the dense operands.
 """
@@ -12,6 +18,7 @@ Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -24,7 +31,7 @@ _ACTIVE_TAPE = None
 class Var:
     """A matrix value participating in differentiable computation."""
 
-    __slots__ = ("value", "name")
+    __slots__ = ("value", "name", "_node", "__weakref__")   # _node: set under a tape
 
     def __init__(self, value, name=None):
         arr = np.asarray(value, dtype=np.float64)
@@ -47,6 +54,30 @@ def constant(value, name=None):
     return Var(np.array(value, dtype=np.float64, copy=True), name=name)
 
 
+class TapeNode:
+    """A Var's identity on a tape: a weak reference to it and its shape."""
+
+    __slots__ = ("var", "shape")
+
+    def __init__(self, var):
+        self.var = weakref.ref(var)
+        self.shape = var.value.shape
+
+    @property
+    def value(self):
+        """The Var's array while the Var lives, else an empty array."""
+        var = self.var()
+        return var.value if var is not None else np.empty(0)
+
+
+def _node(var):
+    try:
+        return var._node
+    except AttributeError:
+        node = var._node = TapeNode(var)
+        return node
+
+
 class Tape:
     """Append-only record of ops for one backward pass.
 
@@ -55,7 +86,7 @@ class Tape:
     """
 
     def __init__(self):
-        self.nodes = []  # (out_var, [(in_var, vjp), ...])
+        self.nodes = []  # (out_node, [(in_node, vjp), ...])
         self.consumed = False
 
     def __enter__(self):
@@ -73,7 +104,8 @@ class Tape:
 
 def _record(out, pairs):
     if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.nodes.append((out, pairs))
+        out._node = TapeNode(out)
+        _ACTIVE_TAPE.nodes.append((out._node, [(_node(v), vjp) for v, vjp in pairs]))
 
 
 def _check(cond, op, *shapes):
@@ -180,7 +212,8 @@ def concat_rows(*parts: Var) -> Var:
 
 def relu(x: Var) -> Var:
     out = Var(np.maximum(x.value, 0.0))
-    _record(out, [(x, lambda g, x=x: g * (x.value > 0.0))])
+    if _ACTIVE_TAPE is not None:
+        _record(out, [(x, lambda g, pos=x.value > 0.0: g * pos)])
     return out
 
 
@@ -225,8 +258,8 @@ def row_select(x: Var, idx) -> Var:
     """Gather rows; duplicate indices accumulate gradient."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Var(x.value[idx])
-    def vjp(g, x=x, idx=idx):
-        z = np.zeros_like(x.value)
+    def vjp(g, shape=x.shape, idx=idx):
+        z = np.zeros(shape)
         np.add.at(z, idx, g)
         return z
     _record(out, [(x, vjp)])
@@ -236,8 +269,8 @@ def row_select(x: Var, idx) -> Var:
 def row_block(x: Var, start, stop) -> Var:
     """Rows start:stop of x as a view: ``row_select`` over an ``arange``, without the copy."""
     out = Var(x.value[start:stop])
-    def vjp(g, x=x, start=start, stop=stop):
-        z = np.zeros_like(x.value)
+    def vjp(g, shape=x.shape, start=start, stop=stop):
+        z = np.zeros(shape)
         z[start:stop] += g          # 0 + g, as np.add.at gives, signed zeros included
         return z
     _record(out, [(x, vjp)])
@@ -246,8 +279,8 @@ def row_block(x: Var, start, stop) -> Var:
 
 def col_select(x: Var, j: int) -> Var:
     out = Var(x.value[:, j:j + 1].copy())
-    def vjp(g, x=x, j=j):
-        z = np.zeros_like(x.value)
+    def vjp(g, shape=x.shape, j=j):
+        z = np.zeros(shape)
         z[:, j:j + 1] = g
         return z
     _record(out, [(x, vjp)])
@@ -267,26 +300,26 @@ def masked_add(base: Var, mask, delta: Var) -> Var:
 
 def sum_cols(x: Var) -> Var:
     out = Var(x.value.sum(axis=1, keepdims=True))
-    _record(out, [(x, lambda g, x=x: np.broadcast_to(g, x.value.shape).copy())])
+    _record(out, [(x, lambda g, shape=x.shape: np.broadcast_to(g, shape).copy())])
     return out
 
 
 def reshape(x: Var, shape) -> Var:
     out = Var(x.value.reshape(shape))
-    _record(out, [(x, lambda g, x=x: g.reshape(x.value.shape))])
+    _record(out, [(x, lambda g, shape=x.shape: g.reshape(shape))])
     return out
 
 
 def sum_all(x: Var) -> Var:
     out = Var(np.array([[x.value.sum()]]))
-    _record(out, [(x, lambda g, x=x: np.full_like(x.value, g[0, 0]))])
+    _record(out, [(x, lambda g, shape=x.shape: np.full(shape, g[0, 0]))])
     return out
 
 
 def mean_all(x: Var) -> Var:
     n = x.value.size
     out = Var(np.array([[x.value.sum() / n]]))
-    _record(out, [(x, lambda g, x=x, n=n: np.full_like(x.value, g[0, 0] / n))])
+    _record(out, [(x, lambda g, shape=x.shape, n=n: np.full(shape, g[0, 0] / n))])
     return out
 
 
@@ -337,9 +370,10 @@ def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
 def backward(loss: Var, tape: Tape, params=None):
     """Run the tape in reverse from a 1x1 loss.
 
-    Returns a dict mapping Var -> gradient array. Parameters in ``params``
-    that the loss does not reach get explicit zero gradients. The tape is
-    cleared and cannot be consumed again.
+    Returns a dict mapping Var -> gradient array for the reached leaves
+    that are still alive. Parameters in ``params`` that the loss does not
+    reach get explicit zero gradients. Each node is popped as it runs, so
+    the tape ends empty and cannot be consumed again.
     """
     if tape.consumed:
         raise CpmrError("tape already consumed by a previous backward pass")
@@ -347,8 +381,11 @@ def backward(loss: Var, tape: Tape, params=None):
         raise CpmrError("backward on an empty tape")
     if loss.value.shape != (1, 1):
         raise ShapeError(f"loss must be 1x1, got {loss.value.shape}")
-    grads = {loss: np.ones((1, 1))}
-    for out, pairs in reversed(tape.nodes):
+    tape.consumed = True
+    grads = {_node(loss): np.ones((1, 1))}
+    nodes = tape.nodes
+    while nodes:
+        out, pairs = nodes.pop()
         g = grads.pop(out, None)
         if g is None:
             continue
@@ -358,13 +395,16 @@ def backward(loss: Var, tape: Tape, params=None):
                 grads[inp] = grads[inp] + contrib
             else:
                 grads[inp] = contrib
-    tape.nodes.clear()
-    tape.consumed = True
+    result = {}
+    for node, g in grads.items():
+        var = node.var()
+        if var is not None:
+            result[var] = g
     if params is not None:
         for p in params:
-            if p not in grads:
-                grads[p] = np.zeros_like(p.value)
-    return grads
+            if p not in result:
+                result[p] = np.zeros_like(p.value)
+    return result
 
 
 def grad_check(f, params, h=1e-5, max_coords=40, rng=None):

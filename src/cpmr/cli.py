@@ -101,8 +101,8 @@ def cmd_train(args):
 
 
 def _provenance(run, ds):
-    """What a checkpoint is trained with: the model settings and the dataset's shape."""
-    return {**{k: v for k, v in run.settings.items() if k.startswith("model.")},
+    """What a checkpoint is trained with: model and training settings, the dataset's shape."""
+    return {**{k: v for k, v in run.settings.items() if k.startswith(("model.", "train."))},
             "dataset.n_users": ds.n_users, "dataset.n_items": ds.n_items,
             "dataset.n_events": len(ds), "dataset.split": list(ds.split)}
 
@@ -120,8 +120,10 @@ def cmd_eval(args):
     split = args.split or run.eval_split
     meta, params = ad.read_checkpoint(args.checkpoint)
     want = _provenance(run, ds)
+    # the training settings are recorded, not binding: eval may run under others
     diff = [f"{k}={meta.get(k)!r} (this run: {want.get(k)!r})"
-            for k in sorted(meta.keys() | want.keys()) if meta.get(k) != want.get(k)]
+            for k in sorted(meta.keys() | want.keys())
+            if not k.startswith("train.") and meta.get(k) != want.get(k)]
     if diff:
         raise ConfigError(f"checkpoint {args.checkpoint} was trained with {', '.join(diff)}")
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, run.model,

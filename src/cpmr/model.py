@@ -208,13 +208,17 @@ class CpmrModel:
             return ad.concat_rows(*results[t]) if results[t] else None
         return stack("his"), stack("ctx"), stack("final")
 
-    def update_instant(self, x, b_ins, scenario):
-        """Discrete jump of one scenario's states from the instant graph."""
+    def update_instant(self, x, ops, scenario):
+        """Discrete jump of one scenario's states from the instant graph.
+
+        ``ops`` is the pair ``averaging_operators(b_ins)`` of that day's instant
+        biadjacency: users <- items, items <- users.
+        """
         n_u = self.n_users
         x_u = ad.row_block(x, 0, n_u)
         x_i = ad.row_block(x, n_u, self.n_nodes)
 
-        db_u, db_i = averaging_operators(b_ins)   # users <- items, items <- users
+        db_u, db_i = ops
         delta_u = ad.relu(ad.matmul(ad.spmm(db_u, x_i),
                                     self.params[f"update.{scenario}.w_i2u"]))
         delta_i = ad.relu(ad.matmul(ad.spmm(db_i, x_u),
@@ -262,10 +266,10 @@ class CpmrModel:
         else:
             xh_k, xc_k, z = self.fuse(xh_minus, xc_minus)
 
-        b_ins = store.instant_biadjacency(day_k)
+        ops = averaging_operators(store.instant_biadjacency(day_k))
         new = TemporalStates(
-            x_his=self.update_instant(xh_k, b_ins, "his") if xh_k is not None else None,
-            x_ctx=self.update_instant(xc_k, b_ins, "ctx") if xc_k is not None else None,
+            x_his=self.update_instant(xh_k, ops, "his") if xh_k is not None else None,
+            x_ctx=self.update_instant(xc_k, ops, "ctx") if xc_k is not None else None,
             day=day_k)
         return z, new
 

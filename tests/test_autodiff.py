@@ -62,6 +62,28 @@ def test_unreachable_param_gets_zero_grad():
     np.testing.assert_array_equal(g[orphan], np.zeros((1, 2)))
 
 
+def test_tape_holds_handles_and_backward_pops_them():
+    x = ad.constant([[1.0, -2.0]])
+    with ad.Tape() as tape:
+        h = ad.scale(x, 2.0)
+        loss = ad.sum_all(ad.relu(h))
+        h_node = tape.nodes[0][0]
+        assert h_node.shape == (1, 2) and h_node.value is h.value
+        del h                               # no rule reads the scaled values
+        assert h_node.value.shape == (0,) and h_node.shape == (1, 2)
+    assert [i.value is x.value for _, pairs in tape.nodes[:1] for i, _ in pairs] == [True]
+    g = ad.backward(loss, tape)
+    assert tape.nodes == []
+    assert set(g) == {x}                    # the live leaf only, no dead intermediate
+    np.testing.assert_array_equal(g[x], [[2.0, 0.0]])
+
+
+def test_untaped_ops_make_no_handles():
+    out = ad.relu(ad.matmul(ad.constant([[1.0]]), ad.constant([[2.0]])))
+    with pytest.raises(AttributeError):
+        out._node
+
+
 def test_matmul_grad_hand_computed():
     # loss = sum(A @ B): dA = 1 @ B^T, dB = A^T @ 1
     a = ad.constant([[1.0, 2.0], [3.0, 4.0]])

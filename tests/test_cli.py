@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cpmr
+from cpmr import autodiff as ad
 from cpmr.cli import main
 from cpmr.errors import ConfigError
 from cpmr.model import ModelConfig
@@ -308,6 +309,22 @@ def test_eval_rejects_checkpoint_of_another_config(workspace, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "model.s_days=3" in err and "model.time_scale=1.0" in err
+
+
+def test_checkpoint_records_the_training_settings(workspace, capsys):
+    tmp_path, out, cfg = workspace
+    assert main(["train", "--config", str(cfg)]) == 0
+    meta, _ = ad.read_checkpoint(out / "checkpoint.bin")
+    train_keys = {f"train.{f.name}" for f in dataclasses.fields(TrainConfig)}
+    assert train_keys <= meta.keys()
+    assert meta["train.lr"] == 0.01 and meta["train.n_tbptt"] == 4
+    assert meta["train.seed"] == 0 and meta["train.weight_decay"] == 1e-4
+    # eval checks only the model and dataset keys: other training settings pass
+    other = tmp_path / "other.cfg"
+    write_config(other, out / "dataset.bin", out, extra=["train.lr=0.5", "train.n_neg=3"])
+    capsys.readouterr()
+    assert main(["eval", "--config", str(other), "--checkpoint",
+                 str(out / "checkpoint.bin")]) == 0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,

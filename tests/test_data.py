@@ -1,12 +1,14 @@
+import contextlib
 import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpmr.cli import main
 from cpmr.data import (RawEvent, SECONDS_PER_DAY, canonicalize, k_core_filter,
                        load_dataset, parse_interactions, save_dataset)
-from cpmr.errors import ConfigError, DegenerateSpanError, ParseError
+from cpmr.errors import ConfigError, CpmrError, DegenerateSpanError, ParseError
 
 
 def ev(u, i, day):
@@ -44,6 +46,70 @@ def test_parse_malformed_record_reports_line():
 def test_parse_unknown_format():
     with pytest.raises(ConfigError):
         parse_interactions(io.StringIO(""), "netflix")
+
+
+_JUNK_FIELDS = ["", "nan", "-nan", "inf", "-inf", "-1", "-0", "1e400", "1e19", "9" * 40,
+                "9223372036854775807", "9223372036854775808", "0x1f", "1_000", " 7 ",
+                "5.5e3", "\u00e9", "\x00", "1,5"]
+_JUNK_BYTES = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r", b"\n", b",", b"\t"]
+
+
+@st.composite
+def mutated_log(draw):
+    """A few valid ``user,item,rating,ts`` lines, then mutated: fields replaced by
+    junk, dropped or added, and raw bytes (bad UTF-8, NUL, separators) spliced in."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        fields = [f"u{draw(st.integers(0, 3))}", f"i{draw(st.integers(0, 3))}", "5.0",
+                  str(draw(st.integers(0, 2 ** 40)))]
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(0, len(fields)))
+            op = draw(st.sampled_from(["replace", "drop", "add"]))
+            if op == "replace" and k < len(fields):
+                fields[k] = draw(st.sampled_from(_JUNK_FIELDS) | st.text(max_size=6))
+            elif op == "drop" and fields:
+                del fields[min(k, len(fields) - 1)]
+            else:
+                fields.insert(k, draw(st.sampled_from(_JUNK_FIELDS)))
+        line = ",".join(fields).encode()
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(_JUNK_BYTES)) + line[at:]
+        lines.append(line)
+    return b"\n".join(lines)
+
+
+def parses_or_raises_typed(raw):
+    """The events of ``raw``, or None when parsing raised a CpmrError."""
+    try:
+        events = parse_interactions(raw, "amazon_csv")
+    except CpmrError:
+        return None
+    for e in events:
+        assert isinstance(e.user_key, str) and isinstance(e.item_key, str)
+        assert 0 <= e.timestamp < 2 ** 63
+    return events
+
+
+@given(st.binary(max_size=200) | mutated_log())
+@settings(max_examples=400, deadline=None)
+def test_parse_fuzz_events_or_typed_error(raw):
+    parses_or_raises_typed(raw)
+
+
+@given(st.binary(max_size=200) | mutated_log())
+@settings(max_examples=60, deadline=None)
+def test_preprocess_fuzz_exit_code(tmp_path_factory, raw):
+    """Through the CLI, a log either preprocesses (exit 0) or exits 2; a log
+    the parser rejects always exits 2."""
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "raw.csv").write_bytes(raw)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["preprocess", "--input", str(out / "raw.csv"), "--format", "amazon_csv",
+                   "--output", str(out), "--k-core", "1"])
+    assert rc in (0, 2)
+    if parses_or_raises_typed(raw) is None:
+        assert rc == 2
 
 
 def test_kcore_already_core():

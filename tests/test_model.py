@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from cpmr import autodiff as ad
 from cpmr.errors import ConfigError, SequencingError
-from cpmr.graphs import EdgeStore, learnable_adjacency, normalize_adjacency
+from cpmr.graphs import (EdgeStore, averaging_operators, learnable_adjacency,
+                         normalize_adjacency)
 from cpmr.model import CpmrModel, ModelConfig, TemporalStates, evolve
 
 
@@ -152,7 +153,7 @@ def test_update_instant_masked_oracle():
     b = sp.csr_matrix(np.array([[1.0, 1.0, 0.0],
                                 [0.0, 0.0, 0.0],
                                 [0.0, 1.0, 0.0]]))
-    out = model.update_instant(x, b, "his").value
+    out = model.update_instant(x, averaging_operators(b), "his").value
     p = {k: v.value for k, v in model.params.items()}
     xu, xi = x.value[:3], x.value[3:]
     db_u = np.array([[0.5, 0.5, 0.0], [0, 0, 0], [0, 1.0, 0]])
@@ -172,7 +173,7 @@ def test_update_instant_masked_uninvolved_untouched():
     model = make_model(n_users=3, n_items=3, d=4)
     rng = np.random.default_rng(15)
     x = ad.constant(rng.normal(size=(6, 4)))
-    out = model.update_instant(x, sp.csr_matrix((3, 3)), "his").value
+    out = model.update_instant(x, averaging_operators(sp.csr_matrix((3, 3))), "his").value
     np.testing.assert_array_equal(out, x.value)
 
 
@@ -189,8 +190,9 @@ def test_row_blocks_give_the_row_select_gradients(monkeypatch):
     def gradients():
         with ad.Tape() as tape:
             h, c, z = model.fuse(xh, xc)
-            out = ad.add(ad.add(model.update_instant(h, b, "his"),
-                                model.update_instant(c, b, "ctx")), z)
+            ops = averaging_operators(b)
+            out = ad.add(ad.add(model.update_instant(h, ops, "his"),
+                                model.update_instant(c, ops, "ctx")), z)
             loss = ad.mean_all(ad.hadamard(out, weight))
         grads = ad.backward(loss, tape, params=inputs)
         return [grads[v] for v in inputs]
@@ -237,7 +239,7 @@ def test_step_scripted_oracle():
     iu, ii = store.instant_edges(2)
     b = sp.coo_matrix((np.ones(len(iu)), (iu, ii)), shape=(4, 4)).tocsr()
     np.testing.assert_allclose(new.x_his.value,
-                               model.update_instant(xh_k, b, "his").value,
+                               model.update_instant(xh_k, averaging_operators(b), "his").value,
                                atol=1e-12)
     assert new.day == 2
 
@@ -384,7 +386,8 @@ def test_evolve_states_is_one_flow_node_on_the_tape():
     with ad.Tape() as tape:
         out = model.evolve_states(x, nadj, "his", 1.0)      # 8 sub-steps
     # the flow itself, plus the n x 1 sigmoid of the gates
-    assert [o for o, _ in tape.nodes if o.shape == x.shape] == [out]
+    flows = [o for o, _ in tape.nodes if o.shape == x.shape]
+    assert len(flows) == 1 and flows[0].value is out.value
     assert len(tape.nodes) == 2
 
 
@@ -413,3 +416,33 @@ def test_evolve_states_without_tape_keeps_no_iterates():
         _, kept_taped = traced_bytes(lambda: model.evolve_states(x, nadj, "his", 5.0))
     assert len(tape.nodes) == 2
     assert kept_taped > 40 * 6 * state_bytes  # 40 sub-steps x 6 iterates
+
+
+def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
+    """The matmul under each ``_linear``'s bias and every ``scale_rows``
+    output in ``fuse`` are freed once the forward code drops them."""
+    import weakref
+    model = make_model(n_users=5, n_items=4, d=6)
+    rng = np.random.default_rng(41)
+    xh, xc = ad.Var(rng.normal(size=(9, 6))), ad.Var(rng.normal(size=(9, 6)))
+    refs = {"matmul": [], "scale_rows": []}
+
+    def watched(name, op):
+        def run(*args):
+            out = op(*args)
+            refs[name].append(weakref.ref(out.value))
+            return out
+        return run
+
+    for name in refs:
+        monkeypatch.setattr(ad, name, watched(name, getattr(ad, name)))
+    with ad.Tape() as tape:
+        h, c, z = model.fuse(xh, xc)
+        # per entity class: 7 linear layers (shared, 3 gates, 3 experts), 6 scalings
+        assert len(refs["matmul"]) == 2 * 7 and len(refs["scale_rows"]) == 2 * 6
+        assert all(r() is None for rs in refs.values() for r in rs)
+        # their nodes stay on the tape, as handles without values
+        assert sum(o.value.size == 0 for o, _ in tape.nodes) >= 2 * (7 + 6)
+        loss = ad.mean_all(ad.add(ad.add(h, c), z))
+    grads = ad.backward(loss, tape, params=[xh, xc])
+    assert np.abs(grads[xh]).max() > 0 and np.abs(grads[xc]).max() > 0

@@ -320,3 +320,34 @@ def test_empty_negative_pools_counted_not_logged(tmp_path, caplog):
                   if "val_mrr" in json.loads(l)][0]
     assert epoch_line["negative_fallbacks"] == hist["epochs"][0]["negative_fallbacks"]
     assert epoch_line["negative_fallbacks"] > 0
+
+
+def test_taped_step_and_loss_keep_only_what_backward_reads():
+    """Live bytes of one taped ``step`` plus ``batch_loss``, in state-matrix
+    sizes: ~79 when the tape held every op's output, ~40 since it holds
+    handles and each rule keeps only what it reads."""
+    import tracemalloc
+    from cpmr.graphs import EdgeStore
+    rng = np.random.default_rng(5)
+    n_u, n_i = 300, 100
+    users, items = rng.integers(0, n_u, 600), rng.integers(0, n_i, 600)
+    days = np.sort(rng.integers(0, 10, 600))
+    order = np.lexsort((items, users, days))
+    store = EdgeStore(users[order], items[order], days[order], n_u, n_i)
+    model = CpmrModel(n_u, n_i, day_unit=0.01, config=ModelConfig(d=32),
+                      rng=np.random.default_rng(0))
+    state_bytes = model.params["embed"].value.nbytes
+    states = model.init_states()
+    day = int(days[-1])
+    u, i = store.instant_edges(day)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            z, _ = model.step(states, store, 0, day)
+            loss = batch_loss(model, z, u, i, InteractionHistory(n_u, n_i), 8,
+                              np.random.default_rng(1))
+            kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 50 * state_bytes
+    ad.backward(loss, tape, params=model.params.values())
