@@ -23,7 +23,8 @@ import weakref
 import numpy as np
 
 from . import arrayfile
-from .errors import CpmrError, DataFormatError, ShapeError  # noqa: F401 (ad.DataFormatError)
+from .errors import (ConfigError, CpmrError, DataFormatError,  # noqa: F401 (ad.DataFormatError)
+                     ShapeError)
 
 _ACTIVE_TAPE = None
 
@@ -327,36 +328,80 @@ def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
     """``steps`` Horner sub-steps of length ``tau`` of dX/dt = (N diag(gate) - I) X + E.
 
     Each sets y = X / K!, then y <- tau (N (gate * y) - y) + X / k! + tau E / (k+1)!
-    for k = K-1 ... 0; under a tape only the K iterates of each sub-step are kept.
+    for k = K-1 ... 0, with the operations of that expression in its order, so
+    the numbers are bit for bit the same. Without a tape two scratch buffers
+    per sub-step hold ``y * gate`` and the ``X / k! + tau E / (k+1)!`` term,
+    and each iterate is finished in place in the fresh array ``N @ scratch``
+    returns. Under a tape each iterate is kept, and the rule keeps only the K
+    iterates of each sub-step, no other state-sized array; its adjoint runs
+    with one scratch buffer of its own.
     """
     _check(x.shape == e.shape and gate.shape == (x.shape[0], 1)
            and n.shape == (x.shape[0],) * 2, "graph_flow", x.shape, e.shape, gate.shape, n.shape)
+    if steps < 1 or order < 1:
+        raise ConfigError(f"graph_flow needs steps >= 1 and order >= 1, got {steps} and {order}")
     inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
     s, ev, cur = gate.value, e.value, x.value
     kept = [] if _ACTIVE_TAPE is not None else None
     for _ in range(steps):
         y = cur * inv_fact[order]
-        for k in range(order - 1, -1, -1):
-            if kept is not None:
+        if kept is None:
+            gated, w = np.empty_like(cur), np.empty_like(cur)
+            for k in range(order - 1, -1, -1):
+                np.multiply(y, s, out=gated)
+                t = np.asarray(n @ gated)
+                t -= y
+                t *= tau
+                np.multiply(cur, inv_fact[k], out=w)
+                np.multiply(ev, tau * inv_fact[k + 1], out=gated)
+                w += gated
+                t += w
+                y = t
+            del gated, w
+        else:
+            # every iterate is kept: the buffers are freed within the iterate and
+            # the kept one is allocated last, so the next iterate's buffers refill
+            # the holes they leave (scratch held across iterates, below the kept
+            # ones, left holes that raised training's peak RSS)
+            for k in range(order - 1, -1, -1):
                 kept.append(y)
-            y = ((np.asarray(n @ (y * s)) - y) * tau
-                 + (cur * inv_fact[k] + ev * (tau * inv_fact[k + 1])))
+                gated = y * s
+                t = np.asarray(n @ gated)
+                t -= y
+                t *= tau
+                w = cur * inv_fact[k]
+                np.multiply(ev, tau * inv_fact[k + 1], out=gated)
+                w += gated
+                del gated
+                y = t + w
+                del t, w
         cur = y
     out = Var(cur)
-    joint = []
+    shape, joint = ev.shape, []
 
     def adjoint(g, i):
         if not joint:                 # one transposed pass serves all three inputs
-            nt, g_e, g_s = n.T, np.zeros_like(ev), np.zeros_like(s)
+            nt, g_e, g_s = n.T, np.zeros(shape), np.zeros_like(s)
+            buf = np.empty(shape)
             for _ in range(steps):
-                g_cur = 0.0
                 for k in range(order):
                     h = np.asarray(nt @ g)
-                    g_s += tau * np.sum(h * kept.pop(), axis=1, keepdims=True)
-                    g_cur = g_cur + g * inv_fact[k]
-                    g_e += g * (tau * inv_fact[k + 1])
-                    g = (s * h - g) * tau            # G <- tau (gate * N^T G - G)
-                g = g_cur + g * inv_fact[order]      # the adjoint of the sub-step's input
+                    np.multiply(h, kept.pop(), out=buf)
+                    g_s += tau * np.sum(buf, axis=1, keepdims=True)
+                    np.multiply(g, inv_fact[k], out=buf)
+                    if k == 0:
+                        g_cur = np.add(buf, 0.0)     # 0.0 + G, so -0.0 reads +0.0 as before
+                    else:
+                        g_cur += buf
+                    np.multiply(g, tau * inv_fact[k + 1], out=buf)
+                    g_e += buf
+                    h *= s                           # G <- tau (gate * N^T G - G)
+                    h -= g
+                    h *= tau
+                    g = h
+                np.multiply(g, inv_fact[order], out=buf)
+                g_cur += buf                         # the adjoint of the sub-step's input
+                g = g_cur
             joint.extend((g, g_e, g_s))
         return joint[i]
     _record(out, [(v, lambda g, i=i: adjoint(g, i)) for i, v in enumerate((x, e, gate))])

@@ -63,11 +63,15 @@ def recall_at_k(records, k=10):
 
 def _replay_days(model, states, store, days, day_prev, collect=False,
                  filter_seen=None):
-    """Advance states over ``days``; optionally rank every event."""
+    """Advance states over ``days``; optionally rank every event.
+
+    Without ``collect`` nothing is scored, so the steps skip the prediction
+    task of fusion.
+    """
     records = []
     for day in days:
         day = int(day)
-        z, states = model.step(states, store, day_prev, day)
+        z, states = model.step(states, store, day_prev, day, predict=collect)
         if collect:
             users, items = store.instant_edges(day)
             q_all = model.item_repr(z, np.arange(model.n_items)).value

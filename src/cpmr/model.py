@@ -100,10 +100,14 @@ def evolve(x, e, adj, dt, order, tau_max=0.125):
 def _evolve_var(x: Var, e: Var, gate: Var, n, dt, order, tau_max):
     if order < 1:
         raise ConfigError(f"series truncation order must be >= 1, got {order}")
-    if dt < 0:
-        raise ConfigError(f"negative evolution interval {dt}")
+    if not math.isfinite(dt) or dt < 0:
+        raise ConfigError(f"evolution interval must be finite and >= 0, got {dt}")
+    if not math.isfinite(tau_max) or tau_max <= 0:
+        raise ConfigError(f"tau_max must be finite and positive, got {tau_max}")
     if dt == 0:
         return x
+    if dt / tau_max > MAX_SUBSTEPS:                          # ceil(r) > M iff r > M
+        raise ConfigError(f"dt / tau_max = {dt / tau_max:.3g} is over {MAX_SUBSTEPS} sub-steps")
     m = max(1, int(np.ceil(dt / tau_max)))
     return ad.graph_flow(x, e, gate, n, dt / m, m, order)
 
@@ -188,17 +192,23 @@ class CpmrModel:
         return _evolve_var(x, self.params["embed"], ad.sigmoid(self.params[f"alpha_{scenario}"]),
                            nadj, dt, self.config.taylor_order, self.config.tau_max)
 
-    def fuse(self, xh, xc):
-        """Gated mutual update; returns (x_his, x_ctx, z) per entity class."""
+    def fuse(self, xh, xc, *, predict=True):
+        """Gated mutual update; returns (x_his, x_ctx, z) per entity class.
+
+        ``predict=False`` skips the ``final`` task that feeds the prediction
+        head (its gate, its expert and their mix) and returns z = None; the
+        his/ctx outputs are the same arrays either way.
+        """
         cfg = self.config
         parts = [x for x in (xh, xc) if x is not None]
         n_u = self.n_users
+        tasks = cfg.scenarios + (["final"] if predict else [])
         results = {"his": [], "ctx": [], "final": []}
         for cls, start, stop in (("user", 0, n_u), ("item", n_u, self.n_nodes)):
             slices = [ad.row_block(p, start, stop) for p in parts]
             x_in = slices[0] if len(slices) == 1 else ad.concat_cols(*slices)
             shared = self._linear(x_in, f"fusion.{cls}.expert_shared")
-            for t in cfg.scenarios + ["final"]:
+            for t in tasks:
                 w = ad.softmax_rows(self._linear(x_in, f"fusion.{cls}.gate_{t}"))
                 e = self._linear(x_in, f"fusion.{cls}.expert_{t}")
                 out = ad.add(ad.scale_rows(e, ad.col_select(w, 0)),
@@ -233,11 +243,14 @@ class CpmrModel:
         new_i = ad.masked_add(x_i, mask_i, ad.add(ad.sub(self_i, x_i), delta_i))
         return ad.concat_rows(new_u, new_i)
 
-    def step(self, states: TemporalStates, store, day_prev, day_k):
+    def step(self, states: TemporalStates, store, day_prev, day_k, *, predict=True):
         """One recurrence: evolve to day_k-, fuse, then apply day_k's jumps.
 
         Returns (z, new_states): z is the fused representation used for
-        predictions at day_k, before the instant update.
+        predictions at day_k, before the instant update. ``predict=False``
+        is for days nothing is scored on: fusion skips the prediction task
+        and z is None, unless fusion is disabled (then z is the new state
+        and costs nothing). The new states do not depend on ``predict``.
         """
         cfg = self.config
         if states.day != day_prev:
@@ -264,7 +277,7 @@ class CpmrModel:
             xh_k, xc_k = (z if not cfg.disable_his else None,
                           z if not cfg.disable_ctx else None)
         else:
-            xh_k, xc_k, z = self.fuse(xh_minus, xc_minus)
+            xh_k, xc_k, z = self.fuse(xh_minus, xc_minus, predict=predict)
 
         ops = averaging_operators(store.instant_biadjacency(day_k))
         new = TemporalStates(

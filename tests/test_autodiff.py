@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from cpmr import autodiff as ad
 from cpmr.errors import CpmrError, ShapeError
+from cpmr.graphs import normalize_adjacency
 
 
 def test_var_requires_2d():
@@ -226,3 +230,73 @@ def test_spmm_matches_dense():
         loss = ad.sum_all(ad.spmm(s, x))
     g = ad.backward(loss, tape)
     np.testing.assert_allclose(g[x], s.toarray().T @ np.ones((6, 3)), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# graph_flow against the plain expressions it was first written as
+
+
+def _reference_flow(x, e, s, n, tau, steps, order):
+    """The forward of ``graph_flow`` as one expression per iterate: (output, iterates)."""
+    inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
+    cur, kept = x, []
+    for _ in range(steps):
+        y = cur * inv_fact[order]
+        for k in range(order - 1, -1, -1):
+            kept.append(y)
+            y = ((np.asarray(n @ (y * s)) - y) * tau
+                 + (cur * inv_fact[k] + e * (tau * inv_fact[k + 1])))
+        cur = y
+    return cur, kept
+
+
+def _reference_flow_adjoint(g, e, s, n, tau, steps, order, kept):
+    """The transposed recurrence as one expression per iterate: (g_x, g_e, g_gate)."""
+    inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
+    nt, g_e, g_s = n.T, np.zeros_like(e), np.zeros_like(s)
+    for _ in range(steps):
+        g_cur = 0.0
+        for k in range(order):
+            h = np.asarray(nt @ g)
+            g_s += tau * np.sum(h * kept.pop(), axis=1, keepdims=True)
+            g_cur = g_cur + g * inv_fact[k]
+            g_e += g * (tau * inv_fact[k + 1])
+            g = (s * h - g) * tau
+        g = g_cur + g * inv_fact[order]
+    return g, g_e, g_s
+
+
+def _flow_inputs(graph, seed):
+    rng = np.random.default_rng(seed)
+    if graph == "random":
+        n = sp.random(12, 12, density=0.35, random_state=np.random.RandomState(seed),
+                      format="csr", data_rvs=lambda k: rng.normal(scale=0.3, size=k))
+    else:
+        n = normalize_adjacency(sp.csr_matrix((rng.random((5, 7)) < 0.4).astype(float)))
+    x, e, g = (rng.normal(size=(12, 4)) for _ in range(3))
+    for a in (x, e, g):
+        a[rng.random(a.shape) < 0.25] = -0.0
+    # gates near 0 and near 1, as sigmoid(alpha) gives at large |alpha|
+    gate = rng.choice([1e-14, 3e-9, 0.5, 1.0 - 1e-9, 1.0 - 1e-15], size=(12, 1))
+    return n, x, e, gate, g
+
+
+@pytest.mark.parametrize("graph", ["random", "normalized"])
+@pytest.mark.parametrize("order", [1, 3, 6])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, steps):
+    n, x, e, gate, g = _flow_inputs(graph, 100 * order + steps)
+    assert graph == "normalized" or (n != n.T).nnz > 0
+    tau = 0.37 / steps
+    want, kept = _reference_flow(x, e, gate, n, tau, steps, order)
+    want_grads = _reference_flow_adjoint(g, e, gate, n, tau, steps, order, kept)
+
+    xv, ev, sv = ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(gate.copy())
+    assert ad.graph_flow(xv, ev, sv, n, tau, steps, order).value.tobytes() == want.tobytes()
+    with ad.Tape() as tape:
+        out = ad.graph_flow(xv, ev, sv, n, tau, steps, order)
+        loss = ad.sum_all(ad.hadamard(out, ad.constant(g)))   # hands the flow g * 1.0 = g
+    assert out.value.tobytes() == want.tobytes()
+    grads = ad.backward(loss, tape, params=[xv, ev, sv])
+    assert [grads[v].tobytes() for v in (xv, ev, sv)] == [a.tobytes() for a in want_grads]
+    assert not np.array_equal(x, want) and np.abs(want_grads[2]).max() > 0

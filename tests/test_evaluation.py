@@ -104,6 +104,28 @@ def test_incremental_eval_matches_manual_replay():
         np.mean([r <= 10 for r in records]), abs=1e-12)
 
 
+def test_incremental_eval_builds_the_prediction_task_on_scored_days_only(monkeypatch):
+    ds = eval_dataset()
+    model = fresh_model(ds)
+    calls = {}
+    linear = CpmrModel._linear
+
+    def counted(self, x, prefix):
+        calls[prefix] = calls.get(prefix, 0) + 1
+        return linear(self, x, prefix)
+
+    monkeypatch.setattr(CpmrModel, "_linear", counted)
+    incremental_eval(ds, model, split="test")
+    scored = len(np.unique(ds.days[ds.split_slice("test")]))
+    for cls in ("user", "item"):
+        replayed = calls[f"fusion.{cls}.expert_shared"]
+        assert replayed > scored > 0
+        for layer in ("gate_his", "expert_his", "gate_ctx", "expert_ctx"):
+            assert calls[f"fusion.{cls}.{layer}"] == replayed
+        for layer in ("gate_final", "expert_final"):
+            assert calls[f"fusion.{cls}.{layer}"] == scored
+
+
 def test_incremental_eval_no_grad_and_frozen_params():
     ds = eval_dataset()
     model = fresh_model(ds)

@@ -92,6 +92,15 @@ def test_evolve_rejects_bad_args():
         evolve(x, x, a, -1.0, 6)
     with pytest.raises(ConfigError):
         evolve(x, x, a, 1.0, 0)
+    nan, inf = float("nan"), float("inf")
+    for dt, tau_max in ((nan, 0.125), (inf, 0.125), (1.0, 0.0), (1.0, -0.5), (1.0, nan),
+                        (1.0, inf), (0.0, 0.0), (1e9, 0.125), (1.0, 1e-320)):
+        with pytest.raises(ConfigError):
+            evolve(x, x, a, dt, 6, tau_max)
+    v, gate = ad.constant(x), ad.constant(np.ones((2, 1)))
+    for steps, order in ((0, 6), (1, 0), (-1, 6)):
+        with pytest.raises(ConfigError):
+            ad.graph_flow(v, v, gate, a, 0.1, steps, order)
 
 
 def make_model(n_users=4, n_items=4, variant="full", d=6, seed=0, **kw):
@@ -280,6 +289,23 @@ def test_disable_flags_drop_states():
         assert z.value.shape == (8, 6)
 
 
+def test_step_without_prediction_gives_the_same_states_byte_for_byte():
+    for variant in ("full", "wo_ctx", "wo_fusion"):
+        model = make_model(variant=variant)
+        store = toy_store()
+        scored = skipped = model.init_states()
+        for prev, day in ((0, 1), (1, 2), (2, 2), (2, 4)):
+            z, scored = model.step(scored, store, prev, day)
+            z_skip, skipped = model.step(skipped, store, prev, day, predict=False)
+            for a, b in ((scored.x_his, skipped.x_his), (scored.x_ctx, skipped.x_ctx)):
+                assert (a is None and b is None) or a.value.tobytes() == b.value.tobytes()
+            assert skipped.day == day
+            if variant == "wo_fusion":      # z is the new state there; nothing to skip
+                assert z_skip.value.tobytes() == z.value.tobytes()
+            else:
+                assert z_skip is None
+
+
 def test_both_scenarios_disabled_rejected():
     with pytest.raises(ConfigError):
         ModelConfig(disable_ctx=True, disable_his=True)
@@ -405,17 +431,26 @@ def test_evolve_states_without_tape_keeps_no_iterates():
         tracemalloc.start()
         try:
             out = fn()
-            kept = tracemalloc.get_traced_memory()[0]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return out, kept
+        return out, kept, peak
 
-    _, kept = traced_bytes(lambda: model.evolve_states(x, nadj, "his", 5.0))
+    _, kept, peak = traced_bytes(lambda: model.evolve_states(x, nadj, "his", 5.0))
     assert kept < 3 * state_bytes             # the output, no iterates
+    # the sub-step's input, the last iterate, the one being made and two
+    # scratch buffers; the iterate as one expression peaked above 6
+    assert peak < 6 * state_bytes
     with ad.Tape() as tape:
-        _, kept_taped = traced_bytes(lambda: model.evolve_states(x, nadj, "his", 5.0))
+        _, kept_taped, peak_taped = traced_bytes(
+            lambda: model.evolve_states(x, nadj, "his", 5.0))
     assert len(tape.nodes) == 2
-    assert kept_taped > 40 * 6 * state_bytes  # 40 sub-steps x 6 iterates
+    # 40 sub-steps x 6 iterates and the output; any other captured state-sized
+    # array, a scratch buffer or a broadcast copy of the gate, breaks the bound
+    assert 40 * 6 * state_bytes < kept_taped < (40 * 6 + 2.5) * state_bytes
+    # and at most three buffers beside them while an iterate is made (the
+    # iterate as one expression peaked near 6)
+    assert peak_taped < (40 * 6 + 5.5) * state_bytes
 
 
 def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
