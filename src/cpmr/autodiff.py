@@ -329,12 +329,13 @@ def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
 
     Each sets y = X / K!, then y <- tau (N (gate * y) - y) + X / k! + tau E / (k+1)!
     for k = K-1 ... 0, with the operations of that expression in its order, so
-    the numbers are bit for bit the same. Without a tape two scratch buffers
-    per sub-step hold ``y * gate`` and the ``X / k! + tau E / (k+1)!`` term,
-    and each iterate is finished in place in the fresh array ``N @ scratch``
-    returns. Under a tape each iterate is kept, and the rule keeps only the K
-    iterates of each sub-step, no other state-sized array; its adjoint runs
-    with one scratch buffer of its own.
+    the numbers are bit for bit the same. Two scratch buffers per sub-step hold
+    ``y * gate`` and the ``X / k! + tau E / (k+1)!`` term, and each iterate is
+    finished in place in the fresh array ``N @ scratch`` returns. Under a tape
+    the rule keeps only each sub-step's input (the first is ``x.value`` itself);
+    the adjoint recomputes the sub-step's iterates y_K ... y_1 from it, K-1
+    sparse products, just before the transposed recurrence reads them, and
+    runs that recurrence in place with one scratch buffer.
     """
     _check(x.shape == e.shape and gate.shape == (x.shape[0], 1)
            and n.shape == (x.shape[0],) * 2, "graph_flow", x.shape, e.shape, gate.shape, n.shape)
@@ -342,40 +343,11 @@ def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
         raise ConfigError(f"graph_flow needs steps >= 1 and order >= 1, got {steps} and {order}")
     inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
     s, ev, cur = gate.value, e.value, x.value
-    kept = [] if _ACTIVE_TAPE is not None else None
+    inputs = [] if _ACTIVE_TAPE is not None else None
     for _ in range(steps):
-        y = cur * inv_fact[order]
-        if kept is None:
-            gated, w = np.empty_like(cur), np.empty_like(cur)
-            for k in range(order - 1, -1, -1):
-                np.multiply(y, s, out=gated)
-                t = np.asarray(n @ gated)
-                t -= y
-                t *= tau
-                np.multiply(cur, inv_fact[k], out=w)
-                np.multiply(ev, tau * inv_fact[k + 1], out=gated)
-                w += gated
-                t += w
-                y = t
-            del gated, w
-        else:
-            # every iterate is kept: the buffers are freed within the iterate and
-            # the kept one is allocated last, so the next iterate's buffers refill
-            # the holes they leave (scratch held across iterates, below the kept
-            # ones, left holes that raised training's peak RSS)
-            for k in range(order - 1, -1, -1):
-                kept.append(y)
-                gated = y * s
-                t = np.asarray(n @ gated)
-                t -= y
-                t *= tau
-                w = cur * inv_fact[k]
-                np.multiply(ev, tau * inv_fact[k + 1], out=gated)
-                w += gated
-                del gated
-                y = t + w
-                del t, w
-        cur = y
+        if inputs is not None:
+            inputs.append(cur)
+        cur = _horner_substep(cur, s, ev, n, tau, inv_fact)
     out = Var(cur)
     shape, joint = ev.shape, []
 
@@ -383,10 +355,13 @@ def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
         if not joint:                 # one transposed pass serves all three inputs
             nt, g_e, g_s = n.T, np.zeros(shape), np.zeros_like(s)
             buf = np.empty(shape)
-            for _ in range(steps):
+            while inputs:
+                iterates = []         # y_K ... y_1 of the sub-step, popped from y_1
+                _horner_substep(inputs.pop(), s, ev, n, tau, inv_fact, stop=1,
+                                iterates=iterates)
                 for k in range(order):
                     h = np.asarray(nt @ g)
-                    np.multiply(h, kept.pop(), out=buf)
+                    np.multiply(h, iterates.pop(), out=buf)
                     g_s += tau * np.sum(buf, axis=1, keepdims=True)
                     np.multiply(g, inv_fact[k], out=buf)
                     if k == 0:
@@ -406,6 +381,31 @@ def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
         return joint[i]
     _record(out, [(v, lambda g, i=i: adjoint(g, i)) for i, v in enumerate((x, e, gate))])
     return out
+
+
+def _horner_substep(cur, s, ev, n, tau, inv_fact, stop=0, iterates=None):
+    """Iterate y_stop of one sub-step from its input ``cur``; y_0 is its output.
+
+    Given a list, appends y_K ... y_stop to ``iterates`` in that order.
+    """
+    order = len(inv_fact) - 1
+    y = cur * inv_fact[order]
+    gated, w = np.empty_like(cur), np.empty_like(cur)
+    for k in range(order - 1, stop - 1, -1):
+        if iterates is not None:
+            iterates.append(y)
+        np.multiply(y, s, out=gated)
+        t = np.asarray(n @ gated)
+        t -= y
+        t *= tau
+        np.multiply(cur, inv_fact[k], out=w)
+        np.multiply(ev, tau * inv_fact[k + 1], out=gated)
+        w += gated
+        t += w
+        y = t
+    if iterates is not None:
+        iterates.append(y)
+    return y
 
 
 # ---------------------------------------------------------------------------

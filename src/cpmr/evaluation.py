@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, RawEvent, SECONDS_PER_DAY, canonicalize, k_core_filter
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .graphs import EdgeStore
 from .model import CpmrModel, ModelConfig
 from .training import TrainConfig, train
@@ -42,7 +42,15 @@ class MetricsReport:
 
 
 def rank_from_scores(scores, target):
-    """Rank of ``target`` among all scores: average-tie rank, rounded up."""
+    """Rank of ``target`` among all scores: average-tie rank, rounded up.
+
+    A NaN or +inf score raises ``NumericalError``: every comparison with NaN
+    is False, so a NaN target would rank first. -inf is legal; it marks an
+    item left out of the ranking.
+    """
+    if not (scores < np.inf).all():
+        raise NumericalError("non-finite item scores; the parameters or states "
+                             "have diverged")
     s = scores[target]
     higher = int(np.sum(scores > s))
     ties = int(np.sum(scores == s)) - 1     # other items with the exact score
@@ -83,8 +91,11 @@ def _replay_days(model, states, store, days, day_prev, collect=False,
                     if seen:
                         scores = scores.copy()
                         scores[seen] = -np.inf
-                records.append(RankRecord(int(u), day, int(i),
-                                          rank_from_scores(scores, int(i))))
+                try:
+                    rank = rank_from_scores(scores, int(i))
+                except NumericalError as err:
+                    raise NumericalError(f"day {day}, user {int(u)}: {err}") from None
+                records.append(RankRecord(int(u), day, int(i), rank))
             if filter_seen is not None:
                 for u, i in zip(users, items):
                     filter_seen[int(u)].add(int(i))

@@ -169,6 +169,9 @@ class CpmrModel:
             if arr.dtype != np.float64 or arr.shape != self.params[name].value.shape:
                 raise ConfigError(f"checkpoint {arr.dtype} {arr.shape} vs float64 "
                                   f"{self.params[name].value.shape} for {name!r}")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"checkpoint tensor {name!r} has non-finite values")
+        for name, arr in values.items():          # all checked first: no half-loaded model
             self.params[name].value = arr.copy()
 
     def _linear(self, x, prefix):

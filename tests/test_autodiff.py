@@ -300,3 +300,33 @@ def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, step
     grads = ad.backward(loss, tape, params=[xv, ev, sv])
     assert [grads[v].tobytes() for v in (xv, ev, sv)] == [a.tobytes() for a in want_grads]
     assert not np.array_equal(x, want) and np.abs(want_grads[2]).max() > 0
+
+
+class _CountingOperator:
+    """A sparse operator that counts its products, its transpose's apart."""
+
+    def __init__(self, m, counts, key="forward"):
+        self.m, self.counts, self.key, self.shape = m, counts, key, m.shape
+
+    def __matmul__(self, other):
+        self.counts[self.key] += 1
+        return self.m @ other
+
+    @property
+    def T(self):
+        return _CountingOperator(self.m.T, self.counts, "transposed")
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_graph_flow_backward_recomputes_k_minus_1_products_per_substep(order):
+    steps = 3
+    n, x, e, gate, g = _flow_inputs("random", 9)
+    counts = {"forward": 0, "transposed": 0}
+    xv, ev, sv = ad.Var(x), ad.Var(e), ad.Var(gate)
+    with ad.Tape() as tape:
+        out = ad.graph_flow(xv, ev, sv, _CountingOperator(n, counts), 0.2, steps, order)
+        loss = ad.sum_all(ad.hadamard(out, ad.constant(g)))
+    assert counts == {"forward": steps * order, "transposed": 0}
+    ad.backward(loss, tape, params=[xv, ev, sv])
+    assert counts == {"forward": steps * order + steps * (order - 1),
+                      "transposed": steps * order}

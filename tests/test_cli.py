@@ -311,6 +311,18 @@ def test_eval_rejects_checkpoint_of_another_config(workspace, capsys):
     assert "model.s_days=3" in err and "model.time_scale=1.0" in err
 
 
+def test_eval_rejects_checkpoint_with_a_nan(workspace, capsys):
+    tmp_path, out, cfg = workspace
+    assert main(["train", "--config", str(cfg)]) == 0
+    ck = out / "checkpoint.bin"
+    meta, params = ad.read_checkpoint(ck)
+    params["embed"][2, 1] = np.nan
+    ad.save_checkpoint(ck, params, meta)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck)]) == 2
+    assert "'embed' has non-finite values" in capsys.readouterr().err
+
+
 def test_checkpoint_records_the_training_settings(workspace, capsys):
     tmp_path, out, cfg = workspace
     assert main(["train", "--config", str(cfg)]) == 0

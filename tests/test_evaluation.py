@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from cpmr.data import RawEvent, SECONDS_PER_DAY, canonicalize
-from cpmr.errors import ConfigError, DataError
+from cpmr import autodiff as ad
+from cpmr.errors import ConfigError, DataError, NumericalError
 from cpmr.evaluation import (MetricsReport, RankRecord, incremental_eval,
                              mrr, rank_from_scores, recall_at_k,
                              sweep_rows_to_csv, synthetic_trend_dataset,
                              validation_mrr)
 from cpmr.graphs import EdgeStore
 from cpmr.model import CpmrModel, ModelConfig
+from cpmr.training import TrainConfig, train
 
 
 def test_rank_no_ties_matches_sort_oracle():
@@ -29,6 +31,14 @@ def test_rank_tie_rules():
     # four-way tie at the top: avg(1..4)=2.5 -> 3
     assert rank_from_scores(np.array([7.0, 7.0, 7.0, 7.0, 1.0]), 0) == 3
     assert rank_from_scores(np.array([3.0, 2.0]), 0) == 1
+
+
+def test_rank_rejects_nan_and_plus_inf_but_not_minus_inf():
+    # a NaN target used to rank first: no comparison with NaN is True
+    for scores, target in [([np.nan, 1.0], 0), ([2.0, np.nan], 0), ([np.inf, 1.0], 1)]:
+        with pytest.raises(NumericalError, match="non-finite item scores"):
+            rank_from_scores(np.array(scores), target)
+    assert rank_from_scores(np.array([-np.inf, 1.0, 3.0]), 1) == 2   # a left-out item
 
 
 def recs(ranks):
@@ -178,6 +188,32 @@ def test_validation_mrr_continues_from_states():
     got = validation_mrr(model, states, ds)
     want = incremental_eval(ds, model, split="val").mrr
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_incremental_eval_rejects_non_finite_scores():
+    """A NaN target score used to rank first: test MRR 0.124 read 1.0."""
+    ds = synthetic_trend_dataset(np.random.default_rng(0), n_days=30)
+    model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, ModelConfig(d=8),
+                      rng=np.random.default_rng(0))
+    assert incremental_eval(ds, model).mrr < 0.2
+    model.params["embed"].value[0, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"day \d+, user \d+: non-finite item scores"):
+        incremental_eval(ds, model)
+
+
+def test_training_validation_rejects_non_finite_scores(monkeypatch):
+    ds = synthetic_trend_dataset(np.random.default_rng(0), n_days=30)
+    item_repr = CpmrModel.item_repr
+
+    def nan_off_the_tape(self, z, idx):
+        out = item_repr(self, z, idx)
+        if ad._ACTIVE_TAPE is None:       # the validation replay, not a training step
+            out.value[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(CpmrModel, "item_repr", nan_off_the_tape)
+    with pytest.raises(NumericalError, match="non-finite item scores"):
+        train(ds, ModelConfig(d=8), TrainConfig(n_tbptt=10, max_epochs=1))
 
 
 def test_report_to_dict_and_csv(tmp_path):

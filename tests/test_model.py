@@ -442,15 +442,27 @@ def test_evolve_states_without_tape_keeps_no_iterates():
     # scratch buffers; the iterate as one expression peaked above 6
     assert peak < 6 * state_bytes
     with ad.Tape() as tape:
-        _, kept_taped, peak_taped = traced_bytes(
-            lambda: model.evolve_states(x, nadj, "his", 5.0))
-    assert len(tape.nodes) == 2
-    # 40 sub-steps x 6 iterates and the output; any other captured state-sized
-    # array, a scratch buffer or a broadcast copy of the gate, breaks the bound
-    assert 40 * 6 * state_bytes < kept_taped < (40 * 6 + 2.5) * state_bytes
-    # and at most three buffers beside them while an iterate is made (the
-    # iterate as one expression peaked near 6)
-    assert peak_taped < (40 * 6 + 5.5) * state_bytes
+        tracemalloc.start()
+        try:
+            out = model.evolve_states(x, nadj, "his", 5.0)
+            kept_taped, peak_taped = tracemalloc.get_traced_memory()
+            assert len(tape.nodes) == 2
+            loss = ad.sum_all(out)
+            del out
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss, tape, params=model.params.values())
+            peak_backward = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the inputs of the 40 sub-steps (the first is x's own array, not traced)
+    # and the output: keeping the 6 Horner iterates of each sub-step made 242
+    assert kept_taped < 41 * state_bytes
+    # the same buffers as without a tape beside them while an iterate is made
+    assert peak_taped < (40 + 4) * state_bytes
+    # the backward holds one sub-step's 6 recomputed iterates at a time, the
+    # recompute's two scratch buffers and the adjoint's five arrays
+    assert peak_backward < before + (6 + 2 + 5) * state_bytes
 
 
 def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):

@@ -324,8 +324,9 @@ def test_empty_negative_pools_counted_not_logged(tmp_path, caplog):
 
 def test_taped_step_and_loss_keep_only_what_backward_reads():
     """Live bytes of one taped ``step`` plus ``batch_loss``, in state-matrix
-    sizes: ~79 when the tape held every op's output, ~40 since it holds
-    handles and each rule keeps only what it reads."""
+    sizes: ~79 when the tape held every op's output, ~39.5 once it held
+    handles and each rule kept only what it reads, ~27.4 since the graph
+    flow keeps one array per sub-step in place of its Horner iterates."""
     import tracemalloc
     from cpmr.graphs import EdgeStore
     rng = np.random.default_rng(5)
@@ -349,5 +350,5 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
             kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 50 * state_bytes
+    assert kept < 28 * state_bytes
     ad.backward(loss, tape, params=model.params.values())
