@@ -20,7 +20,7 @@ from .data import (Dataset, RawEvent, canonicalize, k_core_filter,
 from .evaluation import (MetricsReport, RankRecord, ablation_run,
                          incremental_eval, mrr, recall_at_k,
                          sweep, synthetic_trend_dataset)
-from .graphs import EdgeStore, learnable_adjacency, normalize_adjacency
+from .graphs import EdgeStore, normalize_adjacency
 from .model import CpmrModel, ModelConfig, TemporalStates, evolve
 from .training import TrainConfig, infonce_loss, sample_negatives, train
 
@@ -29,7 +29,7 @@ __all__ = [
     "parse_interactions", "save_dataset", "MetricsReport", "RankRecord",
     "ablation_run", "incremental_eval", "mrr", "recall_at_k",
     "sweep", "synthetic_trend_dataset", "EdgeStore",
-    "learnable_adjacency", "normalize_adjacency", "CpmrModel", "ModelConfig",
+    "normalize_adjacency", "CpmrModel", "ModelConfig",
     "TemporalStates", "evolve", "TrainConfig", "infonce_loss",
     "sample_negatives", "train",
 ]

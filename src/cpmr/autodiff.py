@@ -9,7 +9,10 @@ Ownership: the tape holds handles (:class:`TapeNode`), not values. A handle
 knows its ``Var`` only through a weak reference, so reference counting frees
 each intermediate as soon as the forward code drops it. A backward rule
 captures the arrays or shapes it reads, never a ``Var`` it does not read;
-what no rule reads is not kept.
+what no rule reads is not kept. A rule keeps an operand that is a pure
+copy (a ``row_select`` gather, a ``concat_cols`` of such, an ``spmm``
+product) as a recipe, its sources plus an index, and rebuilds the same
+bytes when it runs; the sources must not be mutated before ``backward``.
 
 Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 ``graph_flow``; gradients flow through the dense operands.
@@ -17,7 +20,9 @@ Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import weakref
 
 import numpy as np
@@ -32,7 +37,7 @@ _ACTIVE_TAPE = None
 class Var:
     """A matrix value participating in differentiable computation."""
 
-    __slots__ = ("value", "name", "_node", "__weakref__")   # _node: set under a tape
+    __slots__ = ("value", "name", "_node", "_recipe", "__weakref__")   # _node, _recipe: taped
 
     def __init__(self, value, name=None):
         arr = np.asarray(value, dtype=np.float64)
@@ -109,6 +114,16 @@ def _record(out, pairs):
         _ACTIVE_TAPE.nodes.append((out._node, [(_node(v), vjp) for v, vjp in pairs]))
 
 
+class _Recipe(functools.partial):
+    """Rebuilds a pure copy from its sources; a rule reads ``.value`` as from a Var."""
+    value = property(lambda self: self())
+
+
+def _keep(v):
+    """What a rule keeps to read ``v``: under a tape, its recipe if it has one; else ``v``."""
+    return v if _ACTIVE_TAPE is None else getattr(v, "_recipe", None) or v
+
+
 def _check(cond, op, *shapes):
     if not cond:
         raise ShapeError(f"{op}: incompatible shapes {[tuple(s) for s in shapes]}")
@@ -121,8 +136,8 @@ def _check(cond, op, *shapes):
 def matmul(a: Var, b: Var) -> Var:
     _check(a.value.shape[1] == b.value.shape[0], "matmul", a.shape, b.shape)
     out = Var(a.value @ b.value)
-    _record(out, [(a, lambda g, b=b: g @ b.value.T),
-                  (b, lambda g, a=a: a.value.T @ g)])
+    _record(out, [(a, lambda g, b=_keep(b): g @ b.value.T),
+                  (b, lambda g, a=_keep(a): a.value.T @ g)])
     return out
 
 
@@ -130,6 +145,8 @@ def spmm(s, x: Var) -> Var:
     """Sparse @ dense. ``s`` is a constant scipy sparse matrix."""
     _check(s.shape[1] == x.value.shape[0], "spmm", s.shape, x.shape)
     out = Var(np.asarray(s @ x.value))
+    if _ACTIVE_TAPE is not None:
+        out._recipe = _Recipe(operator.matmul, s, x.value)
     _record(out, [(x, lambda g, s=s: np.asarray(s.T @ g))])
     return out
 
@@ -158,8 +175,8 @@ def scale(a: Var, c: float) -> Var:
 def hadamard(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "hadamard", a.shape, b.shape)
     out = Var(a.value * b.value)
-    _record(out, [(a, lambda g, b=b: g * b.value),
-                  (b, lambda g, a=a: g * a.value)])
+    _record(out, [(a, lambda g, b=_keep(b): g * b.value),
+                  (b, lambda g, a=_keep(a): g * a.value)])
     return out
 
 
@@ -167,8 +184,8 @@ def scale_rows(x: Var, v: Var) -> Var:
     """Multiply row i of x by v[i, 0]."""
     _check(v.value.shape == (x.value.shape[0], 1), "scale_rows", x.shape, v.shape)
     out = Var(x.value * v.value)
-    _record(out, [(x, lambda g, v=v: g * v.value),
-                  (v, lambda g, x=x: np.sum(g * x.value, axis=1, keepdims=True))])
+    _record(out, [(x, lambda g, v=_keep(v): g * v.value),
+                  (v, lambda g, x=_keep(x): np.sum(g * x.value, axis=1, keepdims=True))])
     return out
 
 
@@ -186,6 +203,8 @@ def concat_cols(*parts: Var) -> Var:
     _check(all(p.value.shape[0] == rows for p in parts), "concat_cols",
            *[p.shape for p in parts])
     out = Var(np.concatenate([p.value for p in parts], axis=1))
+    if _ACTIVE_TAPE is not None and all(rs := [getattr(p, "_recipe", None) for p in parts]):
+        out._recipe = _Recipe(lambda: np.concatenate([r.value for r in rs], axis=1))
     pairs = []
     off = 0
     for p in parts:
@@ -251,7 +270,7 @@ def _softmax_rows(a):
 def logsumexp_rows(x: Var) -> Var:
     m = x.value.max(axis=1, keepdims=True)
     out = Var(m + np.log(np.sum(np.exp(x.value - m), axis=1, keepdims=True)))
-    _record(out, [(x, lambda g, x=x: g * _softmax_rows(x.value))])
+    _record(out, [(x, lambda g, x=_keep(x): g * _softmax_rows(x.value))])
     return out
 
 
@@ -259,6 +278,8 @@ def row_select(x: Var, idx) -> Var:
     """Gather rows; duplicate indices accumulate gradient."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Var(x.value[idx])
+    if _ACTIVE_TAPE is not None:
+        out._recipe = _Recipe(operator.getitem, x.value, idx)
     def vjp(g, shape=x.shape, idx=idx):
         z = np.zeros(shape)
         np.add.at(z, idx, g)
@@ -542,8 +563,3 @@ def save_checkpoint(path, params, meta=None):
 def read_checkpoint(path):
     """(meta, dict name -> ndarray), bit-exact; ``CpmrModel.load_params`` checks them."""
     return arrayfile.load(path, "checkpoint")
-
-
-def load_checkpoint(path):
-    """Read a checkpoint's tensors back as dict name -> ndarray (bit-exact)."""
-    return read_checkpoint(path)[1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 ALPHA0 = 0.98
 
@@ -192,16 +192,3 @@ def averaging_operators(biadj):
         out.append(_csr(dinv[rows[rev]] * b.data[rev], cols[rev],
                         _indptr(rows, len(deg)), (len(deg), n_cols)))
     return tuple(out)
-
-
-def learnable_adjacency(nadj, alpha):
-    """Scale each column j of the normalized adjacency by sigmoid(alpha[j]).
-
-    Column scaling weights the source node of each message.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    n = nadj.shape[0]
-    if alpha.shape[0] != n:
-        raise ShapeError(f"alpha length {alpha.shape[0]} vs {n} nodes")
-    s = 1.0 / (1.0 + np.exp(-alpha))
-    return (nadj @ sp.diags(s)).tocsr()

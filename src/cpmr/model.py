@@ -305,21 +305,8 @@ class CpmrModel:
                            ad.row_select(z, idx))
         return self._linear(x, "predict.fc_item")
 
-    def score(self, user, item, z: Var):
-        """Inner-product similarity of one user-item pair at the current day."""
-        p = self.user_repr(z, [user])
-        q = self.item_repr(z, [item])
-        return float(np.dot(p.value[0], q.value[0]))
-
     def score_all_items(self, user, z: Var):
         """Scores of one user against every item (no-grad, for ranking)."""
         p = self.user_repr(z, [user]).value[0]
         q = self.item_repr(z, np.arange(self.n_items)).value
         return q @ p
-
-
-def score(e_u, z_u, e_i, z_i, fc_user_w, fc_user_b, fc_item_w, fc_item_b):
-    """Standalone pair similarity from raw vectors and predict-layer weights."""
-    p = np.concatenate([np.ravel(e_u), np.ravel(z_u)]) @ fc_user_w + np.ravel(fc_user_b)
-    q = np.concatenate([np.ravel(e_i), np.ravel(z_i)]) @ fc_item_w + np.ravel(fc_item_b)
-    return float(p @ q)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .graphs import EdgeStore
 from .model import CpmrModel, ModelConfig, TemporalStates
 
@@ -158,6 +158,9 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig,
     from .evaluation import validation_mrr   # deferred: avoids import cycle
 
     cfg = train_config
+    if min(dataset.n_users, dataset.n_items) < 2:     # no negative to draw beside the positive
+        raise DataError(f"training needs at least 2 users and 2 items to sample negatives, "
+                        f"got {dataset.n_users} users and {dataset.n_items} items")
     model = CpmrModel(dataset.n_users, dataset.n_items, dataset.day_unit,
                       model_config, rng=np.random.default_rng(cfg.seed))
     store = EdgeStore.from_dataset(dataset)

@@ -268,7 +268,7 @@ def test_criterion_7_determinism_persistence(tmp_path):
     ad.save_checkpoint(path, m1.params)
     m3 = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, mcfg,
                    rng=np.random.default_rng(123))
-    m3.load_params(ad.load_checkpoint(path))
+    m3.load_params(ad.read_checkpoint(path)[1])
     round_trip = all(np.array_equal(m3.params[k].value, m1.params[k].value)
                      for k in m1.params)
     after = incremental_eval(ds, m3, split="val").mrr

@@ -89,6 +89,6 @@ def test_corrupt_files_load_or_raise_data_format_error(tmp_path_factory, which, 
         if which == "dataset":
             load_dataset(path)
         else:
-            ad.load_checkpoint(path)
+            ad.read_checkpoint(path)[1]
     except ad.DataFormatError:
         pass

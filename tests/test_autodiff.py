@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +81,36 @@ def test_tape_holds_handles_and_backward_pops_them():
     assert tape.nodes == []
     assert set(g) == {x}                    # the live leaf only, no dead intermediate
     np.testing.assert_array_equal(g[x], [[2.0, 0.0]])
+
+
+def test_rules_keep_recipes_not_pure_copies(monkeypatch):
+    """Under a tape a gather, a concatenation of gathers and a sparse product
+    die once the forward drops them: the rules that read them keep recipes,
+    and the gradients are the bytes that keeping the copies gave."""
+    rng = np.random.default_rng(0)
+    x, w = ad.constant(rng.normal(size=(5, 3))), ad.constant(rng.normal(size=(6, 2)))
+    s = sp.random(4, 5, density=0.5, random_state=np.random.RandomState(0), format="csr")
+
+    def run():
+        with ad.Tape() as tape:
+            picked = ad.row_select(x, [4, 0, 0, 2])
+            both = ad.concat_cols(picked, ad.row_select(x, [1, 1, 3, 0]))
+            prod = ad.spmm(s, x)
+            loss = ad.add(ad.sum_all(ad.matmul(both, w)),
+                          ad.sum_all(ad.scale_rows(ad.hadamard(picked, prod),
+                                                   ad.col_select(prod, 1))))
+            refs = [weakref.ref(v) for v in (picked, both, prod)]
+            del picked, both, prod
+            alive = [r() is not None for r in refs]
+        g = ad.backward(loss, tape)
+        return alive, g[x], g[w]
+
+    alive, gx, gw = run()
+    assert alive == [False] * 3
+    monkeypatch.setattr(ad, "_keep", lambda v: v)
+    kept_alive, kx, kw = run()
+    assert kept_alive == [True] * 3
+    assert gx.tobytes() == kx.tobytes() and gw.tobytes() == kw.tobytes()
 
 
 def test_untaped_ops_make_no_handles():
@@ -191,7 +222,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
               "z/nested.name": ad.Var(rng.normal(size=(1, 1)))}
     path = tmp_path / "ck.bin"
     ad.save_checkpoint(path, params)
-    back = ad.load_checkpoint(path)
+    back = ad.read_checkpoint(path)[1]
     assert set(back) == set(params)
     for name in params:
         np.testing.assert_array_equal(back[name], params[name].value)
@@ -208,7 +239,7 @@ def test_checkpoint_bad_magic(tmp_path):
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(ad.DataFormatError):
-        ad.load_checkpoint(path)
+        ad.read_checkpoint(path)[1]
 
 
 def test_checkpoint_truncated(tmp_path):
@@ -217,7 +248,7 @@ def test_checkpoint_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ad.DataFormatError):
-        ad.load_checkpoint(path)
+        ad.read_checkpoint(path)[1]
 
 
 def test_spmm_matches_dense():

@@ -268,6 +268,25 @@ def test_bad_config_value_exit_code(workspace, capsys):
     assert "'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_users,n_items", [(6, 1), (1, 6)])
+def test_train_rejects_a_log_with_one_user_or_one_item(tmp_path, capsys, n_users, n_items):
+    """Such a log passes preprocess, but no negative exists beside the positive:
+    ``_draw`` used to die with a raw ValueError (exit 1)."""
+    raw = tmp_path / "raw.csv"
+    raw.write_text("".join(f"u{e % n_users},i{e % n_items},5.0,{e % 12 * 86400}\n"
+                           for e in range(5 * max(n_users, n_items))))
+    out = tmp_path / "out"
+    assert main(["preprocess", "--input", str(raw), "--format", "amazon_csv",
+                 "--output", str(out)]) == 0
+    cfg = tmp_path / "run.cfg"
+    write_config(cfg, out / "dataset.bin", out)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"got {n_users} users and {n_items} items" in err
+    assert not (out / "train.log").exists()           # rejected before any epoch
+
+
 def test_malformed_dataset_record_exit_code(workspace, capsys):
     tmp_path, out, cfg = workspace
     path = out / "dataset.bin"

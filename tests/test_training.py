@@ -7,6 +7,7 @@ import pytest
 from cpmr import autodiff as ad
 from cpmr.data import RawEvent, SECONDS_PER_DAY, canonicalize
 from cpmr.errors import ConfigError, NumericalError
+from cpmr.graphs import EdgeStore
 from cpmr.model import CpmrModel, ModelConfig
 from cpmr.training import (InteractionHistory, TrainConfig, batch_loss,
                            infonce_loss, sample_negatives, train)
@@ -126,10 +127,14 @@ def test_batch_loss_matches_scalar_oracle():
     losses = []
     draws = [sample_negatives(int(u), int(i), history, ds.n_users, ds.n_items,
                               2, rng) for u, i in zip(users, items)]
+
+    def score(user, item):
+        return float(model.user_repr(z, [user]).value[0] @ model.item_repr(z, [item]).value[0])
+
     for (u, i), (nu, ni) in zip(zip(users, items), draws):
-        pos = model.score(int(u), int(i), z)
-        negs = [model.score(int(v), int(i), z) for v in nu]
-        negs += [model.score(int(u), int(j), z) for j in ni]
+        pos = score(int(u), int(i))
+        negs = [score(int(v), int(i)) for v in nu]
+        negs += [score(int(u), int(j)) for j in ni]
         losses.append(infonce_loss(pos, negs))
     assert got == pytest.approx(np.mean(losses), abs=1e-10)
 
@@ -322,13 +327,51 @@ def test_empty_negative_pools_counted_not_logged(tmp_path, caplog):
     assert epoch_line["negative_fallbacks"] > 0
 
 
+@pytest.mark.parametrize("variant", ["full", "wo_ctx", "wo_fusion"])
+def test_recipes_give_the_gradients_of_kept_copies(variant, monkeypatch):
+    """Rebuilding gathers, their concatenations and sparse products in the
+    backward gives every gradient byte for byte as keeping the copies did."""
+    rng = np.random.default_rng(4)
+    events = [RawEvent(f"u{rng.integers(6)}", f"i{rng.integers(6)}", day * SECONDS_PER_DAY)
+              for day in range(8) for _ in range(1 if day == 2 else 4)]
+    ds = canonicalize(events)
+    store = EdgeStore.from_dataset(ds)
+    days = [int(d) for d in np.unique(ds.days)][:5]
+    assert 1 in [len(store.instant_edges(d)[0]) for d in days]   # a one-interaction day
+
+    def grads():
+        model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit,
+                          ModelConfig.variant(variant, **SMALL_MODEL),
+                          rng=np.random.default_rng(0))
+        history, draws = InteractionHistory(ds.n_users, ds.n_items), np.random.default_rng(1)
+        with ad.Tape() as tape:
+            states, prev, total = model.init_states(), 0, None
+            for day in days:
+                z, states = model.step(states, store, prev, day)
+                users, items = store.instant_edges(day)
+                loss = batch_loss(model, z, users, items, history, 3, draws)
+                total = loss if total is None else ad.add(total, loss)
+                history.add_day(users, items)
+                prev = day
+        g = ad.backward(total, tape, params=model.params.values())
+        return {name: g[v] for name, v in model.params.items()}
+
+    got = grads()
+    monkeypatch.setattr(ad, "_keep", lambda v: v)      # keep the Var, as before recipes
+    want = grads()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def test_taped_step_and_loss_keep_only_what_backward_reads():
     """Live bytes of one taped ``step`` plus ``batch_loss``, in state-matrix
     sizes: ~79 when the tape held every op's output, ~39.5 once it held
-    handles and each rule kept only what it reads, ~27.4 since the graph
-    flow keeps one array per sub-step in place of its Horner iterates."""
+    handles and each rule kept only what it reads, ~27.4 once the graph
+    flow kept one array per sub-step in place of its Horner iterates, ~16.6
+    since rules keep recipes for gathers, their concatenations and sparse
+    products in place of the copies."""
     import tracemalloc
-    from cpmr.graphs import EdgeStore
     rng = np.random.default_rng(5)
     n_u, n_i = 300, 100
     users, items = rng.integers(0, n_u, 600), rng.integers(0, n_i, 600)
@@ -350,5 +393,5 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
             kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 28 * state_bytes
+    assert kept < 19 * state_bytes
     ad.backward(loss, tape, params=model.params.values())
