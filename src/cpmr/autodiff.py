@@ -180,21 +180,31 @@ def hadamard(a: Var, b: Var) -> Var:
     return out
 
 
-def scale_rows(x: Var, v: Var) -> Var:
-    """Multiply row i of x by v[i, 0]."""
-    _check(v.value.shape == (x.value.shape[0], 1), "scale_rows", x.shape, v.shape)
-    out = Var(x.value * v.value)
-    _record(out, [(x, lambda g, v=_keep(v): g * v.value),
-                  (v, lambda g, x=_keep(x): np.sum(g * x.value, axis=1, keepdims=True))])
+def linear(x: Var, w: Var, b: Var) -> Var:
+    """One dense layer: x @ w with the (1, m) row b added to every row."""
+    _check(x.value.shape[1] == w.value.shape[0] and b.value.shape == (1, w.value.shape[1]),
+           "linear", x.shape, w.shape, b.shape)
+    y = x.value @ w.value
+    y += b.value
+    out = Var(y)
+    _record(out, [(x, lambda g, w=_keep(w): g @ w.value.T),
+                  (w, lambda g, x=_keep(x): x.value.T @ g),
+                  (b, lambda g: g.sum(axis=0, keepdims=True))])
     return out
 
 
-def add_bias(x: Var, b: Var) -> Var:
-    """Add a (1, m) row vector to every row of x."""
-    _check(b.value.shape == (1, x.value.shape[1]), "add_bias", x.shape, b.shape)
-    out = Var(x.value + b.value)
-    _record(out, [(x, lambda g: g),
-                  (b, lambda g: g.sum(axis=0, keepdims=True))])
+def gate_mix(w: Var, a: Var, b: Var) -> Var:
+    """Row-wise two-way mix a * w[:, 0] + b * w[:, 1], with w of shape (n, 2)."""
+    _check(a.shape == b.shape and w.value.shape == (a.value.shape[0], 2),
+           "gate_mix", w.shape, a.shape, b.shape)
+    out = Var(a.value * w.value[:, 0:1] + b.value * w.value[:, 1:2])
+    def vjp_w(g, a=_keep(a), b=_keep(b)):
+        # + 0.0: a row sum of -0.0 reads +0.0, whichever zero numpy's sum gives
+        return np.concatenate([np.sum(g * a.value, axis=1, keepdims=True),
+                               np.sum(g * b.value, axis=1, keepdims=True)], axis=1) + 0.0
+    _record(out, [(w, vjp_w),
+                  (a, lambda g, w=_keep(w): g * w.value[:, 0:1]),
+                  (b, lambda g, w=_keep(w): g * w.value[:, 1:2])])
     return out
 
 
@@ -294,16 +304,6 @@ def row_block(x: Var, start, stop) -> Var:
     def vjp(g, shape=x.shape, start=start, stop=stop):
         z = np.zeros(shape)
         z[start:stop] += g          # 0 + g, as np.add.at gives, signed zeros included
-        return z
-    _record(out, [(x, vjp)])
-    return out
-
-
-def col_select(x: Var, j: int) -> Var:
-    out = Var(x.value[:, j:j + 1].copy())
-    def vjp(g, shape=x.shape, j=j):
-        z = np.zeros(shape)
-        z[:, j:j + 1] = g
         return z
     _record(out, [(x, vjp)])
     return out

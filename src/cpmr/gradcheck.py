@@ -44,10 +44,11 @@ def op_checks(seed=0):
         "scale": (mats((3, 2)), lambda p: ad.mean_all(ad.scale(p[0], -1.7))),
         "hadamard": (mats((3, 2), (3, 2)),
                      lambda p: ad.mean_all(ad.hadamard(p[0], p[1]))),
-        "scale_rows": (mats((3, 2), (3, 1)),
-                       lambda p: ad.mean_all(ad.scale_rows(p[0], p[1]))),
-        "add_bias": (mats((3, 2), (1, 2)),
-                     lambda p: ad.mean_all(ad.add_bias(p[0], p[1]))),
+        "linear": (mats((3, 4), (4, 2), (1, 2)),
+                   lambda p: ad.mean_all(ad.hadamard(ad.linear(*p), ad.constant(_cmat(2))))),
+        "gate_mix": (mats((3, 2), (3, 4), (3, 4)),
+                     lambda p: ad.mean_all(ad.hadamard(
+                         ad.gate_mix(*p), ad.constant(_cmat(4))))),
         "concat_cols": (mats((3, 2), (3, 1), (3, 2)),
                         lambda p: ad.mean_all(ad.hadamard(
                             ad.concat_cols(*p), ad.constant(_cmat(5))))),
@@ -64,8 +65,6 @@ def op_checks(seed=0):
         "row_select": (mats((3, 2)),
                        lambda p: ad.mean_all(ad.hadamard(
                            ad.row_select(p[0], idx), ad.constant(_cmat(2, rows=4))))),
-        "col_select": (mats((3, 4)),
-                       lambda p: ad.mean_all(ad.col_select(p[0], 2))),
         "masked_add": (mats((3, 2), (3, 2)),
                        lambda p: ad.mean_all(ad.masked_add(p[0], mask, p[1]))),
         "sum_cols": (mats((3, 4)), lambda p: ad.mean_all(ad.sum_cols(p[0]))),

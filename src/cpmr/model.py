@@ -175,8 +175,7 @@ class CpmrModel:
             self.params[name].value = arr.copy()
 
     def _linear(self, x, prefix):
-        return ad.add_bias(ad.matmul(x, self.params[f"{prefix}.w"]),
-                           self.params[f"{prefix}.b"])
+        return ad.linear(x, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
 
     # -- recurrence pieces --------------------------------------------------
 
@@ -214,9 +213,7 @@ class CpmrModel:
             for t in tasks:
                 w = ad.softmax_rows(self._linear(x_in, f"fusion.{cls}.gate_{t}"))
                 e = self._linear(x_in, f"fusion.{cls}.expert_{t}")
-                out = ad.add(ad.scale_rows(e, ad.col_select(w, 0)),
-                             ad.scale_rows(shared, ad.col_select(w, 1)))
-                results[t].append(out)
+                results[t].append(ad.gate_mix(w, e, shared))
         def stack(t):
             return ad.concat_rows(*results[t]) if results[t] else None
         return stack("his"), stack("ctx"), stack("final")
@@ -304,9 +301,3 @@ class CpmrModel:
         x = ad.concat_cols(ad.row_select(self.params["embed"], idx),
                            ad.row_select(z, idx))
         return self._linear(x, "predict.fc_item")
-
-    def score_all_items(self, user, z: Var):
-        """Scores of one user against every item (no-grad, for ranking)."""
-        p = self.user_repr(z, [user]).value[0]
-        q = self.item_repr(z, np.arange(self.n_items)).value
-        return q @ p

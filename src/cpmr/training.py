@@ -42,8 +42,9 @@ class TrainConfig:
         # lr = 0 freezes the parameters; a negative decay factor would flip the lr's sign
         if min(self.lr, self.weight_decay, self.lr_decay_factor) < 0:
             raise ConfigError("lr, weight_decay and lr_decay_factor must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("seed", "patience"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 class InteractionHistory:

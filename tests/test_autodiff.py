@@ -85,10 +85,12 @@ def test_tape_holds_handles_and_backward_pops_them():
 
 def test_rules_keep_recipes_not_pure_copies(monkeypatch):
     """Under a tape a gather, a concatenation of gathers and a sparse product
-    die once the forward drops them: the rules that read them keep recipes,
-    and the gradients are the bytes that keeping the copies gave."""
+    die once the forward drops them: the rules that read them (a ``linear``
+    layer's, a ``hadamard``'s and a ``gate_mix``'s) keep recipes, and the
+    gradients are the bytes that keeping the copies gave."""
     rng = np.random.default_rng(0)
     x, w = ad.constant(rng.normal(size=(5, 3))), ad.constant(rng.normal(size=(6, 2)))
+    bias, mix = ad.constant(rng.normal(size=(1, 2))), ad.constant(rng.normal(size=(4, 2)))
     s = sp.random(4, 5, density=0.5, random_state=np.random.RandomState(0), format="csr")
 
     def run():
@@ -96,21 +98,81 @@ def test_rules_keep_recipes_not_pure_copies(monkeypatch):
             picked = ad.row_select(x, [4, 0, 0, 2])
             both = ad.concat_cols(picked, ad.row_select(x, [1, 1, 3, 0]))
             prod = ad.spmm(s, x)
-            loss = ad.add(ad.sum_all(ad.matmul(both, w)),
-                          ad.sum_all(ad.scale_rows(ad.hadamard(picked, prod),
-                                                   ad.col_select(prod, 1))))
+            loss = ad.add(ad.sum_all(ad.linear(both, w, bias)),
+                          ad.sum_all(ad.gate_mix(mix, ad.hadamard(picked, prod), prod)))
             refs = [weakref.ref(v) for v in (picked, both, prod)]
             del picked, both, prod
             alive = [r() is not None for r in refs]
         g = ad.backward(loss, tape)
-        return alive, g[x], g[w]
+        return alive, [g[v] for v in (x, w, bias, mix)]
 
-    alive, gx, gw = run()
+    alive, grads = run()
     assert alive == [False] * 3
     monkeypatch.setattr(ad, "_keep", lambda v: v)
-    kept_alive, kx, kw = run()
+    kept_alive, kept = run()
     assert kept_alive == [True] * 3
-    assert gx.tobytes() == kx.tobytes() and gw.tobytes() == kw.tobytes()
+    assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
+
+
+def _rules(op, *args):
+    """The output of one taped op and its backward rules, in input order."""
+    with ad.Tape() as tape:
+        out = op(*args)
+    (_, pairs), = tape.nodes
+    return out.value, [vjp for _, vjp in pairs]
+
+
+def test_linear_is_the_matmul_and_bias_chain_byte_for_byte():
+    rng = np.random.default_rng(3)
+    x, w, b, g = (rng.normal(size=s) for s in ((7, 5), (5, 3), (1, 3), (7, 3)))
+    out, (gx, gw, gb) = _rules(ad.linear, ad.Var(x), ad.Var(w), ad.Var(b))
+    mm = x @ w
+    assert out.tobytes() == (mm + b).tobytes()
+    assert gx(g).tobytes() == (g @ w.T).tobytes()
+    assert gw(g).tobytes() == (x.T @ g).tobytes()
+    assert gb(g).tobytes() == g.sum(axis=0, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("signed_zero_sums", [False, True])
+def test_gate_mix_is_the_column_select_scale_and_add_chain_byte_for_byte(
+        monkeypatch, signed_zero_sums):
+    rng = np.random.default_rng(4)
+    w, a, b, g = (rng.normal(size=s) for s in ((6, 2), (6, 3), (6, 3), (6, 3)))
+    a[2], b[2], g[2] = -np.abs(a[2]), -np.abs(b[2]), 0.0   # row 2's products are -0.0
+    if signed_zero_sums:
+        # numpy seeds a row sum with +0.0, so a sum of -0.0s reads +0.0; seeded
+        # with -0.0, the exact identity, it stays -0.0 and the + 0.0 shows
+        monkeypatch.setattr(np, "sum", lambda x, axis=None, keepdims=False:
+                            np.add.reduce(x, axis=axis, keepdims=keepdims, initial=-0.0))
+    out, (gw, ga, gb) = _rules(ad.gate_mix, ad.Var(w), ad.Var(a), ad.Var(b))
+    c0, c1 = w[:, 0:1].copy(), w[:, 1:2].copy()
+    assert out.tobytes() == (a * c0 + b * c1).tobytes()
+    assert ga(g).tobytes() == (g * c0).tobytes()
+    assert gb(g).tobytes() == (g * c1).tobytes()
+    # the old chain: the second column's zero-padded gradient plus the first's
+    pad1, pad0 = np.zeros_like(w), np.zeros_like(w)
+    pad1[:, 1:2] = np.sum(g * b, axis=1, keepdims=True)
+    pad0[:, 0:1] = np.sum(g * a, axis=1, keepdims=True)
+    assert np.signbit([pad0[2, 0], pad1[2, 1]]).all() == signed_zero_sums
+    got = gw(g)
+    assert got.tobytes() == (pad1 + pad0).tobytes()
+    assert not np.signbit(got[2]).any()
+
+
+def test_every_op_has_a_gradient_check_case():
+    """Each ``-> Var`` op of the engine is probed by ``op_checks``, and each
+    case probes an op (``<op>`` or a variant ``<op>_<variant>``)."""
+    import inspect
+    from cpmr.gradcheck import TOLERANCE, op_checks
+    ops = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
+           if f.__module__ == ad.__name__ and not name.startswith("_")
+           and inspect.signature(f).return_annotation in ("Var", ad.Var)}
+    assert {"linear", "gate_mix", "graph_flow", "softmax_rows", "matmul"} <= ops
+    checks = dict(op_checks())
+    assert ops <= set(checks)
+    for case in checks:
+        assert any(case == op or case.startswith(op + "_") for op in ops), case
+    assert max(checks.values()) <= TOLERANCE
 
 
 def test_untaped_ops_make_no_handles():

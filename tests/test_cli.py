@@ -307,7 +307,8 @@ def test_malformed_dataset_record_exit_code(workspace, capsys):
                                   "model.time_scale=inf", "model.tau_max=nan",
                                   "model.alpha0=nan", "train.lr=nan", "train.lr=inf",
                                   "train.weight_decay=nan", "train.lr_decay_factor=nan",
-                                  "train.lr_decay_factor=-1", "train.seed=-1"])
+                                  "train.lr_decay_factor=-1", "train.seed=-1",
+                                  "train.patience=-1"])
 def test_config_out_of_range_exit_code(workspace, capsys, line):
     tmp_path, out, _ = workspace
     bad = tmp_path / "bad.cfg"

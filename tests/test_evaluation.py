@@ -105,7 +105,8 @@ def test_incremental_eval_matches_manual_replay():
         if day in test_days:
             users, items = store.instant_edges(int(day))
             for u, i in zip(users, items):
-                scores = model.score_all_items(int(u), z)
+                scores = (model.item_repr(z, np.arange(model.n_items)).value
+                          @ model.user_repr(z, [int(u)]).value[0])
                 records.append(rank_from_scores(scores, int(i)))
         prev = int(day)
     assert report.n_events == len(records)

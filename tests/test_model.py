@@ -365,7 +365,8 @@ def test_score_matches_standalone():
     qi = np.concatenate([p["embed"][6], z.value[6]]) @ p["predict.fc_item.w"] \
         + p["predict.fc_item.b"][0]
     want = float(pu @ qi)
-    scores = model.score_all_items(1, z)
+    # as the replay ranks: every item's representation against the user's
+    scores = model.item_repr(z, np.arange(4)).value @ model.user_repr(z, [1]).value[0]
     assert scores[2] == pytest.approx(want, abs=1e-12)
 
 
@@ -465,13 +466,15 @@ def test_evolve_states_without_tape_keeps_no_iterates():
 
 
 def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
-    """The matmul under each ``_linear``'s bias and every ``scale_rows``
-    output in ``fuse`` are freed once the forward code drops them."""
+    """The gate logits (each gate ``linear``'s output, read by no rule:
+    the softmax reads its own output) and every ``gate_mix`` output, the
+    per-class mixes, are freed once the forward code drops them; the expert
+    outputs, which the mixes' rules read, stay."""
     import weakref
     model = make_model(n_users=5, n_items=4, d=6)
     rng = np.random.default_rng(41)
     xh, xc = ad.Var(rng.normal(size=(9, 6))), ad.Var(rng.normal(size=(9, 6)))
-    refs = {"matmul": [], "scale_rows": []}
+    refs = {"linear": [], "gate_mix": []}
 
     def watched(name, op):
         def run(*args):
@@ -484,11 +487,18 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
         monkeypatch.setattr(ad, name, watched(name, getattr(ad, name)))
     with ad.Tape() as tape:
         h, c, z = model.fuse(xh, xc)
-        # per entity class: 7 linear layers (shared, 3 gates, 3 experts), 6 scalings
-        assert len(refs["matmul"]) == 2 * 7 and len(refs["scale_rows"]) == 2 * 6
-        assert all(r() is None for rs in refs.values() for r in rs)
+        # per entity class: 7 linear layers (shared, 3 gates, 3 experts), 3 mixes
+        assert len(refs["linear"]) == 2 * 7 and len(refs["gate_mix"]) == 2 * 3
+        # in each class the shared expert, then per task its gate and its expert
+        gates = [r for k in (0, 7) for r in refs["linear"][k + 1:k + 7:2]]
+        experts = [r for k in (0, 7) for r in refs["linear"][k:k + 7:2]]
+        assert all(r() is None for r in gates + refs["gate_mix"])
+        assert all(r() is not None for r in experts)
         # their nodes stay on the tape, as handles without values
-        assert sum(o.value.size == 0 for o, _ in tape.nodes) >= 2 * (7 + 6)
+        assert sum(o.value.size == 0 for o, _ in tape.nodes) >= 2 * (3 + 3)
+        # per class: 2 row blocks, their concatenation, the shared expert and
+        # per task its gate linear, softmax, expert linear and mix; 3 stacks
+        assert len(tape.nodes) == 2 * (2 + 1 + 1 + 3 * 4) + 3
         loss = ad.mean_all(ad.add(ad.add(h, c), z))
     grads = ad.backward(loss, tape, params=[xh, xc])
     assert np.abs(grads[xh]).max() > 0 and np.abs(grads[xc]).max() > 0

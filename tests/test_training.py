@@ -38,6 +38,9 @@ def test_train_config_validation():
         TrainConfig(n_tbptt=0)
     with pytest.raises(ConfigError):
         TrainConfig(n_neg=0)
+    with pytest.raises(ConfigError, match="patience"):
+        TrainConfig(patience=-3)
+    assert TrainConfig(patience=0).patience == 0      # stop at the first epoch without gain
 
 
 def test_infonce_equal_logits_anchor():
