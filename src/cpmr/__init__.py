@@ -22,7 +22,7 @@ from .evaluation import (MetricsReport, RankRecord, ablation_run,
                          sweep, synthetic_trend_dataset)
 from .graphs import EdgeStore, normalize_adjacency
 from .model import CpmrModel, ModelConfig, TemporalStates, evolve
-from .training import TrainConfig, infonce_loss, sample_negatives, train
+from .training import TrainConfig, sample_negatives, train
 
 __all__ = [
     "Dataset", "RawEvent", "canonicalize", "k_core_filter", "load_dataset",
@@ -30,8 +30,7 @@ __all__ = [
     "ablation_run", "incremental_eval", "mrr", "recall_at_k",
     "sweep", "synthetic_trend_dataset", "EdgeStore",
     "normalize_adjacency", "CpmrModel", "ModelConfig",
-    "TemporalStates", "evolve", "TrainConfig", "infonce_loss",
-    "sample_negatives", "train",
+    "TemporalStates", "evolve", "TrainConfig", "sample_negatives", "train",
 ]
 
 __version__ = "0.1.0"

@@ -9,10 +9,10 @@ Ownership: the tape holds handles (:class:`TapeNode`), not values. A handle
 knows its ``Var`` only through a weak reference, so reference counting frees
 each intermediate as soon as the forward code drops it. A backward rule
 captures the arrays or shapes it reads, never a ``Var`` it does not read;
-what no rule reads is not kept. A rule keeps an operand that is a pure
-copy (a ``row_select`` gather, a ``concat_cols`` of such, an ``spmm``
-product) as a recipe, its sources plus an index, and rebuilds the same
-bytes when it runs; the sources must not be mutated before ``backward``.
+what no rule reads is not kept. A rule keeps a pure copy (a ``row_select``
+gather, a ``concat_cols`` of such, an ``spmm`` product) or a ``linear``
+output as a recipe, its sources plus an index or weights, and rebuilds the
+same bytes (a layer by one GEMM); sources must not be mutated before ``backward``.
 
 Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 ``graph_flow``; gradients flow through the dense operands.
@@ -115,7 +115,7 @@ def _record(out, pairs):
 
 
 class _Recipe(functools.partial):
-    """Rebuilds a pure copy from its sources; a rule reads ``.value`` as from a Var."""
+    """Rebuilds a pure copy or a layer's output from its sources; read ``.value`` as a Var's."""
     value = property(lambda self: self())
 
 
@@ -184,13 +184,19 @@ def linear(x: Var, w: Var, b: Var) -> Var:
     """One dense layer: x @ w with the (1, m) row b added to every row."""
     _check(x.value.shape[1] == w.value.shape[0] and b.value.shape == (1, w.value.shape[1]),
            "linear", x.shape, w.shape, b.shape)
-    y = x.value @ w.value
-    y += b.value
-    out = Var(y)
+    out = Var(_affine(x, w, b))
+    if _ACTIVE_TAPE is not None:
+        out._recipe = _Recipe(_affine, _keep(x), w, b)
     _record(out, [(x, lambda g, w=_keep(w): g @ w.value.T),
                   (w, lambda g, x=_keep(x): x.value.T @ g),
                   (b, lambda g: g.sum(axis=0, keepdims=True))])
     return out
+
+
+def _affine(x, w, b):
+    y = x.value @ w.value
+    y += b.value
+    return y
 
 
 def gate_mix(w: Var, a: Var, b: Var) -> Var:
@@ -285,15 +291,16 @@ def logsumexp_rows(x: Var) -> Var:
 
 
 def row_select(x: Var, idx) -> Var:
-    """Gather rows; duplicate indices accumulate gradient."""
+    """Gather rows by ids in [0, n); duplicate ids accumulate gradient."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Var(x.value[idx])
     if _ACTIVE_TAPE is not None:
         out._recipe = _Recipe(operator.getitem, x.value, idx)
-    def vjp(g, shape=x.shape, idx=idx):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return z
+    def vjp(g, n=x.shape[0], idx=idx):
+        # bincount sums each entry's draws from 0.0 in draw order, as np.add.at into zeros
+        d = g.shape[1]
+        flat = (idx[:, None] * d + np.arange(d)).ravel()
+        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
     _record(out, [(x, vjp)])
     return out
 
@@ -457,10 +464,7 @@ def backward(loss: Var, tape: Tape, params=None):
             continue
         for inp, vjp in pairs:
             contrib = vjp(g)
-            if inp in grads:
-                grads[inp] = grads[inp] + contrib
-            else:
-                grads[inp] = contrib
+            grads[inp] = grads[inp] + contrib if inp in grads else contrib
     result = {}
     for node, g in grads.items():
         var = node.var()

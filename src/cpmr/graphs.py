@@ -84,11 +84,12 @@ class EdgeStore:
                     (self.n_users, self.n_items))
 
 
-def _csr(data, indices, indptr, shape):
-    """CSR from arrays in canonical order, dropping explicit zeros as scipy's sums do.
+def _csr(data, indices, indptr, shape, ascending=True):
+    """CSR from arrays grouped by row, dropping explicit zeros as scipy's sums do.
 
     Index arrays are int32 when ``nnz`` and both dimensions fit, as scipy
     chooses for the matrices it builds; casting here spares its content scan.
+    Canonical format is claimed only for columns ``ascending`` within each row.
     """
     keep = data != 0
     if not keep.all():
@@ -97,7 +98,8 @@ def _csr(data, indices, indptr, shape):
     idx = np.int32 if max(len(data), *shape) <= np.iinfo(np.int32).max else np.int64
     mat = sp.csr_matrix((data, indices.astype(idx, copy=False),
                          indptr.astype(idx, copy=False)), shape=shape)
-    mat.has_canonical_format = True
+    if ascending:
+        mat.has_canonical_format = True
     return mat
 
 
@@ -190,5 +192,5 @@ def averaging_operators(biadj):
         # reverse B's entries, then group them stably by row: columns descend within a row
         rev = len(rows) - 1 - np.argsort(rows[::-1], kind="stable")
         out.append(_csr(dinv[rows[rev]] * b.data[rev], cols[rev],
-                        _indptr(rows, len(deg)), (len(deg), n_cols)))
+                        _indptr(rows, len(deg)), (len(deg), n_cols), ascending=False))
     return tuple(out)

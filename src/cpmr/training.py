@@ -95,13 +95,6 @@ def _draw(excluded, n_total, positive, n_neg, rng):
     return pool[rng.choice(len(pool), size=n_neg, replace=len(pool) < n_neg)], empty
 
 
-def infonce_loss(lambda_pos, lambda_negs):
-    """-log(exp(pos) / (exp(pos) + sum exp(negs))), via logsumexp."""
-    logits = np.concatenate([[lambda_pos], np.asarray(lambda_negs, dtype=np.float64)])
-    m = logits.max()
-    return float(m + np.log(np.exp(logits - m).sum()) - lambda_pos)
-
-
 def batch_loss(model: CpmrModel, z, users, items, history, n_neg, rng):
     """Mean InfoNCE over one day's concurrent interactions (a Var scalar)."""
     b = len(users)

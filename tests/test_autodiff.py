@@ -84,13 +84,14 @@ def test_tape_holds_handles_and_backward_pops_them():
 
 
 def test_rules_keep_recipes_not_pure_copies(monkeypatch):
-    """Under a tape a gather, a concatenation of gathers and a sparse product
-    die once the forward drops them: the rules that read them (a ``linear``
-    layer's, a ``hadamard``'s and a ``gate_mix``'s) keep recipes, and the
-    gradients are the bytes that keeping the copies gave."""
+    """Under a tape a gather, a concatenation of gathers, a sparse product
+    and a dense layer's output die once the forward drops them: the rules
+    that read them (a ``linear`` layer's, a ``hadamard``'s and a
+    ``gate_mix``'s) keep recipes, and the gradients are the bytes that
+    keeping the copies gave. Without a tape no recipe is made."""
     rng = np.random.default_rng(0)
-    x, w = ad.constant(rng.normal(size=(5, 3))), ad.constant(rng.normal(size=(6, 2)))
-    bias, mix = ad.constant(rng.normal(size=(1, 2))), ad.constant(rng.normal(size=(4, 2)))
+    x, w = ad.constant(rng.normal(size=(5, 3))), ad.constant(rng.normal(size=(6, 3)))
+    bias, mix = ad.constant(rng.normal(size=(1, 3))), ad.constant(rng.normal(size=(4, 2)))
     s = sp.random(4, 5, density=0.5, random_state=np.random.RandomState(0), format="csr")
 
     def run():
@@ -98,19 +99,21 @@ def test_rules_keep_recipes_not_pure_copies(monkeypatch):
             picked = ad.row_select(x, [4, 0, 0, 2])
             both = ad.concat_cols(picked, ad.row_select(x, [1, 1, 3, 0]))
             prod = ad.spmm(s, x)
-            loss = ad.add(ad.sum_all(ad.linear(both, w, bias)),
-                          ad.sum_all(ad.gate_mix(mix, ad.hadamard(picked, prod), prod)))
-            refs = [weakref.ref(v) for v in (picked, both, prod)]
-            del picked, both, prod
+            layer = ad.linear(both, w, bias)
+            loss = ad.add(ad.sum_all(ad.hadamard(layer, prod)),
+                          ad.sum_all(ad.gate_mix(mix, ad.hadamard(picked, prod), layer)))
+            refs = [weakref.ref(v) for v in (picked, both, prod, layer)]
+            del picked, both, prod, layer
             alive = [r() is not None for r in refs]
         g = ad.backward(loss, tape)
         return alive, [g[v] for v in (x, w, bias, mix)]
 
     alive, grads = run()
-    assert alive == [False] * 3
+    assert alive == [False] * 4
+    assert not hasattr(ad.linear(ad.concat_cols(x, x), w, bias), "_recipe")
     monkeypatch.setattr(ad, "_keep", lambda v: v)
     kept_alive, kept = run()
-    assert kept_alive == [True] * 3
+    assert kept_alive == [True] * 4
     assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
 
 
@@ -200,6 +203,21 @@ def test_row_select_duplicates_accumulate():
         loss = ad.sum_all(picked)
     g = ad.backward(loss, tape)
     np.testing.assert_array_equal(g[x], [[2.0], [1.0]])
+
+
+@pytest.mark.parametrize("n_rows, n_picks", [(1, 0), (5, 1), (7, 40), (160, 960)])
+def test_row_select_backward_is_add_at_byte_for_byte(n_rows, n_picks):
+    """The flat ``bincount`` sums each entry's draws from 0.0 in draw order,
+    as ``np.add.at`` into zeros does, signed zeros and rows never drawn
+    included."""
+    rng = np.random.default_rng(n_picks)
+    idx = rng.integers(0, n_rows, n_picks)
+    g = rng.normal(size=(n_picks, 3)) * 10.0 ** rng.integers(-8, 9, (n_picks, 1))
+    g[::3] = -0.0
+    (vjp,) = _rules(ad.row_select, ad.constant(rng.normal(size=(n_rows, 3))), idx)[1]
+    want = np.zeros((n_rows, 3))
+    np.add.at(want, idx, g)
+    assert vjp(g).tobytes() == want.tobytes()
 
 
 def test_fanout_gradients_sum():

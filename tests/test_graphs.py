@@ -296,6 +296,38 @@ def test_operators_are_the_coo_constructions_byte_for_byte(seed):
             assert csr_bytes(got) == csr_bytes(want)
 
 
+def columns_ascend(mat, strictly):
+    """Whether every row of a CSR matrix stores its columns in ascending order."""
+    step = np.diff(mat.indices.astype(np.int64))
+    same_row = np.diff(np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))) == 0
+    return bool(np.all(step[same_row] > 0 if strictly else step[same_row] >= 0))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_every_operator_reports_its_index_order_truthfully(seed):
+    """scipy trusts the sorted flags: a matrix claiming sorted indices is left
+    as it is by ``sort_indices``. The views and the normalized adjacency
+    ascend and say so; the averaging operators, whose columns descend within
+    a row, claim nothing, and their products are the reference's bytes."""
+    store = random_log(seed)
+    rng = np.random.default_rng(2000 + seed)
+    views = [store.history_biadjacency(day) for day in range(0, 44, 5)]
+    views += [store.instant_biadjacency(day) for day in range(0, 44, 3)]
+    views += [store.context_biadjacency(day, 3) for day in range(0, 44, 7)]
+    for b in views:
+        ops = averaging_operators(b)
+        for mat in [b, normalize_adjacency(b), *ops]:
+            assert mat.has_sorted_indices == columns_ascend(mat, strictly=False)
+            assert mat.has_canonical_format == columns_ascend(mat, strictly=True)
+        for got, want in zip(ops, reference_averaging(b)):
+            x = rng.normal(size=(got.shape[1], 3))
+            g = rng.normal(size=(got.shape[0], 3))
+            assert (got @ x).tobytes() == (want @ x).tobytes()
+            assert (got.T @ g).tobytes() == (want.T @ g).tobytes()
+            got.sort_indices()
+            assert columns_ascend(got, strictly=True)
+
+
 def test_operators_of_a_non_canonical_biadjacency_are_those_of_its_canonical_form():
     # (0, 2) stored twice and row 1 unsorted
     b = sp.csr_matrix((np.array([1.0, 1.0, 1.0, 1.0, 1.0]), np.array([2, 0, 2, 3, 1]),

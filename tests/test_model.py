@@ -466,10 +466,11 @@ def test_evolve_states_without_tape_keeps_no_iterates():
 
 
 def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
-    """The gate logits (each gate ``linear``'s output, read by no rule:
-    the softmax reads its own output) and every ``gate_mix`` output, the
-    per-class mixes, are freed once the forward code drops them; the expert
-    outputs, which the mixes' rules read, stay."""
+    """No rule keeps a fusion intermediate: every ``linear`` output (the gate
+    logits, read by no rule, as the softmax reads its own output; the
+    experts, which the mixes' rules read through recipes) and every
+    ``gate_mix`` output, the per-class mixes, is freed once the forward code
+    drops it. The gradients are the bytes that keeping the experts gave."""
     import weakref
     model = make_model(n_users=5, n_items=4, d=6)
     rng = np.random.default_rng(41)
@@ -485,20 +486,32 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
 
     for name in refs:
         monkeypatch.setattr(ad, name, watched(name, getattr(ad, name)))
-    with ad.Tape() as tape:
-        h, c, z = model.fuse(xh, xc)
-        # per entity class: 7 linear layers (shared, 3 gates, 3 experts), 3 mixes
-        assert len(refs["linear"]) == 2 * 7 and len(refs["gate_mix"]) == 2 * 3
-        # in each class the shared expert, then per task its gate and its expert
-        gates = [r for k in (0, 7) for r in refs["linear"][k + 1:k + 7:2]]
-        experts = [r for k in (0, 7) for r in refs["linear"][k:k + 7:2]]
-        assert all(r() is None for r in gates + refs["gate_mix"])
-        assert all(r() is not None for r in experts)
-        # their nodes stay on the tape, as handles without values
-        assert sum(o.value.size == 0 for o, _ in tape.nodes) >= 2 * (3 + 3)
-        # per class: 2 row blocks, their concatenation, the shared expert and
-        # per task its gate linear, softmax, expert linear and mix; 3 stacks
-        assert len(tape.nodes) == 2 * (2 + 1 + 1 + 3 * 4) + 3
-        loss = ad.mean_all(ad.add(ad.add(h, c), z))
-    grads = ad.backward(loss, tape, params=[xh, xc])
-    assert np.abs(grads[xh]).max() > 0 and np.abs(grads[xc]).max() > 0
+
+    def run():
+        for r in refs.values():
+            r.clear()
+        with ad.Tape() as tape:
+            h, c, z = model.fuse(xh, xc)
+            # per entity class: 7 linear layers (shared, 3 gates, 3 experts), 3 mixes
+            assert len(refs["linear"]) == 2 * 7 and len(refs["gate_mix"]) == 2 * 3
+            # in each class the shared expert, then per task its gate and its expert
+            gates = [r for k in (0, 7) for r in refs["linear"][k + 1:k + 7:2]]
+            experts = [r for k in (0, 7) for r in refs["linear"][k:k + 7:2]]
+            assert all(r() is None for r in gates + refs["gate_mix"])
+            alive = [r() is not None for r in experts]
+            # their nodes stay on the tape, as handles without values
+            handles = sum(o.value.size == 0 for o, _ in tape.nodes)
+            # per class: 2 row blocks, their concatenation, the shared expert and
+            # per task its gate linear, softmax, expert linear and mix; 3 stacks
+            assert len(tape.nodes) == 2 * (2 + 1 + 1 + 3 * 4) + 3
+            loss = ad.mean_all(ad.add(ad.add(h, c), z))
+        grads = ad.backward(loss, tape, params=[xh, xc])
+        return alive, handles, [grads[xh], grads[xc]]
+
+    alive, handles, grads = run()
+    assert alive == [False] * 8 and handles >= 2 * (7 + 3)
+    monkeypatch.setattr(ad, "_keep", lambda v: v)
+    kept_alive, kept_handles, kept = run()
+    assert kept_alive == [True] * 8 and kept_handles == handles - 8
+    assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
+    assert np.abs(grads[0]).max() > 0 and np.abs(grads[1]).max() > 0

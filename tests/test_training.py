@@ -10,7 +10,7 @@ from cpmr.errors import ConfigError, NumericalError
 from cpmr.graphs import EdgeStore
 from cpmr.model import CpmrModel, ModelConfig
 from cpmr.training import (InteractionHistory, TrainConfig, batch_loss,
-                           infonce_loss, sample_negatives, train)
+                           sample_negatives, train)
 
 
 def tiny_dataset(seed=0, n_users=6, n_items=6, n_days=12, per_day=4):
@@ -22,6 +22,13 @@ def tiny_dataset(seed=0, n_users=6, n_items=6, n_days=12, per_day=4):
                                    f"i{rng.integers(n_items)}",
                                    day * SECONDS_PER_DAY))
     return canonicalize(events)
+
+
+def infonce_loss(lambda_pos, lambda_negs):
+    """Reference InfoNCE of one interaction: -log(exp(pos) / (exp(pos) + sum exp(negs)))."""
+    logits = np.concatenate([[lambda_pos], np.asarray(lambda_negs, dtype=np.float64)])
+    m = logits.max()
+    return float(m + np.log(np.exp(logits - m).sum()) - lambda_pos)
 
 
 SMALL_MODEL = dict(d=4, s_days=3, taylor_order=3)
@@ -373,7 +380,9 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
     handles and each rule kept only what it reads, ~27.4 once the graph
     flow kept one array per sub-step in place of its Horner iterates, ~16.6
     since rules keep recipes for gathers, their concatenations and sparse
-    products in place of the copies."""
+    products in place of the copies (~16.2 with whole-layer fusion ops),
+    ~9.4 since they keep recipes for dense layers' outputs too: the fusion
+    experts and the per-draw representations, rebuilt by one GEMM."""
     import tracemalloc
     rng = np.random.default_rng(5)
     n_u, n_i = 300, 100
@@ -396,5 +405,5 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
             kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 19 * state_bytes
+    assert kept < 11 * state_bytes
     ad.backward(loss, tape, params=model.params.values())
