@@ -2,7 +2,9 @@
 # End-to-end artifact pipeline through the cpmr CLI: preprocess a raw CSV
 # log, train, evaluate the checkpoint, sweep the context window, run one
 # ablation, and finish with the gradient check. Everything lands in a
-# scratch directory.
+# scratch directory. The CLI runs as `python3 -m cpmr`, so the package
+# needs only to be importable: installed, or with PYTHONPATH=src from the
+# root of a checkout.
 set -euo pipefail
 
 work="$(mktemp -d)"
@@ -24,7 +26,7 @@ with open(f"{sys.argv[1]}/raw.csv", "w") as fh:
             fh.write(f"u{u},i{i},5.0,{day * 86400}\n")
 PY
 
-cpmr preprocess --input "$work/raw.csv" --format amazon_csv \
+python3 -m cpmr preprocess --input "$work/raw.csv" --format amazon_csv \
     --output "$work/run" --k-core 3
 
 cat > "$work/run.cfg" <<EOF
@@ -40,10 +42,10 @@ train.max_epochs=4
 train.patience=4
 EOF
 
-cpmr train --config "$work/run.cfg"
-cpmr eval --config "$work/run.cfg" --checkpoint "$work/run/checkpoint.bin" --split test
-cpmr sweep --config "$work/run.cfg" --param s_days --values 3,5
+python3 -m cpmr train --config "$work/run.cfg"
+python3 -m cpmr eval --config "$work/run.cfg" --checkpoint "$work/run/checkpoint.bin" --split test
+python3 -m cpmr sweep --config "$work/run.cfg" --param s_days --values 3,5
 echo "--- sweep.csv ---"; cat "$work/run/sweep.csv"
-cpmr ablate --config "$work/run.cfg" --variant wo_fusion
-cpmr gradcheck | tail -n 3
+python3 -m cpmr ablate --config "$work/run.cfg" --variant wo_fusion
+python3 -m cpmr gradcheck | tail -n 3
 echo "pipeline complete"

@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense matrices.
 
-All values are 2-D float64 numpy arrays wrapped in :class:`Var`. Ops record
-their backward rules on the active :class:`Tape` (a context manager); with no
-active tape they run as plain numpy forward computations, which is the
-no-grad path used during evaluation.
+All values are 2-D float64 numpy arrays wrapped in :class:`Var`. Each op
+records one tape node on the active :class:`Tape` (a context manager): its
+output, its inputs and one backward rule that maps the output's gradient to
+one gradient per input, in input order. With no active tape ops run as plain
+numpy forward computations, which is the no-grad path used during evaluation.
 
 Ownership: the tape holds handles (:class:`TapeNode`), not values. A handle
 knows its ``Var`` only through a weak reference, so reference counting frees
@@ -92,7 +93,7 @@ class Tape:
     """
 
     def __init__(self):
-        self.nodes = []  # (out_node, [(in_node, vjp), ...])
+        self.nodes = []  # (out_node, (in_nodes, rule)); rule(g) -> a gradient per input
         self.consumed = False
 
     def __enter__(self):
@@ -108,10 +109,10 @@ class Tape:
         return False
 
 
-def _record(out, pairs):
+def _record(out, inputs, rule):
     if _ACTIVE_TAPE is not None:
         out._node = TapeNode(out)
-        _ACTIVE_TAPE.nodes.append((out._node, [(_node(v), vjp) for v, vjp in pairs]))
+        _ACTIVE_TAPE.nodes.append((out._node, (tuple(map(_node, inputs)), rule)))
 
 
 class _Recipe(functools.partial):
@@ -136,8 +137,7 @@ def _check(cond, op, *shapes):
 def matmul(a: Var, b: Var) -> Var:
     _check(a.value.shape[1] == b.value.shape[0], "matmul", a.shape, b.shape)
     out = Var(a.value @ b.value)
-    _record(out, [(a, lambda g, b=_keep(b): g @ b.value.T),
-                  (b, lambda g, a=_keep(a): a.value.T @ g)])
+    _record(out, (a, b), lambda g, a=_keep(a), b=_keep(b): (g @ b.value.T, a.value.T @ g))
     return out
 
 
@@ -147,36 +147,35 @@ def spmm(s, x: Var) -> Var:
     out = Var(np.asarray(s @ x.value))
     if _ACTIVE_TAPE is not None:
         out._recipe = _Recipe(operator.matmul, s, x.value)
-    _record(out, [(x, lambda g, s=s: np.asarray(s.T @ g))])
+    _record(out, (x,), lambda g, s=s: (np.asarray(s.T @ g),))
     return out
 
 
 def add(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "add", a.shape, b.shape)
     out = Var(a.value + b.value)
-    _record(out, [(a, lambda g: g), (b, lambda g: g)])
+    _record(out, (a, b), lambda g: (g, g))
     return out
 
 
 def sub(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "sub", a.shape, b.shape)
     out = Var(a.value - b.value)
-    _record(out, [(a, lambda g: g), (b, lambda g: -g)])
+    _record(out, (a, b), lambda g: (g, -g))
     return out
 
 
 def scale(a: Var, c: float) -> Var:
     c = float(c)
     out = Var(a.value * c)
-    _record(out, [(a, lambda g, c=c: g * c)])
+    _record(out, (a,), lambda g, c=c: (g * c,))
     return out
 
 
 def hadamard(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "hadamard", a.shape, b.shape)
     out = Var(a.value * b.value)
-    _record(out, [(a, lambda g, b=_keep(b): g * b.value),
-                  (b, lambda g, a=_keep(a): g * a.value)])
+    _record(out, (a, b), lambda g, a=_keep(a), b=_keep(b): (g * b.value, g * a.value))
     return out
 
 
@@ -187,9 +186,8 @@ def linear(x: Var, w: Var, b: Var) -> Var:
     out = Var(_affine(x, w, b))
     if _ACTIVE_TAPE is not None:
         out._recipe = _Recipe(_affine, _keep(x), w, b)
-    _record(out, [(x, lambda g, w=_keep(w): g @ w.value.T),
-                  (w, lambda g, x=_keep(x): x.value.T @ g),
-                  (b, lambda g: g.sum(axis=0, keepdims=True))])
+    _record(out, (x, w, b), lambda g, x=_keep(x), w=_keep(w): (
+        g @ w.value.T, x.value.T @ g, g.sum(axis=0, keepdims=True)))
     return out
 
 
@@ -204,13 +202,12 @@ def gate_mix(w: Var, a: Var, b: Var) -> Var:
     _check(a.shape == b.shape and w.value.shape == (a.value.shape[0], 2),
            "gate_mix", w.shape, a.shape, b.shape)
     out = Var(a.value * w.value[:, 0:1] + b.value * w.value[:, 1:2])
-    def vjp_w(g, a=_keep(a), b=_keep(b)):
+    def rule(g, w=_keep(w), a=_keep(a), b=_keep(b)):
         # + 0.0: a row sum of -0.0 reads +0.0, whichever zero numpy's sum gives
-        return np.concatenate([np.sum(g * a.value, axis=1, keepdims=True),
-                               np.sum(g * b.value, axis=1, keepdims=True)], axis=1) + 0.0
-    _record(out, [(w, vjp_w),
-                  (a, lambda g, w=_keep(w): g * w.value[:, 0:1]),
-                  (b, lambda g, w=_keep(w): g * w.value[:, 1:2])])
+        g_w = np.concatenate([np.sum(g * a.value, axis=1, keepdims=True),
+                              np.sum(g * b.value, axis=1, keepdims=True)], axis=1) + 0.0
+        return g_w, g * w.value[:, 0:1], g * w.value[:, 1:2]
+    _record(out, (w, a, b), rule)
     return out
 
 
@@ -221,13 +218,8 @@ def concat_cols(*parts: Var) -> Var:
     out = Var(np.concatenate([p.value for p in parts], axis=1))
     if _ACTIVE_TAPE is not None and all(rs := [getattr(p, "_recipe", None) for p in parts]):
         out._recipe = _Recipe(lambda: np.concatenate([r.value for r in rs], axis=1))
-    pairs = []
-    off = 0
-    for p in parts:
-        w = p.value.shape[1]
-        pairs.append((p, lambda g, o=off, w=w: g[:, o:o + w]))
-        off += w
-    _record(out, pairs)
+    cuts = np.cumsum([p.value.shape[1] for p in parts[:-1]])
+    _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=1))
     return out
 
 
@@ -236,26 +228,21 @@ def concat_rows(*parts: Var) -> Var:
     _check(all(p.value.shape[1] == cols for p in parts), "concat_rows",
            *[p.shape for p in parts])
     out = Var(np.concatenate([p.value for p in parts], axis=0))
-    pairs = []
-    off = 0
-    for p in parts:
-        h = p.value.shape[0]
-        pairs.append((p, lambda g, o=off, h=h: g[o:o + h, :]))
-        off += h
-    _record(out, pairs)
+    cuts = np.cumsum([p.value.shape[0] for p in parts[:-1]])
+    _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=0))
     return out
 
 
 def relu(x: Var) -> Var:
     out = Var(np.maximum(x.value, 0.0))
     if _ACTIVE_TAPE is not None:
-        _record(out, [(x, lambda g, pos=x.value > 0.0: g * pos)])
+        _record(out, (x,), lambda g, pos=x.value > 0.0: (g * pos,))
     return out
 
 
 def sigmoid(x: Var) -> Var:
     out = Var(_sigmoid(x.value))
-    _record(out, [(x, lambda g, out=out: g * out.value * (1.0 - out.value))])
+    _record(out, (x,), lambda g, out=out: (g * out.value * (1.0 - out.value),))
     return out
 
 
@@ -270,10 +257,10 @@ def _sigmoid(a):
 
 def softmax_rows(x: Var) -> Var:
     out = Var(_softmax_rows(x.value))
-    def vjp(g, out=out):
+    def rule(g, out=out):
         s = out.value
-        return s * (g - np.sum(g * s, axis=1, keepdims=True))
-    _record(out, [(x, vjp)])
+        return s * (g - np.sum(g * s, axis=1, keepdims=True)),
+    _record(out, (x,), rule)
     return out
 
 
@@ -286,7 +273,7 @@ def _softmax_rows(a):
 def logsumexp_rows(x: Var) -> Var:
     m = x.value.max(axis=1, keepdims=True)
     out = Var(m + np.log(np.sum(np.exp(x.value - m), axis=1, keepdims=True)))
-    _record(out, [(x, lambda g, x=_keep(x): g * _softmax_rows(x.value))])
+    _record(out, (x,), lambda g, x=_keep(x): (g * _softmax_rows(x.value),))
     return out
 
 
@@ -296,23 +283,23 @@ def row_select(x: Var, idx) -> Var:
     out = Var(x.value[idx])
     if _ACTIVE_TAPE is not None:
         out._recipe = _Recipe(operator.getitem, x.value, idx)
-    def vjp(g, n=x.shape[0], idx=idx):
+    def rule(g, n=x.shape[0], idx=idx):
         # bincount sums each entry's draws from 0.0 in draw order, as np.add.at into zeros
         d = g.shape[1]
         flat = (idx[:, None] * d + np.arange(d)).ravel()
-        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d)
-    _record(out, [(x, vjp)])
+        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),
+    _record(out, (x,), rule)
     return out
 
 
 def row_block(x: Var, start, stop) -> Var:
     """Rows start:stop of x as a view: ``row_select`` over an ``arange``, without the copy."""
     out = Var(x.value[start:stop])
-    def vjp(g, shape=x.shape, start=start, stop=stop):
+    def rule(g, shape=x.shape, start=start, stop=stop):
         z = np.zeros(shape)
         z[start:stop] += g          # 0 + g, as np.add.at gives, signed zeros included
-        return z
-    _record(out, [(x, vjp)])
+        return z,
+    _record(out, (x,), rule)
     return out
 
 
@@ -322,33 +309,26 @@ def masked_add(base: Var, mask, delta: Var) -> Var:
     _check(base.shape == delta.shape and mask.shape[0] == base.value.shape[0],
            "masked_add", base.shape, mask.shape, delta.shape)
     out = Var(base.value + mask * delta.value)
-    _record(out, [(base, lambda g: g),
-                  (delta, lambda g, mask=mask: g * mask)])
+    _record(out, (base, delta), lambda g, mask=mask: (g, g * mask))
     return out
 
 
 def sum_cols(x: Var) -> Var:
     out = Var(x.value.sum(axis=1, keepdims=True))
-    _record(out, [(x, lambda g, shape=x.shape: np.broadcast_to(g, shape).copy())])
+    _record(out, (x,), lambda g, shape=x.shape: (np.broadcast_to(g, shape).copy(),))
     return out
 
 
 def reshape(x: Var, shape) -> Var:
     out = Var(x.value.reshape(shape))
-    _record(out, [(x, lambda g, shape=x.shape: g.reshape(shape))])
-    return out
-
-
-def sum_all(x: Var) -> Var:
-    out = Var(np.array([[x.value.sum()]]))
-    _record(out, [(x, lambda g, shape=x.shape: np.full(shape, g[0, 0]))])
+    _record(out, (x,), lambda g, shape=x.shape: (g.reshape(shape),))
     return out
 
 
 def mean_all(x: Var) -> Var:
     n = x.value.size
     out = Var(np.array([[x.value.sum() / n]]))
-    _record(out, [(x, lambda g, shape=x.shape, n=n: np.full(shape, g[0, 0] / n))])
+    _record(out, (x,), lambda g, shape=x.shape, n=n: (np.full(shape, g[0, 0] / n),))
     return out
 
 
@@ -377,37 +357,34 @@ def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
             inputs.append(cur)
         cur = _horner_substep(cur, s, ev, n, tau, inv_fact)
     out = Var(cur)
-    shape, joint = ev.shape, []
 
-    def adjoint(g, i):
-        if not joint:                 # one transposed pass serves all three inputs
-            nt, g_e, g_s = n.T, np.zeros(shape), np.zeros_like(s)
-            buf = np.empty(shape)
-            while inputs:
-                iterates = []         # y_K ... y_1 of the sub-step, popped from y_1
-                _horner_substep(inputs.pop(), s, ev, n, tau, inv_fact, stop=1,
-                                iterates=iterates)
-                for k in range(order):
-                    h = np.asarray(nt @ g)
-                    np.multiply(h, iterates.pop(), out=buf)
-                    g_s += tau * np.sum(buf, axis=1, keepdims=True)
-                    np.multiply(g, inv_fact[k], out=buf)
-                    if k == 0:
-                        g_cur = np.add(buf, 0.0)     # 0.0 + G, so -0.0 reads +0.0 as before
-                    else:
-                        g_cur += buf
-                    np.multiply(g, tau * inv_fact[k + 1], out=buf)
-                    g_e += buf
-                    h *= s                           # G <- tau (gate * N^T G - G)
-                    h -= g
-                    h *= tau
-                    g = h
-                np.multiply(g, inv_fact[order], out=buf)
-                g_cur += buf                         # the adjoint of the sub-step's input
-                g = g_cur
-            joint.extend((g, g_e, g_s))
-        return joint[i]
-    _record(out, [(v, lambda g, i=i: adjoint(g, i)) for i, v in enumerate((x, e, gate))])
+    def adjoint(g):
+        nt, g_e, g_s = n.T, np.zeros(ev.shape), np.zeros_like(s)
+        buf = np.empty(ev.shape)
+        while inputs:
+            iterates = []             # y_K ... y_1 of the sub-step, popped from y_1
+            _horner_substep(inputs.pop(), s, ev, n, tau, inv_fact, stop=1,
+                            iterates=iterates)
+            for k in range(order):
+                h = np.asarray(nt @ g)
+                np.multiply(h, iterates.pop(), out=buf)
+                g_s += tau * np.sum(buf, axis=1, keepdims=True)
+                np.multiply(g, inv_fact[k], out=buf)
+                if k == 0:
+                    g_cur = np.add(buf, 0.0)     # 0.0 + G, so -0.0 reads +0.0 as before
+                else:
+                    g_cur += buf
+                np.multiply(g, tau * inv_fact[k + 1], out=buf)
+                g_e += buf
+                h *= s                           # G <- tau (gate * N^T G - G)
+                h -= g
+                h *= tau
+                g = h
+            np.multiply(g, inv_fact[order], out=buf)
+            g_cur += buf                         # the adjoint of the sub-step's input
+            g = g_cur
+        return g, g_e, g_s
+    _record(out, (x, e, gate), adjoint)
     return out
 
 
@@ -458,12 +435,11 @@ def backward(loss: Var, tape: Tape, params=None):
     grads = {_node(loss): np.ones((1, 1))}
     nodes = tape.nodes
     while nodes:
-        out, pairs = nodes.pop()
+        out, (inputs, rule) = nodes.pop()
         g = grads.pop(out, None)
         if g is None:
             continue
-        for inp, vjp in pairs:
-            contrib = vjp(g)
+        for inp, contrib in zip(inputs, rule(g)):
             grads[inp] = grads[inp] + contrib if inp in grads else contrib
     result = {}
     for node, g in grads.items():

@@ -1,8 +1,8 @@
 """Interaction-log ingestion: parsing, k-core filtering, canonicalization.
 
 The canonical dataset keeps interactions as parallel numpy arrays sorted by
-(day, user_id, item_id), with timestamps coarsened to day indices and
-normalized into [0, 1] over the full span. Splits are placed on whole-day
+(day, user_id, item_id), with timestamps coarsened to day indices from 0;
+``days * day_unit`` spans [0, 1]. Splits are placed on whole-day
 boundaries so no day is shared between train/validation/test. On disk a
 dataset is a cpmr array file (:mod:`cpmr.arrayfile`) holding those arrays,
 the user and item counts, the day unit and the split.
@@ -41,7 +41,6 @@ class Dataset:
     user_ids: np.ndarray
     item_ids: np.ndarray
     days: np.ndarray
-    t_norm: np.ndarray
     n_users: int
     n_items: int
     day_unit: float
@@ -120,7 +119,7 @@ def k_core_filter(events, k=5):
 
 
 def canonicalize(events) -> Dataset:
-    """Map keys to dense ids, coarsen timestamps to days, normalize, split.
+    """Map keys to dense ids, coarsen timestamps to days, set the day unit, split.
 
     Ids are assigned by first appearance in the event list; interactions are
     sorted by (day, user_id, item_id); split boundaries land on the first
@@ -144,14 +143,13 @@ def canonicalize(events) -> Dataset:
 
     order = np.lexsort((items, users, days))
     users, items, days = users[order], items[order], days[order]
-    t_norm = days / float(span)
     day_unit = 1.0 / span
 
     n = len(users)
     day_starts = np.flatnonzero(np.r_[True, days[1:] != days[:-1]])
     i_val = _boundary(day_starts, 0.8 * n, n)
     i_test = _boundary(day_starts, 0.9 * n, n)
-    return Dataset(users, items, days, t_norm, len(user_map), len(item_map),
+    return Dataset(users, items, days, len(user_map), len(item_map),
                    day_unit, (int(i_val), int(i_test)))
 
 
@@ -164,9 +162,9 @@ def _boundary(day_starts, target, n):
 
 
 # ---------------------------------------------------------------------------
-# dataset file: the four arrays and the counts in a cpmr array file
+# dataset file: the three arrays and the counts in a cpmr array file
 
-_ARRAYS = {"user_ids": "<i8", "item_ids": "<i8", "days": "<i8", "t_norm": "<f8"}
+_ARRAYS = {"user_ids": "<i8", "item_ids": "<i8", "days": "<i8"}
 
 
 def save_dataset(path, ds: Dataset):
@@ -197,7 +195,7 @@ def load_dataset(path) -> Dataset:
     ) if bad]
     if wrong:
         raise DataFormatError(f"{path}: invalid dataset: {'; '.join(wrong)}")
-    return Dataset(u, i, days, arrays["t_norm"], n_users, n_items, day_unit, tuple(split))
+    return Dataset(u, i, days, n_users, n_items, day_unit, tuple(split))
 
 
 def summarize(ds: Dataset) -> dict:

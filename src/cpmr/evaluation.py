@@ -142,11 +142,8 @@ def _config_echo(cfg: ModelConfig, split, filter_interacted):
 
 def validation_mrr(model: CpmrModel, states, dataset: Dataset) -> float:
     """Score the validation split continuing from end-of-train states."""
-    i_val, i_test = dataset.split
-    if i_test <= i_val:
-        raise DataError("validation split is empty")
     store = EdgeStore.from_dataset(dataset)
-    eval_days = np.unique(dataset.days[i_val:i_test])
+    eval_days = np.unique(dataset.days[dataset.split_slice("val")])
     _, _, records = _replay_days(model, states, store, eval_days, states.day,
                                  collect=True)
     return mrr(records)
@@ -159,9 +156,8 @@ def validation_mrr(model: CpmrModel, states, dataset: Dataset) -> float:
 def ablation_run(dataset, variant, model_config: ModelConfig,
                  train_config: TrainConfig, split="test") -> MetricsReport:
     """Train and evaluate one ablation variant with otherwise equal config."""
-    base = dataclasses.asdict(model_config)
-    for f in ("disable_ctx", "disable_his", "disable_fusion"):
-        base.pop(f)
+    base = {k: v for k, v in dataclasses.asdict(model_config).items()
+            if not k.startswith("disable_")}
     cfg = ModelConfig.variant(variant, **base)
     model, _ = train(dataset, cfg, train_config)
     report = incremental_eval(dataset, model, split=split, seed=train_config.seed)

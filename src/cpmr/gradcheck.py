@@ -71,7 +71,6 @@ def op_checks(seed=0):
         "reshape": (mats((3, 4)),
                     lambda p: ad.mean_all(ad.hadamard(
                         ad.reshape(p[0], (6, 2)), ad.constant(_cmat(2, rows=6))))),
-        "sum_all": (mats((3, 2)), lambda p: ad.sum_all(p[0])),
         "mean_all": (mats((3, 2)), lambda p: ad.mean_all(p[0])),
         "graph_flow": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
                        lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(

@@ -11,6 +11,7 @@ representation, and the instant interactions then jump the states discretely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,10 +79,13 @@ class ModelConfig:
 
 @dataclass
 class TemporalStates:
-    """Evolving per-node state matrices plus the recurrence clock."""
+    """Evolving per-node state matrices plus the recurrence clock.
 
-    x_his: Var | None
-    x_ctx: Var | None
+    ``x`` maps each scenario of ``ModelConfig.scenarios`` (his, then ctx) to
+    its (n_nodes, d) state; a disabled scenario has no entry.
+    """
+
+    x: dict[str, Var]
     day: int
 
 
@@ -183,40 +187,37 @@ class CpmrModel:
         # value copies of E; recorded as pass-throughs when a tape is active
         # so the t=0 initial condition stays differentiable w.r.t. E
         e = self.params["embed"]
-        cfg = self.config
-        return TemporalStates(
-            x_his=ad.scale(e, 1.0) if not cfg.disable_his else None,
-            x_ctx=ad.scale(e, 1.0) if not cfg.disable_ctx else None,
-            day=0)
+        return TemporalStates({sc: ad.scale(e, 1.0) for sc in self.config.scenarios}, day=0)
 
     def evolve_states(self, x, nadj, scenario, dt):
         """Evolve by ``dt`` on A = N diag(sigmoid(alpha)): gates on message sources."""
         return _evolve_var(x, self.params["embed"], ad.sigmoid(self.params[f"alpha_{scenario}"]),
                            nadj, dt, self.config.taylor_order, self.config.tau_max)
 
-    def fuse(self, xh, xc, *, predict=True):
-        """Gated mutual update; returns (x_his, x_ctx, z) per entity class.
+    def fuse(self, parts, *, predict=True):
+        """Gated mutual update of the states ``parts`` (scenario -> Var).
 
-        ``predict=False`` skips the ``final`` task that feeds the prediction
-        head (its gate, its expert and their mix) and returns z = None; the
-        his/ctx outputs are the same arrays either way.
+        Returns (fused, z): ``fused`` maps each scenario to its fused states,
+        and z is the ``final`` task that feeds the prediction head. Each
+        entity class fuses its rows of all scenarios, concatenated in
+        scenario order. ``predict=False`` skips the ``final`` task (its gate,
+        its expert and their mix) and returns z = None; ``fused`` holds the
+        same arrays either way.
         """
-        cfg = self.config
-        parts = [x for x in (xh, xc) if x is not None]
+        scenarios = self.config.scenarios
         n_u = self.n_users
-        tasks = cfg.scenarios + (["final"] if predict else [])
-        results = {"his": [], "ctx": [], "final": []}
+        results = {t: [] for t in scenarios + (["final"] if predict else [])}
         for cls, start, stop in (("user", 0, n_u), ("item", n_u, self.n_nodes)):
-            slices = [ad.row_block(p, start, stop) for p in parts]
+            slices = [ad.row_block(parts[sc], start, stop) for sc in scenarios]
             x_in = slices[0] if len(slices) == 1 else ad.concat_cols(*slices)
             shared = self._linear(x_in, f"fusion.{cls}.expert_shared")
-            for t in tasks:
+            for t, mixes in results.items():
                 w = ad.softmax_rows(self._linear(x_in, f"fusion.{cls}.gate_{t}"))
                 e = self._linear(x_in, f"fusion.{cls}.expert_{t}")
-                results[t].append(ad.gate_mix(w, e, shared))
-        def stack(t):
-            return ad.concat_rows(*results[t]) if results[t] else None
-        return stack("his"), stack("ctx"), stack("final")
+                mixes.append(ad.gate_mix(w, e, shared))
+        fused = {t: ad.concat_rows(*mixes) for t, mixes in results.items()}
+        z = fused.pop("final", None)
+        return fused, z
 
     def update_instant(self, x, ops, scenario):
         """Discrete jump of one scenario's states from the instant graph.
@@ -246,11 +247,15 @@ class CpmrModel:
     def step(self, states: TemporalStates, store, day_prev, day_k, *, predict=True):
         """One recurrence: evolve to day_k-, fuse, then apply day_k's jumps.
 
+        Each scenario in turn takes its graph view (the history, or the last
+        ``s_days`` days), normalizes it and evolves its states; the states
+        are fused; then each scenario's states jump on day_k's instant graph.
         Returns (z, new_states): z is the fused representation used for
         predictions at day_k, before the instant update. ``predict=False``
         is for days nothing is scored on: fusion skips the prediction task
-        and z is None, unless fusion is disabled (then z is the new state
-        and costs nothing). The new states do not depend on ``predict``.
+        and z is None, unless fusion is disabled (then z is the sum of the
+        evolved states, which every scenario takes as its fused states, and
+        costs nothing). The new states do not depend on ``predict``.
         """
         cfg = self.config
         if states.day != day_prev:
@@ -260,31 +265,21 @@ class CpmrModel:
             raise SequencingError(f"cannot step backwards {day_prev} -> {day_k}")
         dt = (day_k - day_prev) * self.day_unit * cfg.time_scale
 
-        xh_minus = xc_minus = None
-        if not cfg.disable_his:
-            nadj = normalize_adjacency(store.history_biadjacency(day_k), cfg.alpha0)
-            xh_minus = self.evolve_states(states.x_his, nadj, "his", dt)
-        if not cfg.disable_ctx:
-            nadj = normalize_adjacency(
-                store.context_biadjacency(day_k, cfg.s_days), cfg.alpha0)
-            xc_minus = self.evolve_states(states.x_ctx, nadj, "ctx", dt)
+        minus = {}
+        for sc, x in states.x.items():
+            view = (store.history_biadjacency(day_k) if sc == "his"
+                    else store.context_biadjacency(day_k, cfg.s_days))
+            minus[sc] = self.evolve_states(x, normalize_adjacency(view, cfg.alpha0), sc, dt)
 
         if cfg.disable_fusion:
-            if xh_minus is not None and xc_minus is not None:
-                z = ad.add(xh_minus, xc_minus)
-            else:
-                z = xh_minus if xh_minus is not None else xc_minus
-            xh_k, xc_k = (z if not cfg.disable_his else None,
-                          z if not cfg.disable_ctx else None)
+            z = functools.reduce(ad.add, minus.values())
+            fused = dict.fromkeys(minus, z)
         else:
-            xh_k, xc_k, z = self.fuse(xh_minus, xc_minus, predict=predict)
+            fused, z = self.fuse(minus, predict=predict)
 
         ops = averaging_operators(store.instant_biadjacency(day_k))
-        new = TemporalStates(
-            x_his=self.update_instant(xh_k, ops, "his") if xh_k is not None else None,
-            x_ctx=self.update_instant(xc_k, ops, "ctx") if xc_k is not None else None,
-            day=day_k)
-        return z, new
+        new = {sc: self.update_instant(x, ops, sc) for sc, x in fused.items()}
+        return z, TemporalStates(new, day_k)
 
     # -- prediction ---------------------------------------------------------
 

@@ -123,10 +123,7 @@ def batch_loss(model: CpmrModel, z, users, items, history, n_neg, rng):
 
 
 def _detach(states: TemporalStates):
-    return TemporalStates(
-        x_his=None if states.x_his is None else ad.constant(states.x_his.value),
-        x_ctx=None if states.x_ctx is None else ad.constant(states.x_ctx.value),
-        day=states.day)
+    return TemporalStates({sc: ad.constant(x.value) for sc, x in states.x.items()}, states.day)
 
 
 @dataclass
@@ -155,13 +152,15 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig,
     if min(dataset.n_users, dataset.n_items) < 2:     # no negative to draw beside the positive
         raise DataError(f"training needs at least 2 users and 2 items to sample negatives, "
                         f"got {dataset.n_users} users and {dataset.n_items} items")
+    i_val, i_test = dataset.split
+    if i_test <= i_val:                               # early stopping has nothing to score
+        raise DataError("validation split is empty")
     model = CpmrModel(dataset.n_users, dataset.n_items, dataset.day_unit,
                       model_config, rng=np.random.default_rng(cfg.seed))
     store = EdgeStore.from_dataset(dataset)
     if eval_fn is None:
         eval_fn = lambda m, s: validation_mrr(m, s, dataset)
 
-    i_val, _ = dataset.split
     train_days = np.unique(dataset.days[:i_val])
     if len(train_days) == 0:
         raise ConfigError("empty training split")
@@ -219,8 +218,8 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch} day {day} (segment days "
                         f"{seg_days[:len(seg_losses) + 1]}, lr {lr})")
-                for sc, x in (("his", states.x_his), ("ctx", states.x_ctx)):
-                    if x is not None and not np.isfinite(x.value).all():
+                for sc, x in states.x.items():
+                    if not np.isfinite(x.value).all():
                         raise NumericalError(f"non-finite {sc} states at epoch {epoch} day "
                                              f"{day} (loss {loss.value[0, 0]:.6g}, lr {lr})")
                 seg_losses.append(loss)

@@ -45,9 +45,9 @@ def _set(d, key, value):
     pytest.param(lambda a, m: _set(a["item_ids"], 0, -1), id="item-id-negative"),
     pytest.param(lambda a, m: _set(a["days"], [0, -1], a["days"][[-1, 0]]), id="days-unsorted"),
     pytest.param(lambda a, m: _set(m["split"], 1, len(a["days"]) + 1), id="split-past-end"),
-    pytest.param(lambda a, m: _set(a, "t_norm", a["t_norm"][:-1]), id="lengths-differ"),
+    pytest.param(lambda a, m: _set(a, "days", a["days"][:-1]), id="lengths-differ"),
     pytest.param(lambda a, m: _set(a, "days", a["days"].astype(np.int32)), id="dtype"),
-    pytest.param(lambda a, m: a.pop("t_norm"), id="array-missing"),
+    pytest.param(lambda a, m: a.pop("days"), id="array-missing"),
     pytest.param(lambda a, m: _set(m, "n_items", float(m["n_items"])), id="float-count"),
     pytest.param(lambda a, m: m.pop("split"), id="split-missing"),
 ])

@@ -287,6 +287,26 @@ def test_train_rejects_a_log_with_one_user_or_one_item(tmp_path, capsys, n_users
     assert not (out / "train.log").exists()           # rejected before any epoch
 
 
+def test_train_rejects_an_empty_validation_split_before_any_epoch(tmp_path, capsys):
+    """10 days of 10 events, then 50 on day 10: the 80% and 90% boundaries
+    both fall past the last day start, so the split is (150, 150). Training
+    used to run a whole epoch and write ``train.log`` before finding it."""
+    raw = tmp_path / "raw.csv"
+    rows = [(e % 10, e * 3 % 10, e // 10) for e in range(100)]
+    rows += [(e % 10, e % 10, 10) for e in range(50)]
+    raw.write_text("".join(f"u{u},i{i},5.0,{day * 86400}\n" for u, i, day in rows))
+    out = tmp_path / "out"
+    assert main(["preprocess", "--input", str(raw), "--format", "amazon_csv",
+                 "--output", str(out)]) == 0
+    assert cpmr.load_dataset(out / "dataset.bin").split == (150, 150)
+    cfg = tmp_path / "run.cfg"
+    write_config(cfg, out / "dataset.bin", out)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "validation split is empty" in capsys.readouterr().err
+    assert not (out / "train.log").exists()
+
+
 def test_malformed_dataset_record_exit_code(workspace, capsys):
     tmp_path, out, cfg = workspace
     path = out / "dataset.bin"

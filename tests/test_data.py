@@ -168,7 +168,7 @@ def test_canonicalize_two_point_normalization():
     events = [ev(f"u{j}", f"i{j}", 0) for j in range(3)]
     events += [ev(f"u{j}", f"i{j}", 100) for j in range(3)]
     ds = canonicalize(events)
-    assert set(np.unique(ds.t_norm)) == {0.0, 1.0}
+    assert set(np.unique(ds.days * ds.day_unit)) == {0.0, 1.0}
     assert ds.day_unit == pytest.approx(0.01)
 
 
@@ -207,7 +207,6 @@ def test_day_order_preserved():
     events = [RawEvent(f"u{j%5}", f"i{j%5}", int(t)) for j, t in enumerate(ts)]
     ds = canonicalize(events)
     assert np.all(np.diff(ds.days) >= 0)
-    assert np.all(np.diff(ds.t_norm) >= 0)
 
 
 def test_no_leakage_between_splits():
@@ -229,7 +228,6 @@ def test_dataset_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.user_ids, ds.user_ids)
     np.testing.assert_array_equal(back.item_ids, ds.item_ids)
     np.testing.assert_array_equal(back.days, ds.days)
-    np.testing.assert_array_equal(back.t_norm, ds.t_norm)
     # rewrite is byte-identical
     p2 = tmp_path / "again.bin"
     save_dataset(p2, back)
