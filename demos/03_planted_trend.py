@@ -8,8 +8,8 @@ minutes; shrink max_epochs for a faster look.
 
 import numpy as np
 
-from cpmr.evaluation import ablation_run, sweep, synthetic_trend_dataset
-from cpmr.model import ModelConfig
+from cpmr.evaluation import sweep, synthetic_trend_dataset
+from cpmr.model import VARIANTS, ModelConfig
 from cpmr.training import TrainConfig
 
 
@@ -25,9 +25,8 @@ def main():
                             patience=6, seed=0)
 
     print("\nablations (test MRR):")
-    for variant in ("full", "wo_ctx", "wo_his", "wo_fusion"):
-        report = ablation_run(ds, variant, model_cfg, train_cfg)
-        print(f"  {variant:10s} {report.mrr:.4f}")
+    for row in sweep(ds, "variant", VARIANTS, model_cfg, train_cfg):
+        print(f"  {row['variant']:10s} {row['mrr']:.4f}")
 
     print("\ncontext window sweep (planted window = 10 days):")
     for row in sweep(ds, "s_days", [5, 10, 15, 20], model_cfg, train_cfg):

@@ -17,9 +17,8 @@ if _os.environ.get("CPMR_THREADS"):
 
 from .data import (Dataset, RawEvent, canonicalize, k_core_filter,
                    load_dataset, parse_interactions, save_dataset)
-from .evaluation import (MetricsReport, RankRecord, ablation_run,
-                         incremental_eval, mrr, recall_at_k,
-                         sweep, synthetic_trend_dataset)
+from .evaluation import (MetricsReport, RankRecord, incremental_eval, mrr,
+                         recall_at_k, sweep, synthetic_trend_dataset)
 from .graphs import EdgeStore, normalize_adjacency
 from .model import CpmrModel, ModelConfig, TemporalStates, evolve
 from .training import TrainConfig, sample_negatives, train
@@ -27,7 +26,7 @@ from .training import TrainConfig, sample_negatives, train
 __all__ = [
     "Dataset", "RawEvent", "canonicalize", "k_core_filter", "load_dataset",
     "parse_interactions", "save_dataset", "MetricsReport", "RankRecord",
-    "ablation_run", "incremental_eval", "mrr", "recall_at_k",
+    "incremental_eval", "mrr", "recall_at_k",
     "sweep", "synthetic_trend_dataset", "EdgeStore",
     "normalize_adjacency", "CpmrModel", "ModelConfig",
     "TemporalStates", "evolve", "TrainConfig", "sample_negatives", "train",

@@ -490,14 +490,13 @@ def grad_check(f, params, h=1e-5, max_coords=40, rng=None):
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """First/second moments and step counter for a named parameter set."""
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.step = 0
         self.m = {}
         self.v = {}
@@ -511,7 +510,7 @@ def adam_step(params, grads, lr, weight_decay, state: AdamState):
     """
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.value.shape:

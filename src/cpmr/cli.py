@@ -8,6 +8,7 @@ package is imported, before numpy).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,9 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from . import data
 from .errors import ConfigError, DataError, NumericalError
-from .evaluation import ablation_run, incremental_eval, sweep, sweep_rows_to_csv
+from .evaluation import incremental_eval, sweep, sweep_rows_to_csv
 from .gradcheck import TOLERANCE, run_suite
-from .model import CpmrModel
+from .model import VARIANTS, CpmrModel
 from .runconfig import RunConfig
 from .training import train
 
@@ -55,8 +56,7 @@ def _build_parser():
 
     sa = sub.add_parser("ablate", help="train/evaluate one model variant")
     sa.add_argument("--config", required=True)
-    sa.add_argument("--variant", required=True,
-                    choices=["full", "wo_ctx", "wo_his", "wo_fusion"])
+    sa.add_argument("--variant", required=True, choices=VARIANTS)
 
     sg = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     sg.add_argument("--seed", type=int, default=0)
@@ -150,8 +150,8 @@ def cmd_sweep(args):
 
 def cmd_ablate(args):
     run, ds = _load_run(args.config)
-    report = ablation_run(ds, args.variant, run.model, run.train,
-                          split=run.eval_split)
+    model, _ = train(ds, dataclasses.replace(run.model, variant=args.variant), run.train)
+    report = incremental_eval(ds, model, split=run.eval_split, seed=run.train.seed)
     _append_metrics(run, report)
     return 0
 

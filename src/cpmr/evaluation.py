@@ -1,4 +1,4 @@
-"""Frozen-parameter incremental evaluation, sweeps, and ablations.
+"""Frozen-parameter incremental evaluation and sweeps.
 
 Evaluation replays the recurrence over the full timeline with gradients
 off: states are advanced through every pre-split day, then each split day
@@ -18,7 +18,7 @@ from .data import Dataset, RawEvent, SECONDS_PER_DAY, canonicalize, k_core_filte
 from .errors import ConfigError, DataError, NumericalError
 from .graphs import EdgeStore
 from .model import CpmrModel, ModelConfig
-from .training import TrainConfig, train
+from .training import InteractionHistory, TrainConfig, train
 
 
 @dataclass
@@ -69,38 +69,34 @@ def recall_at_k(records, k=10):
     return float(np.mean([1.0 if r.rank <= k else 0.0 for r in records]))
 
 
-def _replay_days(model, states, store, days, day_prev, collect=False,
-                 filter_seen=None):
+def _replay_days(model, states, store, days, collect=False, history=None):
     """Advance states over ``days``; optionally rank every event.
 
     Without ``collect`` nothing is scored, so the steps skip the prediction
-    task of fusion.
+    task of fusion. With a ``history``, each user's past items other than
+    the target are left out of the ranking, and each scored day is added.
     """
     records = []
     for day in days:
         day = int(day)
-        z, states = model.step(states, store, day_prev, day, predict=collect)
+        z, states = model.step(states, store, day, predict=collect)
         if collect:
             users, items = store.instant_edges(day)
             q_all = model.item_repr(z, np.arange(model.n_items)).value
             for u, i in zip(users, items):
                 p = model.user_repr(z, [int(u)]).value[0]
                 scores = q_all @ p
-                if filter_seen is not None:
-                    seen = [j for j in filter_seen[int(u)] if j != int(i)]
-                    if seen:
-                        scores = scores.copy()
-                        scores[seen] = -np.inf
+                if history is not None:
+                    seen = [j for j in history.by_user[u] if j != i]
+                    scores[seen] = -np.inf
                 try:
                     rank = rank_from_scores(scores, int(i))
                 except NumericalError as err:
                     raise NumericalError(f"day {day}, user {int(u)}: {err}") from None
                 records.append(RankRecord(int(u), day, int(i), rank))
-            if filter_seen is not None:
-                for u, i in zip(users, items):
-                    filter_seen[int(u)].add(int(i))
-        day_prev = day
-    return states, day_prev, records
+            if history is not None:
+                history.add_day(users, items)
+    return states, records
 
 
 def incremental_eval(dataset: Dataset, model: CpmrModel, split="test", seed=0,
@@ -112,23 +108,21 @@ def incremental_eval(dataset: Dataset, model: CpmrModel, split="test", seed=0,
     entire earlier timeline.
     """
     sl = dataset.split_slice(split)
-    if sl.stop - sl.start <= 0 or len(dataset.days[sl]) == 0:
+    if len(dataset.days[sl]) == 0:
         raise DataError(f"split {split!r} is empty")
     store = EdgeStore.from_dataset(dataset)
     first_day = int(dataset.days[sl][0])
     warm_days = store.interaction_days(hi=first_day)
     eval_days = np.unique(dataset.days[sl])
 
-    filter_seen = None
+    history = None
     if filter_interacted:
-        filter_seen = [set() for _ in range(dataset.n_users)]
-        for u, i in zip(dataset.user_ids[:sl.start], dataset.item_ids[:sl.start]):
-            filter_seen[int(u)].add(int(i))
+        history = InteractionHistory(dataset.n_users, dataset.n_items)
+        history.add_day(dataset.user_ids[:sl.start], dataset.item_ids[:sl.start])
 
-    states = model.init_states()
-    states, day_prev, _ = _replay_days(model, states, store, warm_days, 0)
-    _, _, records = _replay_days(model, states, store, eval_days, day_prev,
-                                 collect=True, filter_seen=filter_seen)
+    states, _ = _replay_days(model, model.init_states(), store, warm_days)
+    _, records = _replay_days(model, states, store, eval_days, collect=True,
+                              history=history)
     return MetricsReport(mrr(records), recall_at_k(records, 10), len(records),
                          seed, _config_echo(model.config, split, filter_interacted))
 
@@ -144,8 +138,7 @@ def validation_mrr(model: CpmrModel, states, dataset: Dataset) -> float:
     """Score the validation split continuing from end-of-train states."""
     store = EdgeStore.from_dataset(dataset)
     eval_days = np.unique(dataset.days[dataset.split_slice("val")])
-    _, _, records = _replay_days(model, states, store, eval_days, states.day,
-                                 collect=True)
+    _, records = _replay_days(model, states, store, eval_days, collect=True)
     return mrr(records)
 
 
@@ -153,33 +146,22 @@ def validation_mrr(model: CpmrModel, states, dataset: Dataset) -> float:
 # experiment drivers
 
 
-def ablation_run(dataset, variant, model_config: ModelConfig,
-                 train_config: TrainConfig, split="test") -> MetricsReport:
-    """Train and evaluate one ablation variant with otherwise equal config."""
-    base = {k: v for k, v in dataclasses.asdict(model_config).items()
-            if not k.startswith("disable_")}
-    cfg = ModelConfig.variant(variant, **base)
-    model, _ = train(dataset, cfg, train_config)
-    report = incremental_eval(dataset, model, split=split, seed=train_config.seed)
-    report.config["variant"] = variant
-    return report
-
-
 def sweep(dataset, param, values, model_config: ModelConfig,
           train_config: TrainConfig, split="test"):
-    """Train/evaluate once per value of ``s_days`` or ``n_tbptt``; rows in input order."""
-    if param not in ("s_days", "n_tbptt"):
-        raise ConfigError(f"cannot sweep {param!r}: expected s_days or n_tbptt")
+    """Train/evaluate once per value of s_days, n_tbptt or variant; rows in input order."""
+    if param not in ("s_days", "n_tbptt", "variant"):
+        raise ConfigError(f"cannot sweep {param!r}: expected s_days, n_tbptt or variant")
     rows = []
     for v in values:
+        v = v if param == "variant" else int(v)
         mcfg, tcfg = model_config, train_config
-        if param == "s_days":
-            mcfg = dataclasses.replace(model_config, s_days=int(v))
+        if param == "n_tbptt":
+            tcfg = dataclasses.replace(train_config, n_tbptt=v)
         else:
-            tcfg = dataclasses.replace(train_config, n_tbptt=int(v))
+            mcfg = dataclasses.replace(model_config, **{param: v})
         model, _ = train(dataset, mcfg, tcfg)
         report = incremental_eval(dataset, model, split=split, seed=tcfg.seed)
-        rows.append({param: int(v), "mrr": report.mrr,
+        rows.append({param: v, "mrr": report.mrr,
                      "recall_at_10": report.recall_at_10})
     return rows
 

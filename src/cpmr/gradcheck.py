@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .data import SECONDS_PER_DAY, RawEvent, canonicalize
+from .errors import ConfigError
 from .graphs import EdgeStore
 from .model import CpmrModel, ModelConfig
 from .training import InteractionHistory, batch_loss
@@ -121,14 +122,13 @@ def end_to_end_check(seed=0, d=4):
         rng = np.random.default_rng(neg_rng_seed)
         history = InteractionHistory(ds.n_users, ds.n_items)
         states = model.init_states()
-        day_prev, total = 0, None
+        total = None
         for day in days[:3]:
-            z, states = model.step(states, store, day_prev, int(day))
+            z, states = model.step(states, store, int(day))
             users, items = store.instant_edges(int(day))
             loss = batch_loss(model, z, users, items, history, 2, rng)
             total = loss if total is None else ad.add(total, loss)
             history.add_day(users, items)
-            day_prev = int(day)
         return ad.scale(total, 1.0 / 3.0)
 
     return ad.grad_check(f, list(model.params.values()), h=1e-5, max_coords=6,
@@ -137,6 +137,8 @@ def end_to_end_check(seed=0, d=4):
 
 def run_suite(seed=0):
     """Full suite; returns (report lines, worst error)."""
+    if not 0 <= seed < 2**32 - 1:          # seed + 1 must fit a RandomState too
+        raise ConfigError(f"gradcheck seed must lie in [0, {2**32 - 2}], got {seed}")
     lines = []
     worst = 0.0
     for name, err in op_checks(seed):

@@ -23,6 +23,8 @@ from .errors import ConfigError, SequencingError
 from .graphs import ALPHA0, averaging_operators, normalize_adjacency
 
 MAX_SUBSTEPS = 10_000  # per evolution; a day gap <= span takes <= ceil(time_scale / tau_max)
+# the full model and its ablations without the ctx scenario, the his one, or gated fusion
+VARIANTS = ("full", "wo_ctx", "wo_his", "wo_fusion")
 
 
 @dataclass
@@ -30,9 +32,7 @@ class ModelConfig:
     d: int = 128
     s_days: int = 5
     taylor_order: int = 6
-    disable_ctx: bool = False
-    disable_his: bool = False
-    disable_fusion: bool = False
+    variant: str = "full"      # one of VARIANTS
     alpha0: float = ALPHA0
     tau_max: float = 0.125  # max normalized interval per Taylor sub-step
     # Multiplier on the normalized inter-day interval. At 1.0 the whole
@@ -54,27 +54,12 @@ class ModelConfig:
             raise ConfigError(f"time_scale / tau_max is over {MAX_SUBSTEPS} sub-steps")
         if not 0 < self.alpha0 < 1:
             raise ConfigError(f"alpha0 must lie in (0, 1), got {self.alpha0}")
-        if self.disable_ctx and self.disable_his:
-            raise ConfigError("at least one of the his/ctx scenarios is required")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
     @property
     def scenarios(self):
-        out = []
-        if not self.disable_his:
-            out.append("his")
-        if not self.disable_ctx:
-            out.append("ctx")
-        return out
-
-    @classmethod
-    def variant(cls, name, **kw):
-        """Named ablation variants: full, wo_ctx, wo_his, wo_fusion."""
-        flags = {"full": {}, "wo_ctx": {"disable_ctx": True},
-                 "wo_his": {"disable_his": True},
-                 "wo_fusion": {"disable_fusion": True}}
-        if name not in flags:
-            raise ConfigError(f"unknown variant {name!r}")
-        return cls(**{**flags[name], **kw})
+        return [sc for sc in ("his", "ctx") if self.variant != f"wo_{sc}"]
 
 
 @dataclass
@@ -82,7 +67,7 @@ class TemporalStates:
     """Evolving per-node state matrices plus the recurrence clock.
 
     ``x`` maps each scenario of ``ModelConfig.scenarios`` (his, then ctx) to
-    its (n_nodes, d) state; a disabled scenario has no entry.
+    its (n_nodes, d) state; a scenario the variant drops has no entry.
     """
 
     x: dict[str, Var]
@@ -149,7 +134,7 @@ class CpmrModel:
             for w in ("w_i2u", "w_u2u", "w_u2i", "w_i2i"):
                 self._param(f"update.{sc}.{w}", uni((d, d)))
         in_dim = d * len(cfg.scenarios)
-        if not cfg.disable_fusion:
+        if cfg.variant != "wo_fusion":
             tasks = cfg.scenarios + ["final"]
             for cls in ("user", "item"):
                 for t in tasks + ["shared"]:
@@ -244,8 +229,8 @@ class CpmrModel:
         new_i = ad.masked_add(x_i, mask_i, ad.add(ad.sub(self_i, x_i), delta_i))
         return ad.concat_rows(new_u, new_i)
 
-    def step(self, states: TemporalStates, store, day_prev, day_k, *, predict=True):
-        """One recurrence: evolve to day_k-, fuse, then apply day_k's jumps.
+    def step(self, states: TemporalStates, store, day_k, *, predict=True):
+        """One recurrence: evolve from ``states.day`` to day_k-, fuse, apply day_k's jumps.
 
         Each scenario in turn takes its graph view (the history, or the last
         ``s_days`` days), normalizes it and evolves its states; the states
@@ -253,17 +238,14 @@ class CpmrModel:
         Returns (z, new_states): z is the fused representation used for
         predictions at day_k, before the instant update. ``predict=False``
         is for days nothing is scored on: fusion skips the prediction task
-        and z is None, unless fusion is disabled (then z is the sum of the
+        and z is None, except under wo_fusion (there z is the sum of the
         evolved states, which every scenario takes as its fused states, and
         costs nothing). The new states do not depend on ``predict``.
         """
         cfg = self.config
-        if states.day != day_prev:
-            raise SequencingError(f"states clock at day {states.day}, "
-                                  f"step expected day {day_prev}")
-        if day_k < day_prev:
-            raise SequencingError(f"cannot step backwards {day_prev} -> {day_k}")
-        dt = (day_k - day_prev) * self.day_unit * cfg.time_scale
+        if day_k < states.day:
+            raise SequencingError(f"cannot step backwards {states.day} -> {day_k}")
+        dt = (day_k - states.day) * self.day_unit * cfg.time_scale
 
         minus = {}
         for sc, x in states.x.items():
@@ -271,7 +253,7 @@ class CpmrModel:
                     else store.context_biadjacency(day_k, cfg.s_days))
             minus[sc] = self.evolve_states(x, normalize_adjacency(view, cfg.alpha0), sc, dt)
 
-        if cfg.disable_fusion:
+        if cfg.variant == "wo_fusion":
             z = functools.reduce(ad.add, minus.values())
             fused = dict.fromkeys(minus, z)
         else:

@@ -199,7 +199,6 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
     """One tape per TBPTT segment; returns (end states, day losses, fallbacks)."""
     rng = np.random.default_rng([cfg.seed, epoch])
     history = InteractionHistory(model.n_users, model.n_items)
-    day_prev = 0
     day_losses = []
     states = None
     for start in range(0, len(train_days), cfg.n_tbptt):
@@ -211,7 +210,7 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
                 states = model.init_states()
             seg_losses = []
             for day in seg_days:
-                z, states = model.step(states, store, day_prev, day)
+                z, states = model.step(states, store, day)
                 users, items = store.instant_edges(day)
                 loss = batch_loss(model, z, users, items, history, cfg.n_neg, rng)
                 if not np.isfinite(loss.value[0, 0]):
@@ -225,7 +224,6 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
                 seg_losses.append(loss)
                 day_losses.append(float(loss.value[0, 0]))
                 history.add_day(users, items)
-                day_prev = day
             total = seg_losses[0]
             for l in seg_losses[1:]:
                 total = ad.add(total, l)

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from cpmr import autodiff as ad
 from cpmr.data import canonicalize, k_core_filter, parse_interactions
-from cpmr.evaluation import (ablation_run, incremental_eval, rank_from_scores,
+from cpmr.evaluation import (incremental_eval, rank_from_scores,
                              sweep, synthetic_trend_dataset, validation_mrr)
 from cpmr.graphs import EdgeStore, normalize_adjacency
 from cpmr.model import CpmrModel, ModelConfig, evolve
@@ -227,8 +227,9 @@ def _trend_setup():
 
 def test_criterion_6a_context_ablation():
     ds, mcfg, tcfg = _trend_setup()
-    full = [ablation_run(ds, "full", mcfg, tcfg(s)).mrr for s in (0, 1, 2)]
-    wo = [ablation_run(ds, "wo_ctx", mcfg, tcfg(s)).mrr for s in (0, 1, 2)]
+    runs = [sweep(ds, "variant", ["full", "wo_ctx"], mcfg, tcfg(s)) for s in (0, 1, 2)]
+    full = [rows[0]["mrr"] for rows in runs]
+    wo = [rows[1]["mrr"] for rows in runs]
     report("6a", float(np.mean(full)) > float(np.mean(wo)),
            f"trend_window=10, mix=0.5: 3-seed mean MRR full "
            f"{np.mean(full):.4f} vs wo_ctx {np.mean(wo):.4f}")

@@ -3,6 +3,8 @@ import gc
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +17,7 @@ import cpmr
 from cpmr import autodiff as ad
 from cpmr.cli import main
 from cpmr.errors import ConfigError
-from cpmr.model import ModelConfig
+from cpmr.model import VARIANTS, ModelConfig
 from cpmr.runconfig import RunConfig
 from cpmr.training import TrainConfig
 
@@ -176,7 +178,46 @@ def test_ablate_forwards_variant(workspace, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["config"]["variant"] == "wo_fusion"
-    assert report["config"]["disable_fusion"] is True
+    assert not [k for k in report["config"] if k.startswith("disable_")]
+
+
+def test_unknown_variant_exit_code(workspace, capsys):
+    tmp_path, out, _ = workspace
+    bad = tmp_path / "bad.cfg"
+    write_config(bad, out / "dataset.bin", out, extra=["model.variant=bogus"])
+    assert main(["train", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and all(f"'{v}'" in err for v in VARIANTS)
+
+
+def test_removed_disable_flag_is_an_unknown_field(workspace, capsys):
+    tmp_path, out, _ = workspace
+    bad = tmp_path / "bad.cfg"
+    write_config(bad, out / "dataset.bin", out, extra=["model.disable_ctx=true"])
+    assert main(["train", "--config", str(bad)]) == 2
+    assert "unknown config field 'model.disable_ctx'" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_with_disable_flags(workspace, capsys):
+    """A checkpoint whose provenance names the three flags that ``model.variant``
+    replaced is refused, not evaluated under a guessed variant."""
+    tmp_path, out, cfg = workspace
+    assert main(["train", "--config", str(cfg)]) == 0
+    ck = out / "checkpoint.bin"
+    meta, params = ad.read_checkpoint(ck)
+    del meta["model.variant"]
+    meta.update(dict.fromkeys(("model.disable_ctx", "model.disable_his",
+                               "model.disable_fusion"), False))
+    ad.save_checkpoint(ck, params, meta)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck)]) == 2
+    assert "model.disable_ctx=False" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "4294967295", "4294967296"])
+def test_gradcheck_rejects_unusable_seed(seed, capsys):
+    assert main(["gradcheck", "--seed", seed]) == 2
+    assert f"got {seed}" in capsys.readouterr().err
 
 
 def test_unknown_config_field_exit_code(workspace, capsys):
@@ -211,6 +252,18 @@ def test_runconfig_defaults_and_echo(tmp_path):
     assert "eval.split=test" in echo
 
 
+def test_readme_run_config_example_parses(tmp_path):
+    """Each key=value line of README's run-config example is a key RunConfig
+    knows, and its value comes back in the resolved echo."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [example] = [b for b in re.findall(r"```\n(.*?)```", readme, re.S) if "data.path=" in b]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(example)
+    echo = RunConfig.from_file(cfg).echo().splitlines()
+    for line in example.splitlines():
+        assert line in echo
+
+
 def test_runconfig_bad_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("data.path=x\nnot a kv line\n")
@@ -220,43 +273,44 @@ def test_runconfig_bad_line(tmp_path):
 
 def test_runconfig_bool_coercion(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("data.path=x\nmodel.disable_fusion=true\n"
-                   "eval.filter_interacted=no\n")
-    run = RunConfig.from_file(cfg)
-    assert run.model.disable_fusion is True
-    assert run.eval_filter is False
-    cfg.write_text("data.path=x\nmodel.disable_fusion=maybe\n")
+    cfg.write_text("data.path=x\neval.filter_interacted=yes\n")
+    assert RunConfig.from_file(cfg).eval_filter is True
+    cfg.write_text("data.path=x\neval.filter_interacted=no\n")
+    assert RunConfig.from_file(cfg).eval_filter is False
+    cfg.write_text("data.path=x\neval.filter_interacted=maybe\n")
     with pytest.raises(ConfigError):
         RunConfig.from_file(cfg)
 
 
-_NUMERIC_KEYS = sorted(f"{sec}.{f.name}" for sec, cls in (("model", ModelConfig),
+_MODEL_TRAIN_KEYS = sorted(f"{sec}.{f.name}" for sec, cls in (("model", ModelConfig),
                                                              ("train", TrainConfig))
                        for f in dataclasses.fields(cls))
 _FUZZ_VALUES = st.one_of(
     st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0", "0", "-0.0",
                      "1e308", "-1e308", "1e999", "5e-324", "-1", "1", "0.5", "2", "true",
-                     "no", "", " ", "abc", "1_000", "0x10", "1e3"]),
+                     "no", "", " ", "abc", "1_000", "0x10", "1e3", *VARIANTS]),
     st.integers(-10**6, 10**6).map(str),
     st.floats().map(repr),
     st.booleans().map(str),
     st.text(max_size=6))
 
 
-@given(st.dictionaries(st.sampled_from(_NUMERIC_KEYS), _FUZZ_VALUES, max_size=4))
+@given(st.dictionaries(st.sampled_from(_MODEL_TRAIN_KEYS), _FUZZ_VALUES, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_runconfig_fuzz_finite_or_config_error(values):
     """Any model.* / train.* values either build a config whose numbers are
-    all finite or raise ConfigError."""
+    all finite and whose variant is one of VARIANTS, or raise ConfigError."""
     try:
         run = RunConfig({"data.path": "x", **values})
     except ConfigError:
         return
+    assert run.model.variant in VARIANTS
     for cfg in (run.model, run.train):
         for f in dataclasses.fields(cfg):
             v = getattr(cfg, f.name)
-            assert isinstance(v, (bool, int, float))
-            assert math.isfinite(v), (f.name, v)
+            if f.name != "variant":
+                assert isinstance(v, (int, float))
+                assert math.isfinite(v), (f.name, v)
 
 
 def test_bad_config_value_exit_code(workspace, capsys):

@@ -6,7 +6,7 @@ from cpmr import autodiff as ad
 from cpmr.errors import ConfigError, DataError, NumericalError
 from cpmr.evaluation import (MetricsReport, RankRecord, incremental_eval,
                              mrr, rank_from_scores, recall_at_k,
-                             sweep_rows_to_csv, synthetic_trend_dataset,
+                             sweep, sweep_rows_to_csv, synthetic_trend_dataset,
                              validation_mrr)
 from cpmr.graphs import EdgeStore
 from cpmr.model import CpmrModel, ModelConfig
@@ -87,32 +87,39 @@ def fresh_model(ds, **kw):
                      rng=np.random.default_rng(0))
 
 
-def test_incremental_eval_matches_manual_replay():
-    ds = eval_dataset()
-    model = fresh_model(ds)
-    report = incremental_eval(ds, model, split="test")
-
-    # manual: step through every day from 0, rank each test event just
-    # before its day's interactions are applied
+def _manual_ranks(ds, model, filtered):
+    """Step through every day from 0, rank each test event just before its
+    day's interactions are applied; ``filtered`` leaves the user's items of
+    earlier days other than the target out of the ranking."""
     store = EdgeStore.from_dataset(ds)
-    sl = ds.split_slice("test")
-    test_days = set(np.unique(ds.days[sl]).tolist())
+    test_days = set(np.unique(ds.days[ds.split_slice("test")]).tolist())
     states = model.init_states()
-    prev = 0
-    records = []
+    ranks = []
     for day in np.unique(ds.days).tolist():
-        z, states = model.step(states, store, prev, int(day))
+        z, states = model.step(states, store, int(day))
         if day in test_days:
             users, items = store.instant_edges(int(day))
             for u, i in zip(users, items):
                 scores = (model.item_repr(z, np.arange(model.n_items)).value
                           @ model.user_repr(z, [int(u)]).value[0])
-                records.append(rank_from_scores(scores, int(i)))
-        prev = int(day)
-    assert report.n_events == len(records)
-    assert report.mrr == pytest.approx(np.mean([1 / r for r in records]), abs=1e-12)
-    assert report.recall_at_10 == pytest.approx(
-        np.mean([r <= 10 for r in records]), abs=1e-12)
+                if filtered:
+                    seen = set(ds.item_ids[(ds.user_ids == u) & (ds.days < day)]) - {i}
+                    scores[list(seen)] = -np.inf
+                ranks.append(rank_from_scores(scores, int(i)))
+    return ranks
+
+
+def test_incremental_eval_matches_manual_replay():
+    ds = eval_dataset(seed=4, n_items=12, n_days=30)   # 3 test days, which add to the filter
+    model = fresh_model(ds)
+    plain, filtered = _manual_ranks(ds, model, False), _manual_ranks(ds, model, True)
+    assert plain != filtered                    # the filter moves some ranks here
+    for flag, records in ((False, plain), (True, filtered)):
+        report = incremental_eval(ds, model, split="test", filter_interacted=flag)
+        assert report.n_events == len(records)
+        assert report.mrr == pytest.approx(np.mean([1 / r for r in records]), abs=1e-12)
+        assert report.recall_at_10 == pytest.approx(
+            np.mean([r <= 10 for r in records]), abs=1e-12)
 
 
 def test_incremental_eval_builds_the_prediction_task_on_scored_days_only(monkeypatch):
@@ -170,6 +177,20 @@ def test_filter_interacted_never_hurts_on_repeats():
     assert filt.config["filter_interacted"] is True
 
 
+def test_sweep_over_variants_and_int_params():
+    ds = eval_dataset()
+    mcfg, tcfg = ModelConfig(d=4, s_days=3, taylor_order=3), TrainConfig(n_tbptt=4, max_epochs=1)
+    rows = sweep(ds, "variant", ["wo_fusion", "full"], mcfg, tcfg)
+    assert [r["variant"] for r in rows] == ["wo_fusion", "full"]
+    model, _ = train(ds, ModelConfig(d=4, s_days=3, taylor_order=3, variant="wo_fusion"), tcfg)
+    assert rows[0]["mrr"] == incremental_eval(ds, model).mrr
+    assert sweep(ds, "s_days", ["2"], mcfg, tcfg)[0]["s_days"] == 2
+    with pytest.raises(ConfigError, match="variant"):
+        sweep(ds, "variant", ["wo_both"], mcfg, tcfg)
+    with pytest.raises(ConfigError, match="cannot sweep 'd'"):
+        sweep(ds, "d", [4], mcfg, tcfg)
+
+
 def test_eval_unknown_split():
     ds = eval_dataset()
     with pytest.raises((ConfigError, DataError, KeyError)):
@@ -182,10 +203,8 @@ def test_validation_mrr_continues_from_states():
     store = EdgeStore.from_dataset(ds)
     i_val, _ = ds.split
     states = model.init_states()
-    prev = 0
     for day in np.unique(ds.days[:i_val]).tolist():
-        _, states = model.step(states, store, prev, int(day))
-        prev = int(day)
+        _, states = model.step(states, store, int(day))
     got = validation_mrr(model, states, ds)
     want = incremental_eval(ds, model, split="val").mrr
     assert got == pytest.approx(want, abs=1e-12)

@@ -103,7 +103,7 @@ def test_evolve_rejects_bad_args():
 
 
 def make_model(n_users=4, n_items=4, variant="full", d=6, seed=0, **kw):
-    cfg = ModelConfig.variant(variant, d=d, s_days=3, taylor_order=5, **kw)
+    cfg = ModelConfig(d=d, s_days=3, taylor_order=5, variant=variant, **kw)
     return CpmrModel(n_users, n_items, day_unit=0.1, config=cfg,
                      rng=np.random.default_rng(seed))
 
@@ -229,7 +229,7 @@ def test_step_scripted_oracle():
     model = make_model()
     store = toy_store()
     states = model.init_states()
-    z, new = model.step(states, store, 0, 2)
+    z, new = model.step(states, store, 2)
 
     dt = 2 * model.day_unit
     pre = {}
@@ -265,29 +265,27 @@ def _expm(a, dt):
 def test_step_clock_enforced():
     model = make_model()
     store = toy_store()
-    states = model.init_states()
+    _, states = model.step(model.init_states(), store, 2)
+    assert states.day == 2
     with pytest.raises(SequencingError):
-        model.step(states, store, 1, 2)      # clock says day 0, not 1
-    _, states = model.step(states, store, 0, 2)
-    with pytest.raises(SequencingError):
-        model.step(states, store, 2, 1)      # backwards
+        model.step(states, store, 1)         # backwards
 
 
 def test_step_same_day_allowed():
     model = make_model()
     store = toy_store()
-    _, states = model.step(model.init_states(), store, 0, 0)
+    _, states = model.step(model.init_states(), store, 0)
     assert states.day == 0
 
 
-def test_disable_flags_drop_states():
+def test_scenario_ablations_drop_states():
     for variant, has_his, has_ctx in (("wo_ctx", True, False),
                                       ("wo_his", False, True)):
         model = make_model(variant=variant)
         states = model.init_states()
         assert ("his" in states.x) == has_his
         assert ("ctx" in states.x) == has_ctx
-        z, new = model.step(states, store := toy_store(), 0, 1)
+        z, new = model.step(states, toy_store(), 1)
         assert ("his" in new.x) == has_his
         assert ("ctx" in new.x) == has_ctx
         assert z.value.shape == (8, 6)
@@ -298,9 +296,9 @@ def test_step_without_prediction_gives_the_same_states_byte_for_byte():
         model = make_model(variant=variant)
         store = toy_store()
         scored = skipped = model.init_states()
-        for prev, day in ((0, 1), (1, 2), (2, 2), (2, 4)):
-            z, scored = model.step(scored, store, prev, day)
-            z_skip, skipped = model.step(skipped, store, prev, day, predict=False)
+        for day in (1, 2, 2, 4):
+            z, scored = model.step(scored, store, day)
+            z_skip, skipped = model.step(skipped, store, day, predict=False)
             assert scored.x.keys() == skipped.x.keys()
             for sc, a in scored.x.items():
                 assert a.value.tobytes() == skipped.x[sc].value.tobytes()
@@ -311,16 +309,17 @@ def test_step_without_prediction_gives_the_same_states_byte_for_byte():
                 assert z_skip is None
 
 
-def test_both_scenarios_disabled_rejected():
-    with pytest.raises(ConfigError):
-        ModelConfig(disable_ctx=True, disable_his=True)
+def test_unknown_variant_rejected():
+    for name in ("bogus", "wo_ctx_his", "", None):
+        with pytest.raises(ConfigError, match="variant must be one of"):
+            ModelConfig(variant=name)
 
 
 def test_wo_fusion_sums_scenarios():
     model = make_model(variant="wo_fusion")
     store = toy_store()
     states = model.init_states()
-    z, new = model.step(states, store, 0, 1)
+    z, new = model.step(states, store, 1)
     dt = model.day_unit
     want = (model.evolve_states(states.x["his"], normalize_adjacency(
                 store.history_biadjacency(1)), "his", dt).value
@@ -351,10 +350,8 @@ def test_long_rollout_stays_finite():
     model = CpmrModel(6, 6, day_unit=1.0 / 499, config=ModelConfig(
         d=4, s_days=5, taylor_order=4), rng=rng)
     states = model.init_states()
-    prev = 0
     for day in np.unique(days):
-        z, states = model.step(states, store, prev, int(day))
-        prev = int(day)
+        z, states = model.step(states, store, int(day))
     assert np.all(np.isfinite(states.x["his"].value))
     assert np.all(np.isfinite(states.x["ctx"].value))
     assert np.abs(states.x["his"].value).max() < 1e6

@@ -289,10 +289,10 @@ def test_non_finite_state_with_finite_loss_raises(monkeypatch):
     ds = canonicalize(events)
 
     class NanGate(tr.CpmrModel):
-        def step(self, states, store, day_prev, day_k):
+        def step(self, states, store, day_k):
             if day_k == 4:
                 self.params["alpha_ctx"].value[0, 0] = np.nan
-            return super().step(states, store, day_prev, day_k)
+            return super().step(states, store, day_k)
 
     losses = []
     def recorded(*args):
@@ -351,18 +351,17 @@ def test_recipes_give_the_gradients_of_kept_copies(variant, monkeypatch):
 
     def grads():
         model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit,
-                          ModelConfig.variant(variant, **SMALL_MODEL),
+                          ModelConfig(**SMALL_MODEL, variant=variant),
                           rng=np.random.default_rng(0))
         history, draws = InteractionHistory(ds.n_users, ds.n_items), np.random.default_rng(1)
         with ad.Tape() as tape:
-            states, prev, total = model.init_states(), 0, None
+            states, total = model.init_states(), None
             for day in days:
-                z, states = model.step(states, store, prev, day)
+                z, states = model.step(states, store, day)
                 users, items = store.instant_edges(day)
                 loss = batch_loss(model, z, users, items, history, 3, draws)
                 total = loss if total is None else ad.add(total, loss)
                 history.add_day(users, items)
-                prev = day
         g = ad.backward(total, tape, params=model.params.values())
         return {name: g[v] for name, v in model.params.items()}
 
@@ -399,7 +398,7 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
     tracemalloc.start()
     try:
         with ad.Tape() as tape:
-            z, _ = model.step(states, store, 0, day)
+            z, _ = model.step(states, store, day)
             loss = batch_loss(model, z, u, i, InteractionHistory(n_u, n_i), 8,
                               np.random.default_rng(1))
             kept = tracemalloc.get_traced_memory()[0]
