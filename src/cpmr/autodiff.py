@@ -29,10 +29,10 @@ import weakref
 import numpy as np
 
 from . import arrayfile
-from .errors import (ConfigError, CpmrError, DataFormatError,  # noqa: F401 (ad.DataFormatError)
-                     ShapeError)
+from .errors import ConfigError, CpmrError, ShapeError
 
 _ACTIVE_TAPE = None
+MAX_SUBSTEPS = 10_000  # per graph_flow; a day gap <= span takes <= ceil(time_scale / tau_max)
 
 
 class Var:
@@ -332,23 +332,34 @@ def mean_all(x: Var) -> Var:
     return out
 
 
-def graph_flow(x: Var, e: Var, gate: Var, n, tau, steps, order) -> Var:
-    """``steps`` Horner sub-steps of length ``tau`` of dX/dt = (N diag(gate) - I) X + E.
+def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
+    """Advance dX/dt = (N diag(gate) - I) X + E by ``dt`` in ceil(dt / tau_max) equal sub-steps.
 
-    Each sets y = X / K!, then y <- tau (N (gate * y) - y) + X / k! + tau E / (k+1)!
+    Each sub-step of length tau is one truncated Taylor series of order K in
+    Horner form: y = X / K!, then y <- tau (N (gate * y) - y) + X / k! + tau E / (k+1)!
     for k = K-1 ... 0, with the operations of that expression in its order, so
-    the numbers are bit for bit the same. Two scratch buffers per sub-step hold
-    ``y * gate`` and the ``X / k! + tau E / (k+1)!`` term, and each iterate is
-    finished in place in the fresh array ``N @ scratch`` returns. Under a tape
-    the rule keeps only each sub-step's input (the first is ``x.value`` itself);
-    the adjoint recomputes the sub-step's iterates y_K ... y_1 from it, K-1
-    sparse products, just before the transposed recurrence reads them, and
-    runs that recurrence in place with one scratch buffer.
+    the numbers are bit for bit the same. ``dt = 0`` returns ``x`` itself. Two
+    scratch buffers per sub-step hold ``y * gate`` and the ``X / k! + tau E / (k+1)!``
+    term, and each iterate is finished in place in the fresh array ``N @ scratch``
+    returns. Under a tape the rule keeps only each sub-step's input (the first
+    is ``x.value`` itself); the adjoint recomputes the sub-step's iterates
+    y_K ... y_1 from it, K-1 sparse products, just before the transposed
+    recurrence reads them, and runs that recurrence in place with one scratch buffer.
     """
     _check(x.shape == e.shape and gate.shape == (x.shape[0], 1)
            and n.shape == (x.shape[0],) * 2, "graph_flow", x.shape, e.shape, gate.shape, n.shape)
-    if steps < 1 or order < 1:
-        raise ConfigError(f"graph_flow needs steps >= 1 and order >= 1, got {steps} and {order}")
+    if order < 1:
+        raise ConfigError(f"series truncation order must be >= 1, got {order}")
+    if not math.isfinite(dt) or dt < 0:
+        raise ConfigError(f"evolution interval must be finite and >= 0, got {dt}")
+    if not math.isfinite(tau_max) or tau_max <= 0:
+        raise ConfigError(f"tau_max must be finite and positive, got {tau_max}")
+    if dt == 0:
+        return x
+    if dt / tau_max > MAX_SUBSTEPS:                          # ceil(r) > M iff r > M
+        raise ConfigError(f"dt / tau_max = {dt / tau_max:.3g} is over {MAX_SUBSTEPS} sub-steps")
+    steps = max(1, math.ceil(dt / tau_max))
+    tau = dt / steps
     inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
     s, ev, cur = gate.value, e.value, x.value
     inputs = [] if _ACTIVE_TAPE is not None else None

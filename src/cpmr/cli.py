@@ -137,11 +137,9 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     run, ds = _load_run(args.config)
-    if not args.values:
-        raise ConfigError("empty sweep value list")
-    os.makedirs(run.output_dir, exist_ok=True)
     rows = sweep(ds, args.param, args.values, run.model, run.train,
                  split=run.eval_split)
+    os.makedirs(run.output_dir, exist_ok=True)
     sweep_rows_to_csv(rows, os.path.join(run.output_dir, "sweep.csv"))
     for r in rows:
         print(json.dumps(r))

@@ -151,6 +151,8 @@ def sweep(dataset, param, values, model_config: ModelConfig,
     """Train/evaluate once per value of s_days, n_tbptt or variant; rows in input order."""
     if param not in ("s_days", "n_tbptt", "variant"):
         raise ConfigError(f"cannot sweep {param!r}: expected s_days, n_tbptt or variant")
+    if not values:
+        raise ConfigError("empty sweep value list")
     rows = []
     for v in values:
         v = v if param == "variant" else int(v)

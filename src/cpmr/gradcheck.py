@@ -75,14 +75,14 @@ def op_checks(seed=0):
         "mean_all": (mats((3, 2)), lambda p: ad.mean_all(p[0])),
         "graph_flow": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
                        lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
-                           *p, flow_n, 0.3, 2, 3), ad.constant(_cmat(2, rows=5))))),
+                           *p, flow_n, 0.6, 3, 0.3), ad.constant(_cmat(2, rows=5))))),
         "row_block": (mats((5, 2)),
                       lambda p: ad.mean_all(ad.hadamard(
                           ad.row_block(p[0], 1, 4), ad.constant(_cmat(2, rows=3))))),
         # at order 1 the backward recomputes no iterate with a sparse product
         "graph_flow_order1": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
                               lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
-                                  *p, flow_n, 0.3, 3, 1), ad.constant(_cmat(2, rows=5))))),
+                                  *p, flow_n, 0.9, 1, 0.3), ad.constant(_cmat(2, rows=5))))),
     }
     for name, (params, f) in cases.items():
         yield name, ad.grad_check(f, params, h=1e-5)

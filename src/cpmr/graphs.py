@@ -13,6 +13,7 @@ take the distinct keys of their day range. Sorted distinct keys are already
 CSR order (rows ascending, columns ascending within a row), so each view,
 the normalized adjacency and the instant averaging operators are written
 as CSR arrays directly, the same arrays scipy's COO round-trips produced.
+The two operators take only such views: canonical CSR whose values are 1.0.
 """
 
 from __future__ import annotations
@@ -85,16 +86,12 @@ class EdgeStore:
 
 
 def _csr(data, indices, indptr, shape, ascending=True):
-    """CSR from arrays grouped by row, dropping explicit zeros as scipy's sums do.
+    """CSR from arrays grouped by row, every value nonzero.
 
     Index arrays are int32 when ``nnz`` and both dimensions fit, as scipy
     chooses for the matrices it builds; casting here spares its content scan.
     Canonical format is claimed only for columns ``ascending`` within each row.
     """
-    keep = data != 0
-    if not keep.all():
-        indptr = _indptr(_rows(indptr)[keep], shape[0])
-        data, indices = data[keep], indices[keep]
     idx = np.int32 if max(len(data), *shape) <= np.iinfo(np.int32).max else np.int64
     mat = sp.csr_matrix((data, indices.astype(idx, copy=False),
                          indptr.astype(idx, copy=False)), shape=shape)
@@ -103,12 +100,12 @@ def _csr(data, indices, indptr, shape, ascending=True):
     return mat
 
 
-def _canonical(mat):
-    """``mat`` as CSR with sorted indices and no duplicates; a copy if it had to change."""
-    if mat.format != "csr" or not mat.has_canonical_format:
-        mat = mat.tocsr(copy=True)
-        mat.sum_duplicates()
-    return mat
+def _view(biadj):
+    """``biadj`` if it is a view as the store serves it, else a ConfigError."""
+    if not (sp.issparse(biadj) and biadj.format == "csr" and biadj.has_canonical_format
+            and np.all(biadj.data == 1.0)):
+        raise ConfigError("expected a canonical CSR bi-adjacency whose values are all 1.0")
+    return biadj
 
 
 def _rows(indptr):
@@ -126,29 +123,26 @@ def normalize_adjacency(biadj, alpha0=ALPHA0):
 
     Zero-degree nodes take D^-1/2 = 0 (pseudo-inverse convention), keeping
     only the self-loop. Both triangles get identical arithmetic, so the
-    result is exactly symmetric.
+    result is exactly symmetric. B must be a 0/1 view (``ConfigError``
+    otherwise), so a degree is a count of partners.
 
     The CSR rows are written straight from B's arrays: a user row is its
     diagonal entry, then its items in ascending order; an item row is its
     users in ascending order, then its diagonal entry. An off-diagonal value
-    is ``(alpha0/2) * (dinv[r] * dinv[c]) * b`` and a diagonal one alpha0/2,
-    with zeros dropped: the arrays of ``(off + alpha0/2 I).tocsr()`` over
-    the COO of both triangles. A non-canonical B is canonicalized first.
+    is ``(alpha0/2) * (dinv[r] * dinv[c])`` and a diagonal one alpha0/2: the
+    arrays of ``(off + alpha0/2 I).tocsr()`` over the COO of both triangles.
     """
-    b = _canonical(biadj)
+    b = _view(biadj)
     n_u, n_i = b.shape
     n = n_u + n_i
     nnz = b.nnz
     user = _rows(b.indptr)
     item = b.indices.astype(np.int64)
-    deg = np.concatenate([np.bincount(user, weights=b.data, minlength=n_u),
-                          np.bincount(item, weights=b.data, minlength=n_i)])
-    dinv_sqrt = np.zeros(n)
-    nz = deg > 0
-    dinv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+    deg = np.concatenate([np.diff(b.indptr), np.bincount(item, minlength=n_i)])
+    dinv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1))   # read only where deg > 0
 
     half = alpha0 / 2.0
-    vals = half * (dinv_sqrt[user] * dinv_sqrt[item + n_u]) * b.data
+    vals = half * (dinv_sqrt[user] * dinv_sqrt[item + n_u])
     by_item = np.argsort(item, kind="stable")        # users ascending within an item
     # every user row gains its diagonal before its items, every item row after its users
     indptr = np.concatenate([b.indptr[:n_u] + np.arange(n_u),
@@ -171,26 +165,21 @@ def normalize_adjacency(biadj, alpha0=ALPHA0):
 def averaging_operators(biadj):
     """(D_u^-1 B, D_i^-1 B^T): each user's and each item's mean over its partners.
 
-    ``D`` holds B's row (column) sums, added up as ``B.sum(axis)`` does; a
-    node of degree <= 0 gets an empty row. Rows store their columns in
-    descending order, with value ``dinv[row] * b``: the arrays of
-    ``sp.diags(dinv) @ B``, whose stored order fixes the order in which a
+    B must be a 0/1 view (``ConfigError`` otherwise), so ``D`` holds each
+    node's count of partners; a node with none gets an empty row. Rows store
+    their columns in descending order, with value ``1 / D[row]``: the arrays
+    of ``sp.diags(dinv) @ B``, whose stored order fixes the order in which a
     sparse product sums.
     """
-    b = _canonical(biadj)
+    b = _view(biadj)
     n_u, n_i = b.shape
     user = _rows(b.indptr)
     item = b.indices.astype(np.int64)
-    deg_u = np.zeros(n_u)
-    full = np.flatnonzero(np.diff(b.indptr))
-    if full.size:
-        deg_u[full] = np.add.reduceat(b.data, b.indptr[full])
-    deg_i = np.bincount(item, weights=b.data, minlength=n_i)
     out = []
-    for rows, cols, deg, n_cols in ((user, item, deg_u, n_i), (item, user, deg_i, n_u)):
-        dinv = np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
+    for rows, cols, n_rows, n_cols in ((user, item, n_u, n_i), (item, user, n_i, n_u)):
         # reverse B's entries, then group them stably by row: columns descend within a row
         rev = len(rows) - 1 - np.argsort(rows[::-1], kind="stable")
-        out.append(_csr(dinv[rows[rev]] * b.data[rev], cols[rev],
-                        _indptr(rows, len(deg)), (len(deg), n_cols), ascending=False))
+        ptr = _indptr(rows, n_rows)
+        out.append(_csr(1.0 / np.diff(ptr)[rows[rev]], cols[rev], ptr, (n_rows, n_cols),
+                        ascending=False))
     return tuple(out)

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
+from .autodiff import MAX_SUBSTEPS, Var
 from .errors import ConfigError, SequencingError
 from .graphs import ALPHA0, averaging_operators, normalize_adjacency
 
-MAX_SUBSTEPS = 10_000  # per evolution; a day gap <= span takes <= ceil(time_scale / tau_max)
 # the full model and its ablations without the ctx scenario, the his one, or gated fusion
 VARIANTS = ("full", "wo_ctx", "wo_his", "wo_fusion")
 
@@ -83,22 +82,7 @@ def evolve(x, e, adj, dt, order, tau_max=0.125):
     series in Horner form over sub-intervals of length <= tau_max.
     """
     gate = ad.constant(np.ones((np.shape(x)[0], 1)))
-    return _evolve_var(ad.constant(x), ad.constant(e), gate, adj, dt, order, tau_max).value
-
-
-def _evolve_var(x: Var, e: Var, gate: Var, n, dt, order, tau_max):
-    if order < 1:
-        raise ConfigError(f"series truncation order must be >= 1, got {order}")
-    if not math.isfinite(dt) or dt < 0:
-        raise ConfigError(f"evolution interval must be finite and >= 0, got {dt}")
-    if not math.isfinite(tau_max) or tau_max <= 0:
-        raise ConfigError(f"tau_max must be finite and positive, got {tau_max}")
-    if dt == 0:
-        return x
-    if dt / tau_max > MAX_SUBSTEPS:                          # ceil(r) > M iff r > M
-        raise ConfigError(f"dt / tau_max = {dt / tau_max:.3g} is over {MAX_SUBSTEPS} sub-steps")
-    m = max(1, int(np.ceil(dt / tau_max)))
-    return ad.graph_flow(x, e, gate, n, dt / m, m, order)
+    return ad.graph_flow(ad.constant(x), ad.constant(e), gate, adj, dt, order, tau_max).value
 
 
 class CpmrModel:
@@ -108,6 +92,7 @@ class CpmrModel:
         self.n_users = n_users
         self.n_items = n_items
         self.n_nodes = n_users + n_items
+        self._blocks = ((0, n_users), (n_users, self.n_nodes))   # user rows, item rows
         self.day_unit = float(day_unit)
         self.config = config
         self.params: dict[str, Var] = {}
@@ -176,23 +161,22 @@ class CpmrModel:
 
     def evolve_states(self, x, nadj, scenario, dt):
         """Evolve by ``dt`` on A = N diag(sigmoid(alpha)): gates on message sources."""
-        return _evolve_var(x, self.params["embed"], ad.sigmoid(self.params[f"alpha_{scenario}"]),
-                           nadj, dt, self.config.taylor_order, self.config.tau_max)
+        return ad.graph_flow(x, self.params["embed"], ad.sigmoid(self.params[f"alpha_{scenario}"]),
+                             nadj, dt, self.config.taylor_order, self.config.tau_max)
 
     def fuse(self, parts, *, predict=True):
         """Gated mutual update of the states ``parts`` (scenario -> Var).
 
-        Returns (fused, z): ``fused`` maps each scenario to its fused states,
-        and z is the ``final`` task that feeds the prediction head. Each
-        entity class fuses its rows of all scenarios, concatenated in
-        scenario order. ``predict=False`` skips the ``final`` task (its gate,
-        its expert and their mix) and returns z = None; ``fused`` holds the
-        same arrays either way.
+        Returns (fused, z): ``fused`` maps each scenario to its fused (user
+        rows, item rows), and z is the n x d ``final`` task that feeds the
+        prediction head. Each entity class fuses its rows of all scenarios,
+        concatenated in scenario order. ``predict=False`` skips the ``final``
+        task (its gate, its expert and their mix) and returns z = None;
+        ``fused`` holds the same arrays either way.
         """
         scenarios = self.config.scenarios
-        n_u = self.n_users
         results = {t: [] for t in scenarios + (["final"] if predict else [])}
-        for cls, start, stop in (("user", 0, n_u), ("item", n_u, self.n_nodes)):
+        for cls, (start, stop) in zip(("user", "item"), self._blocks):
             slices = [ad.row_block(parts[sc], start, stop) for sc in scenarios]
             x_in = slices[0] if len(slices) == 1 else ad.concat_cols(*slices)
             shared = self._linear(x_in, f"fusion.{cls}.expert_shared")
@@ -200,20 +184,15 @@ class CpmrModel:
                 w = ad.softmax_rows(self._linear(x_in, f"fusion.{cls}.gate_{t}"))
                 e = self._linear(x_in, f"fusion.{cls}.expert_{t}")
                 mixes.append(ad.gate_mix(w, e, shared))
-        fused = {t: ad.concat_rows(*mixes) for t, mixes in results.items()}
-        z = fused.pop("final", None)
-        return fused, z
+        z = ad.concat_rows(*results.pop("final")) if predict else None
+        return {sc: tuple(blocks) for sc, blocks in results.items()}, z
 
-    def update_instant(self, x, ops, scenario):
-        """Discrete jump of one scenario's states from the instant graph.
+    def update_instant(self, x_u, x_i, ops, scenario):
+        """Discrete jump of one scenario's user and item states from the instant graph.
 
         ``ops`` is the pair ``averaging_operators(b_ins)`` of that day's instant
-        biadjacency: users <- items, items <- users.
+        biadjacency: users <- items, items <- users. Returns the n x d states.
         """
-        n_u = self.n_users
-        x_u = ad.row_block(x, 0, n_u)
-        x_i = ad.row_block(x, n_u, self.n_nodes)
-
         db_u, db_i = ops
         delta_u = ad.relu(ad.matmul(ad.spmm(db_u, x_i),
                                     self.params[f"update.{scenario}.w_i2u"]))
@@ -255,12 +234,14 @@ class CpmrModel:
 
         if cfg.variant == "wo_fusion":
             z = functools.reduce(ad.add, minus.values())
-            fused = dict.fromkeys(minus, z)
+            # a pair per scenario: one shared pair would sum their gradients first
+            fused = {sc: tuple(ad.row_block(z, *rows) for rows in self._blocks)
+                     for sc in minus}
         else:
             fused, z = self.fuse(minus, predict=predict)
 
         ops = averaging_operators(store.instant_biadjacency(day_k))
-        new = {sc: self.update_instant(x, ops, sc) for sc, x in fused.items()}
+        new = {sc: self.update_instant(*blocks, ops, sc) for sc, blocks in fused.items()}
         return z, TemporalStates(new, day_k)
 
     # -- prediction ---------------------------------------------------------

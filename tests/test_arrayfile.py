@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cpmr import autodiff as ad
 from cpmr import arrayfile
 from cpmr.data import RawEvent, canonicalize, load_dataset, save_dataset
+from cpmr.errors import DataFormatError
 
 
 def small_dataset():
@@ -17,14 +18,14 @@ def small_dataset():
 def test_old_text_dataset_rejected(tmp_path):
     p = tmp_path / "dataset.bin"
     p.write_text("cpmr-dataset v1\nn_users 1\nn_items 1\nday_unit 1.0\nsplit 0 0\n")
-    with pytest.raises(ad.DataFormatError, match="cpmr preprocess"):
+    with pytest.raises(DataFormatError, match="cpmr preprocess"):
         load_dataset(p)
 
 
 def test_checkpoint_is_not_a_dataset(tmp_path):
     p = tmp_path / "checkpoint.bin"
     ad.save_checkpoint(p, {"a": np.zeros((1, 1))})
-    with pytest.raises(ad.DataFormatError, match="'checkpoint'"):
+    with pytest.raises(DataFormatError, match="'checkpoint'"):
         load_dataset(p)
 
 
@@ -50,6 +51,9 @@ def _set(d, key, value):
     pytest.param(lambda a, m: a.pop("days"), id="array-missing"),
     pytest.param(lambda a, m: _set(m, "n_items", float(m["n_items"])), id="float-count"),
     pytest.param(lambda a, m: m.pop("split"), id="split-missing"),
+    # 1 / span for a span of whole days; at 0.0 the states never evolve
+    *[pytest.param(lambda a, m, v=v: _set(m, "day_unit", v), id=f"day-unit-{v}")
+      for v in (0.0, -0.05, float("nan"), 1e9)],
 ])
 def test_load_dataset_rejects_invalid_content(tmp_path, corrupt):
     p = tmp_path / "dataset.bin"
@@ -57,7 +61,7 @@ def test_load_dataset_rejects_invalid_content(tmp_path, corrupt):
     meta, arrays = arrayfile.load(p, "dataset")
     corrupt(arrays, meta)
     arrayfile.save(p, "dataset", arrays, meta)
-    with pytest.raises(ad.DataFormatError, match="dataset"):
+    with pytest.raises(DataFormatError, match="dataset"):
         load_dataset(p)
 
 
@@ -90,5 +94,5 @@ def test_corrupt_files_load_or_raise_data_format_error(tmp_path_factory, which, 
             load_dataset(path)
         else:
             ad.read_checkpoint(path)[1]
-    except ad.DataFormatError:
+    except DataFormatError:
         pass

@@ -1,3 +1,4 @@
+import functools
 import math
 import weakref
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from cpmr import autodiff as ad
-from cpmr.errors import CpmrError, ShapeError
+from cpmr.errors import CpmrError, DataFormatError, ShapeError
 from cpmr.graphs import normalize_adjacency
 
 
@@ -325,7 +326,7 @@ def test_checkpoint_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(ad.DataFormatError):
+    with pytest.raises(DataFormatError):
         ad.read_checkpoint(path)[1]
 
 
@@ -334,7 +335,7 @@ def test_checkpoint_truncated(tmp_path):
     ad.save_checkpoint(path, {"a": ad.Var(np.ones((4, 4)))})
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(ad.DataFormatError):
+    with pytest.raises(DataFormatError):
         ad.read_checkpoint(path)[1]
 
 
@@ -405,14 +406,15 @@ def _flow_inputs(graph, seed):
 def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, steps):
     n, x, e, gate, g = _flow_inputs(graph, 100 * order + steps)
     assert graph == "normalized" or (n != n.T).nnz > 0
-    tau = 0.37 / steps
+    tau = 0.37 / steps                   # graph_flow's dt / ceil(dt / tau_max)
     want, kept = _reference_flow(x, e, gate, n, tau, steps, order)
     want_grads = _reference_flow_adjoint(g, e, gate, n, tau, steps, order, kept)
 
     xv, ev, sv = ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(gate.copy())
-    assert ad.graph_flow(xv, ev, sv, n, tau, steps, order).value.tobytes() == want.tobytes()
+    flow = functools.partial(ad.graph_flow, xv, ev, sv, n, 0.37, order, 0.4 / steps)
+    assert flow().value.tobytes() == want.tobytes()
     with ad.Tape() as tape:
-        out = ad.graph_flow(xv, ev, sv, n, tau, steps, order)
+        out = flow()
         loss = sum_all(ad.hadamard(out, ad.constant(g)))   # hands the flow g * 1.0 = g
     assert out.value.tobytes() == want.tobytes()
     grads = ad.backward(loss, tape, params=[xv, ev, sv])
@@ -442,7 +444,8 @@ def test_graph_flow_backward_recomputes_k_minus_1_products_per_substep(order):
     counts = {"forward": 0, "transposed": 0}
     xv, ev, sv = ad.Var(x), ad.Var(e), ad.Var(gate)
     with ad.Tape() as tape:
-        out = ad.graph_flow(xv, ev, sv, _CountingOperator(n, counts), 0.2, steps, order)
+        # 0.6 over at most 0.25: 3 sub-steps
+        out = ad.graph_flow(xv, ev, sv, _CountingOperator(n, counts), 0.6, order, 0.25)
         loss = sum_all(ad.hadamard(out, ad.constant(g)))
     assert counts == {"forward": steps * order, "transposed": 0}
     ad.backward(loss, tape, params=[xv, ev, sv])

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import cpmr.autodiff
 from cpmr.data import SECONDS_PER_DAY, RawEvent, canonicalize
 from cpmr.evaluation import incremental_eval
 from cpmr.model import ModelConfig
@@ -36,21 +37,35 @@ def test_tracer_patches_and_restores_every_name(tracer):
     assert all(owner.__dict__[name] is before[owner, name] for owner, name in names)
 
 
-def test_traced_run_reaches_every_graph_layer(tracer):
-    """train and a test replay call the graph views, the normalization and the
-    instant update by the names the tracer wraps; a path that bypassed them
-    would leave their per-layer figures at zero."""
+def test_traced_run_reaches_every_graph_layer(tracer, monkeypatch):
+    """train and a test replay call the graph views, the normalization, the
+    fusion and the instant update by the names the tracer wraps; a path that
+    bypassed them would leave their per-layer figures at zero. The tracer's
+    own copy of the sub-step rule counts the forward Horner sub-steps that
+    ``graph_flow`` ran."""
+    forward = [0]
+
+    def counted(*args, iterates=None, **kwargs):
+        forward[0] += iterates is None          # the adjoint's recomputes pass a list
+        return horner(*args, iterates=iterates, **kwargs)
+
+    horner = cpmr.autodiff._horner_substep
+    monkeypatch.setattr(cpmr.autodiff, "_horner_substep", counted)
     rng = np.random.default_rng(3)
     ds = canonicalize([RawEvent(f"u{rng.integers(6)}", f"i{rng.integers(6)}",
                                 day * SECONDS_PER_DAY)
                        for day in range(12) for _ in range(4)])
     tr = tracer.Tracer()
     with tracer.patched(tr), tr.in_phase("run"):
-        model, _ = train(ds, ModelConfig(d=4, s_days=3, taylor_order=3),
+        # a day is 1/11 of the timeline: ceil(2.27) = 3 sub-steps of at most 0.04
+        model, _ = train(ds, ModelConfig(d=4, s_days=3, taylor_order=3, tau_max=0.04),
                          TrainConfig(lr=1e-2, n_tbptt=4, n_neg=2, max_epochs=1))
         incremental_eval(ds, model, split="test")
     history = tr.counts["run", "graphs.history_calls"]
     assert history > 0
     assert tr.calls["run", "graphs.views"] > history          # context views as well
     assert tr.calls["run", "graphs.normalize"] > 0
+    assert tr.calls["run", "model.fuse"] > 0
     assert tr.calls["run", "model.update_instant"] > 0
+    substeps = tr.counts["run", "model.evolve_substeps"]
+    assert substeps == forward[0] > tr.calls["run", "model.evolve"]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cpmr
+from cpmr import arrayfile
 from cpmr import autodiff as ad
 from cpmr.cli import main
 from cpmr.errors import ConfigError
@@ -361,6 +362,19 @@ def test_train_rejects_an_empty_validation_split_before_any_epoch(tmp_path, caps
     assert not (out / "train.log").exists()
 
 
+def test_zero_day_unit_exit_code(workspace, capsys):
+    """A dataset file whose day unit is 0.0 used to train a model whose states
+    never evolve, and exit 0."""
+    tmp_path, out, cfg = workspace
+    path = out / "dataset.bin"
+    meta, arrays = arrayfile.load(path, "dataset")
+    meta["day_unit"] = 0.0
+    arrayfile.save(path, "dataset", arrays, meta)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "day unit 0.0" in capsys.readouterr().err
+    assert not (out / "train.log").exists()
+
+
 def test_malformed_dataset_record_exit_code(workspace, capsys):
     tmp_path, out, cfg = workspace
     path = out / "dataset.bin"
@@ -453,3 +467,11 @@ def test_sweep_non_integer_values_exit_code(workspace):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", str(cfg), "--param", "s_days", "--values", "2,x"])
     assert exc.value.code == 2
+
+
+def test_sweep_empty_values_exit_code(workspace, capsys):
+    """The library's check gives the CLI its exit 2; nothing is written."""
+    tmp_path, out, cfg = workspace
+    assert main(["sweep", "--config", str(cfg), "--param", "s_days", "--values", ","]) == 2
+    assert "empty sweep value list" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()

@@ -191,6 +191,15 @@ def test_sweep_over_variants_and_int_params():
         sweep(ds, "d", [4], mcfg, tcfg)
 
 
+def test_sweep_rejects_an_empty_value_list():
+    """The library path checks it: a sweep of nothing gave no rows, on which
+    ``sweep_rows_to_csv`` died with an IndexError."""
+    mcfg, tcfg = ModelConfig(d=4, s_days=3, taylor_order=3), TrainConfig(n_tbptt=4, max_epochs=1)
+    for param in ("s_days", "variant"):
+        with pytest.raises(ConfigError, match="empty sweep value list"):
+            sweep(eval_dataset(), param, [], mcfg, tcfg)
+
+
 def test_eval_unknown_split():
     ds = eval_dataset()
     with pytest.raises((ConfigError, DataError, KeyError)):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import cpmr.model
 from cpmr.data import SECONDS_PER_DAY, RawEvent, canonicalize
-from cpmr.errors import ShapeError
+from cpmr.errors import ConfigError, ShapeError
 from cpmr.evaluation import incremental_eval, validation_mrr
 from cpmr.graphs import EdgeStore, averaging_operators, normalize_adjacency
 from cpmr.model import ModelConfig
@@ -283,12 +283,8 @@ def test_operators_are_the_coo_constructions_byte_for_byte(seed):
     alpha0 = float(rng.uniform(0.1, 0.99))
     mats = [store.history_biadjacency(day) for day in range(0, 44, 5)]
     mats += [store.instant_biadjacency(day) for day in range(0, 44, 3)]
-    weighted = sp.random(7, 5, density=float(rng.uniform(0.1, 0.9)), format="csr",
-                         random_state=np.random.RandomState(seed))
-    signed = weighted.copy()          # explicit zeros and negative weights
-    signed.data = rng.choice([0.0, -1.0, 1.0, 2.5, float(rng.normal())], size=signed.nnz)
     mats += [sp.csr_matrix((0, 0)), sp.csr_matrix((3, 0)), sp.csr_matrix((0, 4)),
-             sp.csr_matrix((5, 4)), weighted, signed]
+             sp.csr_matrix((5, 4))]
     for b in mats:
         assert csr_bytes(normalize_adjacency(b, alpha0)) == \
             csr_bytes(reference_normalize(b, alpha0))
@@ -328,17 +324,42 @@ def test_every_operator_reports_its_index_order_truthfully(seed):
             assert columns_ascend(got, strictly=True)
 
 
-def test_operators_of_a_non_canonical_biadjacency_are_those_of_its_canonical_form():
-    # (0, 2) stored twice and row 1 unsorted
-    b = sp.csr_matrix((np.array([1.0, 1.0, 1.0, 1.0, 1.0]), np.array([2, 0, 2, 3, 1]),
-                       np.array([0, 3, 5, 5])), shape=(3, 4))
-    assert not b.has_canonical_format
-    canon = b.copy()
-    canon.sum_duplicates()
-    assert csr_bytes(normalize_adjacency(b)) == csr_bytes(normalize_adjacency(canon))
-    for got, want in zip(averaging_operators(b), averaging_operators(canon)):
-        assert csr_bytes(got) == csr_bytes(want)
-    assert b.indices.tolist() == [2, 0, 2, 3, 1]      # the input is left alone
+def _not_views():
+    """Bi-adjacencies the store never serves, each with why it is not a view."""
+    def csr(data, indices, indptr):
+        return sp.csr_matrix((np.array(data, dtype=float), np.array(indices),
+                              np.array(indptr)), shape=(3, 4))
+    ones = csr([1.0, 1.0, 1.0], [0, 2, 1], [0, 2, 3, 3])
+    return [
+        ("weighted", csr([1.0, 2.5, 1.0], [0, 2, 1], [0, 2, 3, 3])),
+        ("signed", csr([1.0, -1.0, 1.0], [0, 2, 1], [0, 2, 3, 3])),
+        ("explicit-zero", csr([1.0, 0.0, 1.0], [0, 2, 1], [0, 2, 3, 3])),
+        ("unsorted-row", csr([1.0, 1.0, 1.0], [2, 0, 1], [0, 2, 3, 3])),
+        ("duplicate-entry", csr([1.0, 1.0, 1.0], [2, 2, 1], [0, 2, 3, 3])),
+        # (0, 2) stored twice and row 1 unsorted
+        ("non-canonical", csr([1.0] * 5, [2, 0, 2, 3, 1], [0, 3, 5, 5])),
+        ("coo", ones.tocoo()),
+        ("csc", ones.tocsc()),
+        ("dense", ones.toarray()),
+    ]
+
+
+def _raw_arrays(m):
+    if isinstance(m, np.ndarray):
+        return [m]
+    return [m.data, m.row, m.col] if m.format == "coo" else [m.data, m.indices, m.indptr]
+
+
+@pytest.mark.parametrize("why", [why for why, _ in _not_views()])
+def test_operators_reject_what_is_not_a_zero_one_view(why):
+    """Both operators take the store's canonical 0/1 CSR views only; anything
+    else raises ConfigError and is left as it was."""
+    b = dict(_not_views())[why]
+    before = [a.copy() for a in _raw_arrays(b)]
+    for op in (normalize_adjacency, averaging_operators):
+        with pytest.raises(ConfigError, match="values are all 1.0"):
+            op(b)
+    assert all(np.array_equal(x, y) for x, y in zip(before, _raw_arrays(b), strict=True))
 
 
 def test_training_and_replay_match_the_coo_constructions_byte_for_byte(monkeypatch):

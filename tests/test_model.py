@@ -97,9 +97,9 @@ def test_evolve_rejects_bad_args():
         with pytest.raises(ConfigError):
             evolve(x, x, a, dt, 6, tau_max)
     v, gate = ad.constant(x), ad.constant(np.ones((2, 1)))
-    for steps, order in ((0, 6), (1, 0), (-1, 6)):
+    for dt, order, tau_max in ((0.1, 0, 0.125), (-0.1, 6, 0.125), (0.1, 6, 0.0), (1e9, 6, 0.125)):
         with pytest.raises(ConfigError):
-            ad.graph_flow(v, v, gate, a, 0.1, steps, order)
+            ad.graph_flow(v, v, gate, a, dt, order, tau_max)
 
 
 def make_model(n_users=4, n_items=4, variant="full", d=6, seed=0, **kw):
@@ -129,7 +129,9 @@ def test_fuse_matches_hand_rolled_oracle():
     xc = ad.constant(rng.normal(size=(8, 5)))
     fused, got_z = model.fuse({"his": xh, "ctx": xc})
     assert list(fused) == ["his", "ctx"]
-    got_h, got_c = fused["his"], fused["ctx"]
+    # each scenario's fused user rows and item rows, as two blocks
+    assert all([b.shape for b in fused[sc]] == [(4, 5), (4, 5)] for sc in fused)
+    got_h, got_c = (np.concatenate([b.value for b in fused[sc]]) for sc in ("his", "ctx"))
 
     p = {k: v.value for k, v in model.params.items()}
     outs = {"his": [], "ctx": [], "final": []}
@@ -145,8 +147,8 @@ def test_fuse_matches_hand_rolled_oracle():
             e = _np_linear(x_in, p[f"fusion.{cls}.expert_{t}.w"],
                            p[f"fusion.{cls}.expert_{t}.b"])
             outs[t].append(w[:, :1] * e + w[:, 1:] * shared)
-    for got, t in ((got_h, "his"), (got_c, "ctx"), (got_z, "final")):
-        np.testing.assert_allclose(got.value, np.concatenate(outs[t]), atol=1e-12)
+    for got, t in ((got_h, "his"), (got_c, "ctx"), (got_z.value, "final")):
+        np.testing.assert_allclose(got, np.concatenate(outs[t]), atol=1e-12)
 
 
 def test_fuse_gate_rows_sum_to_one():
@@ -164,9 +166,10 @@ def test_update_instant_masked_oracle():
     b = sp.csr_matrix(np.array([[1.0, 1.0, 0.0],
                                 [0.0, 0.0, 0.0],
                                 [0.0, 1.0, 0.0]]))
-    out = model.update_instant(x, averaging_operators(b), "his").value
-    p = {k: v.value for k, v in model.params.items()}
     xu, xi = x.value[:3], x.value[3:]
+    out = model.update_instant(ad.constant(xu), ad.constant(xi), averaging_operators(b),
+                               "his").value
+    p = {k: v.value for k, v in model.params.items()}
     db_u = np.array([[0.5, 0.5, 0.0], [0, 0, 0], [0, 1.0, 0]])
     db_i = np.array([[1.0, 0, 0], [0.5, 0, 0.5], [0, 0, 0]])
     du = np.maximum(db_u @ xi @ p["update.his.w_i2u"], 0)
@@ -184,7 +187,8 @@ def test_update_instant_masked_uninvolved_untouched():
     model = make_model(n_users=3, n_items=3, d=4)
     rng = np.random.default_rng(15)
     x = ad.constant(rng.normal(size=(6, 4)))
-    out = model.update_instant(x, averaging_operators(sp.csr_matrix((3, 3))), "his").value
+    out = model.update_instant(ad.constant(x.value[:3]), ad.constant(x.value[3:]),
+                               averaging_operators(sp.csr_matrix((3, 3))), "his").value
     np.testing.assert_array_equal(out, x.value)
 
 
@@ -201,10 +205,9 @@ def test_row_blocks_give_the_row_select_gradients(monkeypatch):
     def gradients():
         with ad.Tape() as tape:
             fused, z = model.fuse({"his": xh, "ctx": xc})
-            h, c = fused["his"], fused["ctx"]
             ops = averaging_operators(b)
-            out = ad.add(ad.add(model.update_instant(h, ops, "his"),
-                                model.update_instant(c, ops, "ctx")), z)
+            out = ad.add(ad.add(model.update_instant(*fused["his"], ops, "his"),
+                                model.update_instant(*fused["ctx"], ops, "ctx")), z)
             loss = ad.mean_all(ad.hadamard(out, weight))
         grads = ad.backward(loss, tape, params=inputs)
         return [grads[v] for v in inputs]
@@ -251,7 +254,7 @@ def test_step_scripted_oracle():
     iu, ii = store.instant_edges(2)
     b = sp.coo_matrix((np.ones(len(iu)), (iu, ii)), shape=(4, 4)).tocsr()
     np.testing.assert_allclose(new.x["his"].value,
-                               model.update_instant(fused["his"], averaging_operators(b),
+                               model.update_instant(*fused["his"], averaging_operators(b),
                                                     "his").value,
                                atol=1e-12)
     assert new.day == 2
@@ -260,6 +263,21 @@ def test_step_scripted_oracle():
 def _expm(a, dt):
     from scipy.linalg import expm
     return expm((a - np.eye(a.shape[0])) * dt)
+
+
+def test_step_splits_and_joins_each_scenario_once():
+    """Fusion hands the instant update each scenario's user and item rows, so
+    a full step takes one row-block pair per fused input and joins only z and
+    the new states; wo_fusion splits z once per scenario. Nodes are told
+    apart by their backward rule, which is defined inside the op."""
+    for variant, want in (("full", (4, 3)), ("wo_fusion", (4, 2))):
+        model = make_model(variant=variant)
+        states = model.init_states()
+        with ad.Tape() as tape:
+            model.step(states, toy_store(), 2)
+        ops = [rule.__qualname__.split(".")[0] for _, (_, rule) in tape.nodes]
+        assert (ops.count("row_block"), ops.count("concat_rows")) == want, variant
+        assert len(ops) == {"full": 67, "wo_fusion": 39}[variant]
 
 
 def test_step_clock_enforced():
@@ -471,9 +489,10 @@ def test_evolve_states_without_tape_keeps_no_iterates():
 def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
     """No rule keeps a fusion intermediate: every ``linear`` output (the gate
     logits, read by no rule, as the softmax reads its own output; the
-    experts, which the mixes' rules read through recipes) and every
-    ``gate_mix`` output, the per-class mixes, is freed once the forward code
-    drops it. The gradients are the bytes that keeping the experts gave."""
+    experts, which the mixes' rules read through recipes) and the ``final``
+    task's per-class mixes, copied into z, are freed once the forward code
+    drops them. The scenarios' mixes are the blocks ``fuse`` returns. The
+    gradients are the bytes that keeping the experts gave."""
     import weakref
     model = make_model(n_users=5, n_items=4, d=6)
     rng = np.random.default_rng(41)
@@ -495,19 +514,24 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
             r.clear()
         with ad.Tape() as tape:
             fused, z = model.fuse({"his": xh, "ctx": xc})
-            h, c = fused["his"], fused["ctx"]
             # per entity class: 7 linear layers (shared, 3 gates, 3 experts), 3 mixes
             assert len(refs["linear"]) == 2 * 7 and len(refs["gate_mix"]) == 2 * 3
             # in each class the shared expert, then per task its gate and its expert
             gates = [r for k in (0, 7) for r in refs["linear"][k + 1:k + 7:2]]
             experts = [r for k in (0, 7) for r in refs["linear"][k:k + 7:2]]
-            assert all(r() is None for r in gates + refs["gate_mix"])
+            # in each class the his, ctx and final mixes
+            finals = [refs["gate_mix"][k] for k in (2, 5)]
+            assert all(r() is None for r in gates + finals)
+            assert all(block.value is refs["gate_mix"][k + j]()
+                       for j, sc in enumerate(("his", "ctx"))
+                       for block, k in zip(fused[sc], (0, 3)))
             alive = [r() is not None for r in experts]
             # their nodes stay on the tape, as handles without values
             handles = sum(o.value.size == 0 for o, _ in tape.nodes)
             # per class: 2 row blocks, their concatenation, the shared expert and
-            # per task its gate linear, softmax, expert linear and mix; 3 stacks
-            assert len(tape.nodes) == 2 * (2 + 1 + 1 + 3 * 4) + 3
+            # per task its gate linear, softmax, expert linear and mix; z's stack
+            assert len(tape.nodes) == 2 * (2 + 1 + 1 + 3 * 4) + 1
+            h, c = (ad.concat_rows(*fused[sc]) for sc in ("his", "ctx"))
             loss = ad.mean_all(ad.add(ad.add(h, c), z))
         grads = ad.backward(loss, tape, params=[xh, xc])
         return alive, handles, [grads[xh], grads[xc]]
