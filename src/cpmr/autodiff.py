@@ -11,9 +11,10 @@ knows its ``Var`` only through a weak reference, so reference counting frees
 each intermediate as soon as the forward code drops it. A backward rule
 captures the arrays or shapes it reads, never a ``Var`` it does not read;
 what no rule reads is not kept. A rule keeps a pure copy (a ``row_select``
-gather, a ``concat_cols`` of such, an ``spmm`` product) or a ``linear``
-output as a recipe, its sources plus an index or weights, and rebuilds the
-same bytes (a layer by one GEMM); sources must not be mutated before ``backward``.
+gather, a ``concat_cols`` of such, an ``spmm`` product larger than its dense
+operand; a smaller one is kept as it is) or a ``linear`` output as a recipe,
+its sources plus an index or weights, and rebuilds the same bytes (a layer
+by one GEMM); sources must not be mutated before ``backward``.
 
 Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 ``graph_flow``; gradients flow through the dense operands.
@@ -137,7 +138,8 @@ def _check(cond, op, *shapes):
 def matmul(a: Var, b: Var) -> Var:
     _check(a.value.shape[1] == b.value.shape[0], "matmul", a.shape, b.shape)
     out = Var(a.value @ b.value)
-    _record(out, (a, b), lambda g, a=_keep(a), b=_keep(b): (g @ b.value.T, a.value.T @ g))
+    # a C-ordered b.T: OpenBLAS rounds a few-row g times a transposed b unlike a taller g
+    _record(out, (a, b), lambda g, a=_keep(a), b=_keep(b): (g @ b.value.T.copy(), a.value.T @ g))
     return out
 
 
@@ -145,7 +147,7 @@ def spmm(s, x: Var) -> Var:
     """Sparse @ dense. ``s`` is a constant scipy sparse matrix."""
     _check(s.shape[1] == x.value.shape[0], "spmm", s.shape, x.shape)
     out = Var(np.asarray(s @ x.value))
-    if _ACTIVE_TAPE is not None:
+    if _ACTIVE_TAPE is not None and out.value.size > x.value.size:   # keep the smaller
         out._recipe = _Recipe(operator.matmul, s, x.value)
     _record(out, (x,), lambda g, s=s: (np.asarray(s.T @ g),))
     return out
@@ -303,13 +305,17 @@ def row_block(x: Var, start, stop) -> Var:
     return out
 
 
-def masked_add(base: Var, mask, delta: Var) -> Var:
-    """base + mask * delta, with mask a constant (n, 1) 0/1 array."""
-    mask = np.asarray(mask, dtype=np.float64).reshape(-1, 1)
-    _check(base.shape == delta.shape and mask.shape[0] == base.value.shape[0],
-           "masked_add", base.shape, mask.shape, delta.shape)
-    out = Var(base.value + mask * delta.value)
-    _record(out, (base, delta), lambda g, mask=mask: (g, g * mask))
+def row_replace(x: Var, idx, rows: Var) -> Var:
+    """x with its rows ``idx`` (distinct ids) replaced by ``rows``, in order."""
+    idx = np.asarray(idx, dtype=np.int64)
+    _check(rows.value.shape == (len(idx), x.value.shape[1]), "row_replace", x.shape, rows.shape)
+    out = Var(x.value.copy())
+    out.value[idx] = rows.value
+    def rule(g, idx=idx):
+        g_x = g.copy()
+        g_x[idx] = 0.0
+        return g_x, g[idx]
+    _record(out, (x, rows), rule)
     return out
 
 

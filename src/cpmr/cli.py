@@ -48,9 +48,9 @@ def _build_parser():
     se.add_argument("--checkpoint", required=True)
     se.add_argument("--split", choices=["val", "test"], default=None)
 
-    sw = sub.add_parser("sweep", help="sweep s_days or n_tbptt")
+    sw = sub.add_parser("sweep", help="sweep s_days, n_tbptt or the seed")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--param", required=True, choices=["s_days", "n_tbptt"])
+    sw.add_argument("--param", required=True, choices=["s_days", "n_tbptt", "seed"])
     sw.add_argument("--values", required=True, type=int_list,
                     help="comma-separated integers")
 

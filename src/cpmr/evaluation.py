@@ -148,17 +148,17 @@ def validation_mrr(model: CpmrModel, states, dataset: Dataset) -> float:
 
 def sweep(dataset, param, values, model_config: ModelConfig,
           train_config: TrainConfig, split="test"):
-    """Train/evaluate once per value of s_days, n_tbptt or variant; rows in input order."""
-    if param not in ("s_days", "n_tbptt", "variant"):
-        raise ConfigError(f"cannot sweep {param!r}: expected s_days, n_tbptt or variant")
+    """Train/evaluate once per value of s_days, n_tbptt, seed or variant; rows in input order."""
+    if param not in ("s_days", "n_tbptt", "seed", "variant"):
+        raise ConfigError(f"cannot sweep {param!r}: expected s_days, n_tbptt, seed or variant")
     if not values:
         raise ConfigError("empty sweep value list")
     rows = []
     for v in values:
         v = v if param == "variant" else int(v)
         mcfg, tcfg = model_config, train_config
-        if param == "n_tbptt":
-            tcfg = dataclasses.replace(train_config, n_tbptt=v)
+        if param in ("n_tbptt", "seed"):
+            tcfg = dataclasses.replace(train_config, **{param: v})
         else:
             mcfg = dataclasses.replace(model_config, **{param: v})
         model, _ = train(dataset, mcfg, tcfg)

@@ -30,7 +30,7 @@ def op_checks(seed=0):
 
     smat = sp.random(4, 3, density=0.6, random_state=np.random.RandomState(seed),
                      format="csr")
-    mask = (rng.random((3, 1)) > 0.4).astype(float)
+    rep = np.argsort(rng.random(3))[:2]        # two distinct rows, in a random order
     idx = np.array([2, 0, 2, 1])
     # non-symmetric: a backward using N in place of N^T fails
     flow_n = 0.4 * sp.random(5, 5, density=0.5, random_state=seed + 1, format="csr")
@@ -66,8 +66,8 @@ def op_checks(seed=0):
         "row_select": (mats((3, 2)),
                        lambda p: ad.mean_all(ad.hadamard(
                            ad.row_select(p[0], idx), ad.constant(_cmat(2, rows=4))))),
-        "masked_add": (mats((3, 2), (3, 2)),
-                       lambda p: ad.mean_all(ad.masked_add(p[0], mask, p[1]))),
+        "row_replace": (mats((4, 2), (2, 2)), lambda p: ad.mean_all(ad.hadamard(
+            ad.row_replace(p[0], rep, p[1]), ad.constant(_cmat(2, rows=4))))),
         "sum_cols": (mats((3, 4)), lambda p: ad.mean_all(ad.sum_cols(p[0]))),
         "reshape": (mats((3, 4)),
                     lambda p: ad.mean_all(ad.hadamard(

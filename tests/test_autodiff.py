@@ -91,20 +91,22 @@ def test_tape_holds_handles_and_backward_pops_them():
 
 def test_rules_keep_recipes_not_pure_copies(monkeypatch):
     """Under a tape a gather, a concatenation of gathers, a sparse product
-    and a dense layer's output die once the forward drops them: the rules
-    that read them (a ``linear`` layer's, a ``hadamard``'s and a
-    ``gate_mix``'s) keep recipes, and the gradients are the bytes that
-    keeping the copies gave. Without a tape no recipe is made."""
+    larger than its dense operand and a dense layer's output die once the
+    forward drops them: the rules that read them (a ``linear`` layer's, a
+    ``hadamard``'s and a ``gate_mix``'s) keep recipes, and the gradients are
+    the bytes that keeping the copies gave. A sparse product no larger than
+    its operand is kept as it is. Without a tape no recipe is made."""
     rng = np.random.default_rng(0)
     x, w = ad.constant(rng.normal(size=(5, 3))), ad.constant(rng.normal(size=(6, 3)))
     bias, mix = ad.constant(rng.normal(size=(1, 3))), ad.constant(rng.normal(size=(4, 2)))
-    s = sp.random(4, 5, density=0.5, random_state=np.random.RandomState(0), format="csr")
+    y = ad.constant(rng.normal(size=(3, 3)))
+    s = sp.random(4, 3, density=0.5, random_state=np.random.RandomState(0), format="csr")
 
     def run():
         with ad.Tape() as tape:
             picked = ad.row_select(x, [4, 0, 0, 2])
             both = ad.concat_cols(picked, ad.row_select(x, [1, 1, 3, 0]))
-            prod = ad.spmm(s, x)
+            prod = ad.spmm(s, y)
             layer = ad.linear(both, w, bias)
             loss = ad.add(sum_all(ad.hadamard(layer, prod)),
                           sum_all(ad.gate_mix(mix, ad.hadamard(picked, prod), layer)))
@@ -112,11 +114,13 @@ def test_rules_keep_recipes_not_pure_copies(monkeypatch):
             del picked, both, prod, layer
             alive = [r() is not None for r in refs]
         g = ad.backward(loss, tape)
-        return alive, [g[v] for v in (x, w, bias, mix)]
+        return alive, [g[v] for v in (x, w, bias, mix, y)]
 
     alive, grads = run()
     assert alive == [False] * 4
     assert not hasattr(ad.linear(ad.concat_cols(x, x), w, bias), "_recipe")
+    with ad.Tape():
+        assert not hasattr(ad.spmm(s.T.tocsr(), mix), "_recipe")
     monkeypatch.setattr(ad, "_keep", lambda v: v)
     kept_alive, kept = run()
     assert kept_alive == [True] * 4

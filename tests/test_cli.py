@@ -173,6 +173,14 @@ def test_sweep_n_tbptt(workspace):
     assert (out / "sweep.csv").read_text().startswith("n_tbptt,")
 
 
+def test_sweep_seed(workspace):
+    tmp_path, out, cfg = workspace
+    assert main(["sweep", "--config", str(cfg), "--param", "seed", "--values", "0,1"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "seed,mrr,recall_at_10"
+    assert [l.split(",")[0] for l in lines[1:]] == ["0", "1"]
+
+
 def test_ablate_forwards_variant(workspace, capsys):
     tmp_path, out, cfg = workspace
     rc = main(["ablate", "--config", str(cfg), "--variant", "wo_fusion"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,11 @@ def test_sweep_over_variants_and_int_params():
     model, _ = train(ds, ModelConfig(d=4, s_days=3, taylor_order=3, variant="wo_fusion"), tcfg)
     assert rows[0]["mrr"] == incremental_eval(ds, model).mrr
     assert sweep(ds, "s_days", ["2"], mcfg, tcfg)[0]["s_days"] == 2
+    rows = sweep(ds, "seed", ["3", 1], mcfg, tcfg)
+    for row, seed in zip(rows, (3, 1), strict=True):
+        model, _ = train(ds, mcfg, dataclasses.replace(tcfg, seed=seed))
+        report = incremental_eval(ds, model, seed=seed)
+        assert row == {"seed": seed, "mrr": report.mrr, "recall_at_10": report.recall_at_10}
     with pytest.raises(ConfigError, match="variant"):
         sweep(ds, "variant", ["wo_both"], mcfg, tcfg)
     with pytest.raises(ConfigError, match="cannot sweep 'd'"):

@@ -159,7 +159,58 @@ def test_fuse_gate_rows_sum_to_one():
     np.testing.assert_allclose(w.value.sum(axis=1), np.ones(4), atol=1e-12)
 
 
-def test_update_instant_masked_oracle():
+UPDATE_WEIGHTS = ("w_i2u", "w_u2i", "w_u2u", "w_i2i")
+
+
+def dense_instant_oracle(model, xu, xi, b, scenario="his"):
+    """The jump on dense arrays: involved rows x + ((x w_self - x) + relu(mean @ w)),
+    every other row as it was."""
+    w = {k: model.params[f"update.{scenario}.{k}"].value for k in UPDATE_WEIGHTS}
+    out = []
+    for x, other, adj, w_self, w_nb in ((xu, xi, b, w["w_u2u"], w["w_i2u"]),
+                                        (xi, xu, b.T, w["w_i2i"], w["w_u2i"])):
+        deg = adj.sum(axis=1, keepdims=True)
+        mean = np.divide(adj, deg, out=np.zeros_like(adj), where=deg > 0) @ other
+        jumped = x + ((x @ w_self - x) + np.maximum(mean @ w_nb, 0.0))
+        out.append(np.where(deg > 0, jumped, x))
+    return np.concatenate(out)
+
+
+def instant_days():
+    """(name, store, day): instant graphs from a 4-user x 5-item log."""
+    users = [0, 2, 0,  1,  0, 1, 2, 3, 0, 1, 2, 3,  1, 3, 1]
+    items = [0, 1, 1,  3,  0, 1, 2, 3, 4, 4, 4, 4,  2, 0, 2]
+    days = [0, 0, 0,  1,  2, 2, 2, 2, 2, 2, 2, 2,  3, 3, 3]
+    store = EdgeStore(np.array(users), np.array(items), np.array(days), 4, 5)
+    return [("mixed", store, 0), ("one_user_one_item", store, 1),
+            ("every_node", store, 2), ("duplicated_pair", store, 3), ("empty", store, 4)]
+
+
+def test_update_instant_rows_oracle():
+    """The row-sparse jump against the dense oracle and central differences on
+    a mixed day, a day of one user and one item (single-row products), a day
+    that involves every node, a day with a (u, i) pair twice (it counts once
+    in the means) and an empty day."""
+    model = make_model(n_users=4, n_items=5, d=4)
+    rng = np.random.default_rng(13)
+    weight = ad.constant(rng.normal(size=(9, 4)))
+    for name, store, day in instant_days():
+        b = store.instant_biadjacency(day)
+        ops = averaging_operators(b)
+        assert [len(ids) for ids, _, _ in ops] == \
+            {"mixed": [2, 2], "one_user_one_item": [1, 1], "every_node": [4, 5],
+             "duplicated_pair": [2, 2], "empty": [0, 0]}[name]
+        xu, xi = ad.Var(rng.normal(size=(4, 4))), ad.Var(rng.normal(size=(5, 4)))
+        out = model.update_instant(xu, xi, ops, "his").value
+        np.testing.assert_allclose(out, dense_instant_oracle(model, xu.value, xi.value,
+                                                             b.toarray()), atol=1e-12)
+        params = [xu, xi, *(model.params[f"update.his.{k}"] for k in UPDATE_WEIGHTS)]
+        err = ad.grad_check(lambda p: ad.mean_all(ad.hadamard(
+            model.update_instant(p[0], p[1], ops, "his"), weight)), params)
+        assert err < 1e-7, name
+
+
+def test_update_instant_mixed_oracle_by_hand():
     model = make_model(n_users=3, n_items=3, d=4)
     rng = np.random.default_rng(13)
     x = ad.constant(rng.normal(size=(6, 4)))
@@ -183,13 +234,68 @@ def test_update_instant_masked_oracle():
     np.testing.assert_allclose(out, np.concatenate([want_u, want_i]), atol=1e-12)
 
 
-def test_update_instant_masked_uninvolved_untouched():
+def test_update_instant_keeps_uninvolved_rows_and_empty_days_byte_for_byte():
+    """Rows the day does not involve keep their bytes, -0.0 included, and an
+    empty day returns x's bytes."""
     model = make_model(n_users=3, n_items=3, d=4)
     rng = np.random.default_rng(15)
-    x = ad.constant(rng.normal(size=(6, 4)))
-    out = model.update_instant(ad.constant(x.value[:3]), ad.constant(x.value[3:]),
+    x = rng.normal(size=(6, 4))
+    x[1, 2] = x[5, 0] = -0.0                     # user 1 and item 2 are not involved
+    out = model.update_instant(ad.constant(x[:3]), ad.constant(x[3:]),
                                averaging_operators(sp.csr_matrix((3, 3))), "his").value
-    np.testing.assert_array_equal(out, x.value)
+    assert out.tobytes() == x.tobytes()
+    b = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    out = model.update_instant(ad.constant(x[:3]), ad.constant(x[3:]),
+                               averaging_operators(b), "his").value
+    for r in (1, 5):
+        assert out[r].tobytes() == x[r].tobytes()
+    assert np.signbit(out[[1, 5], [2, 0]]).all()
+
+
+def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
+    """After a taped ``step`` the his/ctx blocks that ``fuse`` hands to
+    ``update_instant`` are freed while the tape still holds the day: the
+    instant update takes its rows by 0/1 sparse selections and keeps the
+    products, and every matrix its rules keep, apart from the weights, has
+    the day's involved user or item count of rows."""
+    import weakref
+    users = np.array([0, 3, 3, 5, 1, 2, 7, 4, 2, 6])
+    items = np.array([0, 1, 4, 2, 3, 5, 6, 2, 5, 5])
+    days = np.array([0, 0, 0, 1, 1, 1, 2, 3, 3, 3])
+    store = EdgeStore(users, items, days, 8, 7)
+    model = make_model(n_users=8, n_items=7)
+    involved = (3, 2)                    # day 3: users 2, 4, 6 and items 2, 5
+    _, states = model.step(model.init_states(), store, 1)
+    update_instant, blocks, spans = model.update_instant, [], []
+
+    def watched(x_u, x_i, ops, scenario):
+        blocks.extend(weakref.ref(x.value) for x in (x_u, x_i))
+        start = len(tape.nodes)
+        out = update_instant(x_u, x_i, ops, scenario)
+        spans.append((start, len(tape.nodes)))
+        return out
+
+    model.update_instant = watched
+    with ad.Tape() as tape:
+        z, new = model.step(states, store, 3)
+        assert len(blocks) == 4 and all(r() is None for r in blocks)
+        loss = ad.mean_all(ad.hadamard(ad.add(new.x["his"], new.x["ctx"]), z))
+    params = [id(p) for p in model.params.values()]
+    rows = set()
+    for start, stop in spans:
+        for _, (_, rule) in tape.nodes[start:stop]:
+            kept = list(rule.__defaults__ or ()) + [c.cell_contents
+                                                    for c in rule.__closure__ or ()]
+            for obj in kept:
+                if id(obj) in params:
+                    continue
+                value = getattr(obj, "value", obj)
+                if sp.issparse(value) or getattr(value, "ndim", 0) == 2:
+                    rows.add(value.shape[0])
+    assert rows == set(involved)
+    grads = ad.backward(loss, tape, params=model.params.values())
+    assert all(np.isfinite(g).all() for g in grads.values())
+    assert np.abs(grads[model.params["update.ctx.w_u2u"]]).max() > 0
 
 
 def test_row_blocks_give_the_row_select_gradients(monkeypatch):
@@ -277,7 +383,7 @@ def test_step_splits_and_joins_each_scenario_once():
             model.step(states, toy_store(), 2)
         ops = [rule.__qualname__.split(".")[0] for _, (_, rule) in tape.nodes]
         assert (ops.count("row_block"), ops.count("concat_rows")) == want, variant
-        assert len(ops) == {"full": 67, "wo_fusion": 39}[variant]
+        assert len(ops) == {"full": 75, "wo_fusion": 47}[variant]
 
 
 def test_step_clock_enforced():
