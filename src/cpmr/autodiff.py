@@ -10,11 +10,13 @@ Ownership: the tape holds handles (:class:`TapeNode`), not values. A handle
 knows its ``Var`` only through a weak reference, so reference counting frees
 each intermediate as soon as the forward code drops it. A backward rule
 captures the arrays or shapes it reads, never a ``Var`` it does not read;
-what no rule reads is not kept. A rule keeps a pure copy (a ``row_select``
-gather, a ``concat_cols`` of such, an ``spmm`` product larger than its dense
-operand; a smaller one is kept as it is) or a ``linear`` output as a recipe,
-its sources plus an index or weights, and rebuilds the same bytes (a layer
-by one GEMM); sources must not be mutated before ``backward``.
+what no rule reads is not kept. A rule (and ``graph_flow`` its input) keeps
+a recipe for a ``row_select`` gather, a ``concat_cols``/``concat_rows`` or
+``row_replace`` over recipes, an ``spmm`` product larger than its dense
+operand, a ``linear`` or a ``gate_mix``: the op's function and its sources,
+as recipes where they have one. It is built at most once per backward, on
+its first read, and freed after its last reader (``_keep`` counts them);
+sources must not be mutated before ``backward``.
 
 Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 ``graph_flow``; gradients flow through the dense operands.
@@ -95,6 +97,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []  # (out_node, (in_nodes, rule)); rule(g) -> a gradient per input
+        self.built = {}  # recipe -> its value in backward, from its first read to its last
         self.consumed = False
 
     def __enter__(self):
@@ -117,13 +120,35 @@ def _record(out, inputs, rule):
 
 
 class _Recipe(functools.partial):
-    """Rebuilds a pure copy or a layer's output from its sources; read ``.value`` as a Var's."""
-    value = property(lambda self: self())
+    """``func`` of its sources' values; read ``.value`` as a Var's, once per reader."""
+    readers = 0
+
+    @property
+    def value(self):
+        v = self.built.pop(self, None)
+        v = self.func(*(getattr(a, "value", a) for a in self.args)) if v is None else v
+        self.readers -= 1
+        if self.readers > 0:
+            self.built[self] = v
+        return v
 
 
 def _keep(v):
-    """What a rule keeps to read ``v``: under a tape, its recipe if it has one; else ``v``."""
-    return v if _ACTIVE_TAPE is None else getattr(v, "_recipe", None) or v
+    """What a rule or recipe keeps to read ``v`` once: its recipe, one more reader, if any."""
+    r = getattr(v, "_recipe", None) if _ACTIVE_TAPE is not None else None
+    if r is None:
+        return v
+    r.readers += 1
+    return r
+
+
+def _rebuildable(fn, *args, recipe=True):
+    """A Var of ``fn`` over the values of ``args``; under a tape, if ``recipe``, it has one."""
+    out = Var(fn(*[a.value if isinstance(a, Var) else a for a in args]))
+    if recipe and _ACTIVE_TAPE is not None:
+        out._recipe = _Recipe(fn, *map(_keep, args))
+        out._recipe.built = _ACTIVE_TAPE.built
+    return out
 
 
 def _check(cond, op, *shapes):
@@ -146,9 +171,8 @@ def matmul(a: Var, b: Var) -> Var:
 def spmm(s, x: Var) -> Var:
     """Sparse @ dense. ``s`` is a constant scipy sparse matrix."""
     _check(s.shape[1] == x.value.shape[0], "spmm", s.shape, x.shape)
-    out = Var(np.asarray(s @ x.value))
-    if _ACTIVE_TAPE is not None and out.value.size > x.value.size:   # keep the smaller
-        out._recipe = _Recipe(operator.matmul, s, x.value)
+    # keep the smaller: a recipe only for a product with more rows than x
+    out = _rebuildable(operator.matmul, s, x.value, recipe=s.shape[0] > x.shape[0])
     _record(out, (x,), lambda g, s=s: (np.asarray(s.T @ g),))
     return out
 
@@ -185,17 +209,15 @@ def linear(x: Var, w: Var, b: Var) -> Var:
     """One dense layer: x @ w with the (1, m) row b added to every row."""
     _check(x.value.shape[1] == w.value.shape[0] and b.value.shape == (1, w.value.shape[1]),
            "linear", x.shape, w.shape, b.shape)
-    out = Var(_affine(x, w, b))
-    if _ACTIVE_TAPE is not None:
-        out._recipe = _Recipe(_affine, _keep(x), w, b)
+    out = _rebuildable(_affine, x, w, b)
     _record(out, (x, w, b), lambda g, x=_keep(x), w=_keep(w): (
         g @ w.value.T, x.value.T @ g, g.sum(axis=0, keepdims=True)))
     return out
 
 
 def _affine(x, w, b):
-    y = x.value @ w.value
-    y += b.value
+    y = x @ w
+    y += b
     return y
 
 
@@ -203,12 +225,13 @@ def gate_mix(w: Var, a: Var, b: Var) -> Var:
     """Row-wise two-way mix a * w[:, 0] + b * w[:, 1], with w of shape (n, 2)."""
     _check(a.shape == b.shape and w.value.shape == (a.value.shape[0], 2),
            "gate_mix", w.shape, a.shape, b.shape)
-    out = Var(a.value * w.value[:, 0:1] + b.value * w.value[:, 1:2])
+    out = _rebuildable(lambda w, a, b: a * w[:, 0:1] + b * w[:, 1:2], w, a, b)
     def rule(g, w=_keep(w), a=_keep(a), b=_keep(b)):
         # + 0.0: a row sum of -0.0 reads +0.0, whichever zero numpy's sum gives
         g_w = np.concatenate([np.sum(g * a.value, axis=1, keepdims=True),
                               np.sum(g * b.value, axis=1, keepdims=True)], axis=1) + 0.0
-        return g_w, g * w.value[:, 0:1], g * w.value[:, 1:2]
+        w = w.value
+        return g_w, g * w[:, 0:1], g * w[:, 1:2]
     _record(out, (w, a, b), rule)
     return out
 
@@ -217,9 +240,8 @@ def concat_cols(*parts: Var) -> Var:
     rows = parts[0].value.shape[0]
     _check(all(p.value.shape[0] == rows for p in parts), "concat_cols",
            *[p.shape for p in parts])
-    out = Var(np.concatenate([p.value for p in parts], axis=1))
-    if _ACTIVE_TAPE is not None and all(rs := [getattr(p, "_recipe", None) for p in parts]):
-        out._recipe = _Recipe(lambda: np.concatenate([r.value for r in rs], axis=1))
+    out = _rebuildable(lambda *v: np.concatenate(v, axis=1), *parts,
+                       recipe=all(hasattr(p, "_recipe") for p in parts))
     cuts = np.cumsum([p.value.shape[1] for p in parts[:-1]])
     _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=1))
     return out
@@ -229,7 +251,8 @@ def concat_rows(*parts: Var) -> Var:
     cols = parts[0].value.shape[1]
     _check(all(p.value.shape[1] == cols for p in parts), "concat_rows",
            *[p.shape for p in parts])
-    out = Var(np.concatenate([p.value for p in parts], axis=0))
+    out = _rebuildable(lambda *v: np.concatenate(v, axis=0), *parts,
+                       recipe=all(hasattr(p, "_recipe") for p in parts))
     cuts = np.cumsum([p.value.shape[0] for p in parts[:-1]])
     _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=0))
     return out
@@ -282,9 +305,7 @@ def logsumexp_rows(x: Var) -> Var:
 def row_select(x: Var, idx) -> Var:
     """Gather rows by ids in [0, n); duplicate ids accumulate gradient."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Var(x.value[idx])
-    if _ACTIVE_TAPE is not None:
-        out._recipe = _Recipe(operator.getitem, x.value, idx)
+    out = _rebuildable(operator.getitem, x, idx)
     def rule(g, n=x.shape[0], idx=idx):
         # bincount sums each entry's draws from 0.0 in draw order, as np.add.at into zeros
         d = g.shape[1]
@@ -309,13 +330,18 @@ def row_replace(x: Var, idx, rows: Var) -> Var:
     """x with its rows ``idx`` (distinct ids) replaced by ``rows``, in order."""
     idx = np.asarray(idx, dtype=np.int64)
     _check(rows.value.shape == (len(idx), x.value.shape[1]), "row_replace", x.shape, rows.shape)
-    out = Var(x.value.copy())
-    out.value[idx] = rows.value
+    out = _rebuildable(_replace, x, idx, rows.value, recipe=hasattr(x, "_recipe"))
     def rule(g, idx=idx):
         g_x = g.copy()
         g_x[idx] = 0.0
         return g_x, g[idx]
     _record(out, (x, rows), rule)
+    return out
+
+
+def _replace(x, idx, rows):
+    out = x.copy()
+    out[idx] = rows
     return out
 
 
@@ -348,7 +374,7 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     scratch buffers per sub-step hold ``y * gate`` and the ``X / k! + tau E / (k+1)!``
     term, and each iterate is finished in place in the fresh array ``N @ scratch``
     returns. Under a tape the rule keeps only each sub-step's input (the first
-    is ``x.value`` itself); the adjoint recomputes the sub-step's iterates
+    as ``_keep(x)``); the adjoint recomputes the sub-step's iterates
     y_K ... y_1 from it, K-1 sparse products, just before the transposed
     recurrence reads them, and runs that recurrence in place with one scratch buffer.
     """
@@ -368,9 +394,9 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     tau = dt / steps
     inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
     s, ev, cur = gate.value, e.value, x.value
-    inputs = [] if _ACTIVE_TAPE is not None else None
-    for _ in range(steps):
-        if inputs is not None:
+    inputs = [_keep(x)] if _ACTIVE_TAPE is not None else None
+    for i in range(steps):
+        if i and inputs is not None:
             inputs.append(cur)
         cur = _horner_substep(cur, s, ev, n, tau, inv_fact)
     out = Var(cur)
@@ -380,8 +406,9 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
         buf = np.empty(ev.shape)
         while inputs:
             iterates = []             # y_K ... y_1 of the sub-step, popped from y_1
-            _horner_substep(inputs.pop(), s, ev, n, tau, inv_fact, stop=1,
-                            iterates=iterates)
+            start = inputs.pop()
+            _horner_substep(start if inputs else start.value, s, ev, n, tau, inv_fact,
+                            stop=1, iterates=iterates)
             for k in range(order):
                 h = np.asarray(nt @ g)
                 np.multiply(h, iterates.pop(), out=buf)
@@ -437,10 +464,10 @@ def _horner_substep(cur, s, ev, n, tau, inv_fact, stop=0, iterates=None):
 def backward(loss: Var, tape: Tape, params=None):
     """Run the tape in reverse from a 1x1 loss.
 
-    Returns a dict mapping Var -> gradient array for the reached leaves
-    that are still alive. Parameters in ``params`` that the loss does not
-    reach get explicit zero gradients. Each node is popped as it runs, so
-    the tape ends empty and cannot be consumed again.
+    Returns a dict mapping Var -> gradient array for the reached leaves that
+    are still alive. Parameters in ``params`` the loss does not reach get
+    explicit zero gradients. Each node is popped as it runs, so the tape ends
+    empty and cannot be consumed again; no recipe keeps a built value after.
     """
     if tape.consumed:
         raise CpmrError("tape already consumed by a previous backward pass")
@@ -458,6 +485,7 @@ def backward(loss: Var, tape: Tape, params=None):
             continue
         for inp, contrib in zip(inputs, rule(g)):
             grads[inp] = grads[inp] + contrib if inp in grads else contrib
+    tape.built.clear()
     result = {}
     for node, g in grads.items():
         var = node.var()

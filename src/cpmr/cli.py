@@ -138,7 +138,7 @@ def cmd_eval(args):
 def cmd_sweep(args):
     run, ds = _load_run(args.config)
     rows = sweep(ds, args.param, args.values, run.model, run.train,
-                 split=run.eval_split)
+                 split=run.eval_split, filter_interacted=run.eval_filter)
     os.makedirs(run.output_dir, exist_ok=True)
     sweep_rows_to_csv(rows, os.path.join(run.output_dir, "sweep.csv"))
     for r in rows:
@@ -149,7 +149,8 @@ def cmd_sweep(args):
 def cmd_ablate(args):
     run, ds = _load_run(args.config)
     model, _ = train(ds, dataclasses.replace(run.model, variant=args.variant), run.train)
-    report = incremental_eval(ds, model, split=run.eval_split, seed=run.train.seed)
+    report = incremental_eval(ds, model, split=run.eval_split, seed=run.train.seed,
+                              filter_interacted=run.eval_filter)
     _append_metrics(run, report)
     return 0
 

@@ -147,7 +147,7 @@ def validation_mrr(model: CpmrModel, states, dataset: Dataset) -> float:
 
 
 def sweep(dataset, param, values, model_config: ModelConfig,
-          train_config: TrainConfig, split="test"):
+          train_config: TrainConfig, split="test", filter_interacted=False):
     """Train/evaluate once per value of s_days, n_tbptt, seed or variant; rows in input order."""
     if param not in ("s_days", "n_tbptt", "seed", "variant"):
         raise ConfigError(f"cannot sweep {param!r}: expected s_days, n_tbptt, seed or variant")
@@ -162,7 +162,8 @@ def sweep(dataset, param, values, model_config: ModelConfig,
         else:
             mcfg = dataclasses.replace(model_config, **{param: v})
         model, _ = train(dataset, mcfg, tcfg)
-        report = incremental_eval(dataset, model, split=split, seed=tcfg.seed)
+        report = incremental_eval(dataset, model, split=split, seed=tcfg.seed,
+                                  filter_interacted=filter_interacted)
         rows.append({param: v, "mrr": report.mrr,
                      "recall_at_10": report.recall_at_10})
     return rows

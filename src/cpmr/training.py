@@ -8,6 +8,7 @@ states detached so gradients never cross segment boundaries.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -224,13 +225,11 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
                 seg_losses.append(loss)
                 day_losses.append(float(loss.value[0, 0]))
                 history.add_day(users, items)
-            total = seg_losses[0]
-            for l in seg_losses[1:]:
-                total = ad.add(total, l)
-            total = ad.scale(total, 1.0 / len(seg_losses))
+            total = ad.scale(functools.reduce(ad.add, seg_losses), 1.0 / len(seg_losses))
             grads = ad.backward(total, tape, params=model.params.values())
             named = {name: grads[var] for name, var in model.params.items()}
             ad.adam_step(model.params, named, lr, cfg.weight_decay, opt)
+            del grads, named      # parameter-sized: free them before the next segment
         rec = SegmentRecord(epoch, seg_days[0], seg_days[-1], len(seg_days),
                             float(total.value[0, 0]), lr, time.monotonic() - t0)
         segments.append(rec)

@@ -190,6 +190,25 @@ def test_ablate_forwards_variant(workspace, capsys):
     assert not [k for k in report["config"] if k.startswith("disable_")]
 
 
+def test_ablate_ranks_with_the_run_filter(workspace, capsys):
+    """With ``eval.filter_interacted=true`` the ablate report is filtered and
+    equals what ``cpmr train`` and then ``cpmr eval`` give."""
+    tmp_path, out, _ = workspace
+    cfg = tmp_path / "filtered.cfg"
+    write_config(cfg, out / "dataset.bin", out, extra=["eval.filter_interacted=true"])
+    assert main(["ablate", "--config", str(cfg), "--variant", "full"]) == 0
+    ablate = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert ablate["config"]["filter_interacted"] is True
+    main(["train", "--config", str(cfg)])
+    capsys.readouterr()
+    mrr = {}
+    for name in ("filtered.cfg", "run.cfg"):           # run.cfg leaves the filter off
+        main(["eval", "--config", str(tmp_path / name), "--checkpoint",
+              str(out / "checkpoint.bin")])
+        mrr[name] = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["mrr"]
+    assert mrr["filtered.cfg"] == ablate["mrr"] != mrr["run.cfg"]
+
+
 def test_unknown_variant_exit_code(workspace, capsys):
     tmp_path, out, _ = workspace
     bad = tmp_path / "bad.cfg"

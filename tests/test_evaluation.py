@@ -198,6 +198,18 @@ def test_sweep_over_variants_and_int_params():
         sweep(ds, "d", [4], mcfg, tcfg)
 
 
+def test_sweep_forwards_the_filter():
+    """A one-value sweep with ``filter_interacted`` gives the report of a
+    filtered ``incremental_eval`` of the model it trains."""
+    ds = eval_dataset(seed=4, n_items=12, n_days=30)
+    mcfg, tcfg = ModelConfig(d=4, s_days=3, taylor_order=3), TrainConfig(n_tbptt=4, max_epochs=1)
+    model, _ = train(ds, mcfg, tcfg)
+    plain, filtered = (incremental_eval(ds, model, filter_interacted=f) for f in (False, True))
+    assert plain.mrr != filtered.mrr
+    row, = sweep(ds, "seed", [0], mcfg, tcfg, filter_interacted=True)
+    assert row == {"seed": 0, "mrr": filtered.mrr, "recall_at_10": filtered.recall_at_10}
+
+
 def test_sweep_rejects_an_empty_value_list():
     """The library path checks it: a sweep of nothing gave no rows, on which
     ``sweep_rows_to_csv`` died with an IndexError."""

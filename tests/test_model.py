@@ -595,10 +595,12 @@ def test_evolve_states_without_tape_keeps_no_iterates():
 def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
     """No rule keeps a fusion intermediate: every ``linear`` output (the gate
     logits, read by no rule, as the softmax reads its own output; the
-    experts, which the mixes' rules read through recipes) and the ``final``
-    task's per-class mixes, copied into z, are freed once the forward code
-    drops them. The scenarios' mixes are the blocks ``fuse`` returns. The
-    gradients are the bytes that keeping the experts gave."""
+    experts, which the mixes' rules and recipes read through recipes) and
+    the ``final`` task's per-class mixes, copied into z, are freed once the
+    forward code drops them. The scenarios' mixes are the blocks ``fuse``
+    returns. With ``_keep`` giving Vars, the rules and recipes keep the
+    experts, and z's recipe keeps the ``final`` mixes; the gradients are the
+    bytes that keeping them gave."""
     import weakref
     model = make_model(n_users=5, n_items=4, d=6)
     rng = np.random.default_rng(41)
@@ -627,11 +629,11 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
             experts = [r for k in (0, 7) for r in refs["linear"][k:k + 7:2]]
             # in each class the his, ctx and final mixes
             finals = [refs["gate_mix"][k] for k in (2, 5)]
-            assert all(r() is None for r in gates + finals)
+            assert all(r() is None for r in gates)
             assert all(block.value is refs["gate_mix"][k + j]()
                        for j, sc in enumerate(("his", "ctx"))
                        for block, k in zip(fused[sc], (0, 3)))
-            alive = [r() is not None for r in experts]
+            alive = [r() is not None for r in experts + finals]
             # their nodes stay on the tape, as handles without values
             handles = sum(o.value.size == 0 for o, _ in tape.nodes)
             # per class: 2 row blocks, their concatenation, the shared expert and
@@ -643,9 +645,9 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
         return alive, handles, [grads[xh], grads[xc]]
 
     alive, handles, grads = run()
-    assert alive == [False] * 8 and handles >= 2 * (7 + 3)
+    assert alive == [False] * 10 and handles >= 2 * (7 + 3)
     monkeypatch.setattr(ad, "_keep", lambda v: v)
     kept_alive, kept_handles, kept = run()
-    assert kept_alive == [True] * 8 and kept_handles == handles - 8
+    assert kept_alive == [True] * 10 and kept_handles == handles - 10
     assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
     assert np.abs(grads[0]).max() > 0 and np.abs(grads[1]).max() > 0

@@ -1,5 +1,7 @@
 import json
 import logging
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -337,31 +339,53 @@ def test_empty_negative_pools_counted_not_logged(tmp_path, caplog):
     assert epoch_line["negative_fallbacks"] > 0
 
 
-@pytest.mark.parametrize("variant", ["full", "wo_ctx", "wo_fusion"])
-def test_recipes_give_the_gradients_of_kept_copies(variant, monkeypatch):
-    """Rebuilding gathers, their concatenations and sparse products in the
-    backward gives every gradient byte for byte as keeping the copies did."""
+def recipe_days():
+    """Eight days of a 6 x 6 log, one of them with a single interaction."""
     rng = np.random.default_rng(4)
     events = [RawEvent(f"u{rng.integers(6)}", f"i{rng.integers(6)}", day * SECONDS_PER_DAY)
               for day in range(8) for _ in range(1 if day == 2 else 4)]
     ds = canonicalize(events)
-    store = EdgeStore.from_dataset(ds)
-    days = [int(d) for d in np.unique(ds.days)][:5]
+    return ds, EdgeStore.from_dataset(ds), [int(d) for d in np.unique(ds.days)]
+
+
+def taped_days(ds, store, days, config, hold=None):
+    """(model, loss, tape): taped ``step`` plus ``batch_loss`` over ``days``.
+
+    ``hold(z, states)``, if given, sees each day's prediction block and new
+    states before the forward drops them.
+    """
+    model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, config, rng=np.random.default_rng(0))
+    history, draws = InteractionHistory(ds.n_users, ds.n_items), np.random.default_rng(1)
+    with ad.Tape() as tape:
+        states, total = model.init_states(), None
+        for day in days:
+            z, states = model.step(states, store, day)
+            users, items = store.instant_edges(day)
+            loss = batch_loss(model, z, users, items, history, 3, draws)
+            total = loss if total is None else ad.add(total, loss)
+            history.add_day(users, items)
+            if hold:
+                hold(z, states)
+    return model, total, tape
+
+
+@pytest.mark.parametrize("variant, substeps", [("full", 1), ("wo_ctx", 1), ("wo_his", 1),
+                                               ("wo_fusion", 1), ("full", 3)],
+                         ids=["full", "wo_ctx", "wo_his", "wo_fusion", "full-3-substeps"])
+def test_recipes_give_the_gradients_of_kept_copies(variant, substeps, monkeypatch):
+    """Rebuilding gathers, their concatenations, sparse products, layers,
+    mixes, a day's states and its prediction block in the backward gives
+    every gradient byte for byte as keeping the copies did, also on a clock
+    of 3 Taylor sub-steps a day."""
+    ds, store, days = recipe_days()
+    days = days[:5]
     assert 1 in [len(store.instant_edges(d)[0]) for d in days]   # a one-interaction day
+    time_scale = (substeps - 0.5) * 0.125 / ds.day_unit         # a one-day gap, tau_max 0.125
+    config = ModelConfig(**SMALL_MODEL, variant=variant, time_scale=time_scale)
+    assert math.ceil(ds.day_unit * time_scale / config.tau_max) == substeps
 
     def grads():
-        model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit,
-                          ModelConfig(**SMALL_MODEL, variant=variant),
-                          rng=np.random.default_rng(0))
-        history, draws = InteractionHistory(ds.n_users, ds.n_items), np.random.default_rng(1)
-        with ad.Tape() as tape:
-            states, total = model.init_states(), None
-            for day in days:
-                z, states = model.step(states, store, day)
-                users, items = store.instant_edges(day)
-                loss = batch_loss(model, z, users, items, history, 3, draws)
-                total = loss if total is None else ad.add(total, loss)
-                history.add_day(users, items)
+        model, total, tape = taped_days(ds, store, days, config)
         g = ad.backward(total, tape, params=model.params.values())
         return {name: g[v] for name, v in model.params.items()}
 
@@ -371,6 +395,77 @@ def test_recipes_give_the_gradients_of_kept_copies(variant, monkeypatch):
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_backward_builds_each_shared_expert_once(monkeypatch):
+    """In the backward of two taped full-model days of ``step`` plus
+    ``batch_loss`` each class's shared expert is rebuilt by one GEMM a day,
+    not once per task mix that reads it: the first day's his, ctx and final
+    mixes all get gradients."""
+    ds, store, days = recipe_days()
+    affine, built = ad._affine, []
+    monkeypatch.setattr(ad, "_affine", lambda x, w, b: built.append(w) or affine(x, w, b))
+    model, loss, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
+    built.clear()
+    ad.backward(loss, tape, params=model.params.values())
+    for cls in ("user", "item"):
+        shared = model.params[f"fusion.{cls}.expert_shared.w"].value
+        assert sum(w is shared for w in built) == 2
+
+
+def test_no_recipe_holds_a_value_once_backward_returns(monkeypatch):
+    """Recipe values are cached between their readers in ``backward``, and
+    the ones whose last readers never ran (the last day's shared experts:
+    no loss reads that day's his and ctx mixes) are dropped when it returns."""
+    ds, store, days = recipe_days()
+    model, loss, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
+    value, cached = ad._Recipe.value, []
+    monkeypatch.setattr(ad._Recipe, "value",
+                        property(lambda r: cached.append(len(tape.built)) or value.fget(r)))
+    ad.backward(loss, tape, params=model.params.values())
+    assert max(cached) > 0 and tape.built == {}
+
+
+@pytest.mark.parametrize("variant", ["full", "wo_ctx", "wo_his"])
+def test_a_days_states_and_prediction_block_die_under_a_tape(variant):
+    """The rules that read a day's new states (the next day's graph flows)
+    and its prediction block z (the loss's gathers) keep recipes, so the
+    arrays die once the forward code drops them."""
+    ds, store, days = recipe_days()
+    refs = []
+
+    def hold(z, states):
+        refs.extend(weakref.ref(x.value) for x in (z, *states.x.values()))
+
+    config = ModelConfig(**SMALL_MODEL, variant=variant)
+    model, loss, tape = taped_days(ds, store, days[1:4], config, hold=hold)
+    assert len(refs) == 3 * (1 + len(model.config.scenarios))
+    assert [r() for r in refs] == [None] * len(refs)
+    grads = ad.backward(loss, tape, params=model.params.values())
+    assert all(np.isfinite(g).all() for g in grads.values())
+
+
+def test_a_segments_gradients_are_freed_before_the_next_segment(monkeypatch):
+    """The gradients of a segment, parameter-sized and those of its starting
+    states, are dead when the next segment's first ``step`` runs."""
+    import cpmr.training as tr
+    backward, grads, live = ad.backward, [], []
+
+    def watched(*args, **kw):
+        out = backward(*args, **kw)
+        grads.extend(weakref.ref(g) for g in out.values())
+        return out
+
+    class Watched(tr.CpmrModel):
+        def step(self, *args, **kw):
+            if grads:
+                live.append(sum(r() is not None for r in grads))
+            return super().step(*args, **kw)
+
+    monkeypatch.setattr(ad, "backward", watched)
+    monkeypatch.setattr(tr, "CpmrModel", Watched)
+    _, hist = train(tiny_dataset(), ModelConfig(**SMALL_MODEL), quick_cfg(max_epochs=1))
+    assert len(hist["segments"]) >= 2 and live and live == [0] * len(live)
 
 
 def test_taped_step_and_loss_keep_only_what_backward_reads():
@@ -383,7 +478,12 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
     ~9.4 since they keep recipes for dense layers' outputs too: the fusion
     experts and the per-draw representations, rebuilt by one GEMM; ~7.9
     since the instant update keeps only the day's involved rows, not the
-    fused n x d blocks its sparse products read."""
+    fused n x d blocks its sparse products read. Those figures count z and
+    the new states, which the caller holds (~8.2 now: the new states'
+    recipes keep the replacement rows). Once the caller drops them: ~5.9,
+    as the gathers' recipes pinned z; ~4.6 since z, the states and the
+    fusion mixes are recipes, and the tape keeps of the day the two fusion
+    inputs (2 state matrices), the involved rows and the graph operators."""
     import tracemalloc
     rng = np.random.default_rng(5)
     n_u, n_i = 300, 100
@@ -400,11 +500,14 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
     tracemalloc.start()
     try:
         with ad.Tape() as tape:
-            z, _ = model.step(states, store, day)
+            z, new = model.step(states, store, day)
             loss = batch_loss(model, z, u, i, InteractionHistory(n_u, n_i), 8,
                               np.random.default_rng(1))
+            held = tracemalloc.get_traced_memory()[0]
+            del z, new
             kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 9 * state_bytes
+    assert held < 9 * state_bytes
+    assert kept < 5 * state_bytes
     ad.backward(loss, tape, params=model.params.values())
