@@ -13,10 +13,11 @@ captures the arrays or shapes it reads, never a ``Var`` it does not read;
 what no rule reads is not kept. A rule (and ``graph_flow`` its input) keeps
 a recipe for a ``row_select`` gather, a ``concat_cols``/``concat_rows`` or
 ``row_replace`` over recipes, an ``spmm`` product larger than its dense
-operand, a ``linear`` or a ``gate_mix``: the op's function and its sources,
-as recipes where they have one. It is built at most once per backward, on
-its first read, and freed after its last reader (``_keep`` counts them);
-sources must not be mutated before ``backward``.
+operand, a ``linear`` or a ``gate_mix``, and for an ``spmm``, ``matmul``,
+``add``, ``sub``, ``relu`` or ``softmax_rows`` over a recipe: the op's
+function and its sources, as recipes where they have one. It is built at
+most once per backward, on its first read, and freed after its last reader
+(``_keep`` counts them); sources must not be mutated before ``backward``.
 
 Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 ``graph_flow``; gradients flow through the dense operands.
@@ -151,6 +152,11 @@ def _rebuildable(fn, *args, recipe=True):
     return out
 
 
+def _sourced(*args):
+    """Whether an op over ``args`` gets a recipe because one of them has one."""
+    return any(hasattr(a, "_recipe") for a in args)
+
+
 def _check(cond, op, *shapes):
     if not cond:
         raise ShapeError(f"{op}: incompatible shapes {[tuple(s) for s in shapes]}")
@@ -162,7 +168,7 @@ def _check(cond, op, *shapes):
 
 def matmul(a: Var, b: Var) -> Var:
     _check(a.value.shape[1] == b.value.shape[0], "matmul", a.shape, b.shape)
-    out = Var(a.value @ b.value)
+    out = _rebuildable(operator.matmul, a, b, recipe=_sourced(a, b))
     # a C-ordered b.T: OpenBLAS rounds a few-row g times a transposed b unlike a taller g
     _record(out, (a, b), lambda g, a=_keep(a), b=_keep(b): (g @ b.value.T.copy(), a.value.T @ g))
     return out
@@ -171,22 +177,22 @@ def matmul(a: Var, b: Var) -> Var:
 def spmm(s, x: Var) -> Var:
     """Sparse @ dense. ``s`` is a constant scipy sparse matrix."""
     _check(s.shape[1] == x.value.shape[0], "spmm", s.shape, x.shape)
-    # keep the smaller: a recipe only for a product with more rows than x
-    out = _rebuildable(operator.matmul, s, x.value, recipe=s.shape[0] > x.shape[0])
+    # a recipe for a product with more rows than x, or over x's recipe
+    out = _rebuildable(operator.matmul, s, x, recipe=s.shape[0] > x.shape[0] or _sourced(x))
     _record(out, (x,), lambda g, s=s: (np.asarray(s.T @ g),))
     return out
 
 
 def add(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "add", a.shape, b.shape)
-    out = Var(a.value + b.value)
+    out = _rebuildable(operator.add, a, b, recipe=_sourced(a, b))
     _record(out, (a, b), lambda g: (g, g))
     return out
 
 
 def sub(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "sub", a.shape, b.shape)
-    out = Var(a.value - b.value)
+    out = _rebuildable(operator.sub, a, b, recipe=_sourced(a, b))
     _record(out, (a, b), lambda g: (g, -g))
     return out
 
@@ -259,7 +265,7 @@ def concat_rows(*parts: Var) -> Var:
 
 
 def relu(x: Var) -> Var:
-    out = Var(np.maximum(x.value, 0.0))
+    out = _rebuildable(lambda v: np.maximum(v, 0.0), x, recipe=_sourced(x))
     if _ACTIVE_TAPE is not None:
         _record(out, (x,), lambda g, pos=x.value > 0.0: (g * pos,))
     return out
@@ -281,8 +287,8 @@ def _sigmoid(a):
 
 
 def softmax_rows(x: Var) -> Var:
-    out = Var(_softmax_rows(x.value))
-    def rule(g, out=out):
+    out = _rebuildable(_softmax_rows, x, recipe=_sourced(x))
+    def rule(g, out=_keep(out)):
         s = out.value
         return s * (g - np.sum(g * s, axis=1, keepdims=True)),
     _record(out, (x,), rule)
@@ -330,7 +336,7 @@ def row_replace(x: Var, idx, rows: Var) -> Var:
     """x with its rows ``idx`` (distinct ids) replaced by ``rows``, in order."""
     idx = np.asarray(idx, dtype=np.int64)
     _check(rows.value.shape == (len(idx), x.value.shape[1]), "row_replace", x.shape, rows.shape)
-    out = _rebuildable(_replace, x, idx, rows.value, recipe=hasattr(x, "_recipe"))
+    out = _rebuildable(_replace, x, idx, rows, recipe=_sourced(x))
     def rule(g, idx=idx):
         g_x = g.copy()
         g_x[idx] = 0.0

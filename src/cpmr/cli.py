@@ -176,7 +176,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DataError, OSError) as exc:
+    except (ConfigError, DataError, OSError, MemoryError) as exc:   # sizes no machine holds
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -47,6 +47,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d < 1 or self.s_days < 1 or self.taylor_order < 1:
             raise ConfigError("d, s_days and taylor_order must all be >= 1")
+        if 16 * self.d * self.d > np.iinfo(np.intp).max:     # the 2d x d float64 head weights
+            raise ConfigError(f"d={self.d} is too large: numpy cannot size a 2d x d weight")
         if self.time_scale <= 0 or self.tau_max <= 0:
             raise ConfigError("time_scale and tau_max must be positive")
         if self.time_scale / self.tau_max > MAX_SUBSTEPS:     # ceil(r) > M iff r > M

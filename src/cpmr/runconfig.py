@@ -65,15 +65,20 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         raw = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()      # at \n, \r\n and \r, as text mode splits
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 ({exc.reason} at byte "
+                                  f"{exc.start})") from None
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            raw[key.strip()] = value.strip()
         return cls(raw)
 
     def echo(self):

@@ -127,6 +127,49 @@ def test_rules_keep_recipes_not_pure_copies(monkeypatch):
     assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
 
 
+def test_ops_over_a_recipe_get_one(monkeypatch):
+    """Under a tape a ``spmm`` product no larger than its operand, a
+    ``matmul``, an ``add``, a ``sub``, a ``relu`` and a ``softmax_rows`` over
+    a recipe (here a layer's output) get recipes too, so they die once the
+    forward drops them, softmax gate weights among them, and the gradients
+    are the bytes that keeping them gave. Over operands without a recipe
+    they get none."""
+    rng = np.random.default_rng(8)
+    x, w, m, wg = (ad.constant(rng.normal(size=(k, j))) for k, j in ((5, 3), (3, 3), (3, 3),
+                                                                   (3, 2)))
+    bias, bg = ad.constant(rng.normal(size=(1, 3))), ad.constant(rng.normal(size=(1, 2)))
+    s = sp.random(2, 5, density=0.6, random_state=np.random.RandomState(1), format="csr")
+
+    def run():
+        with ad.Tape() as tape:
+            layer = ad.linear(x, w, bias)
+            rows = ad.spmm(s, layer)
+            prod = ad.matmul(rows, m)
+            diff = ad.sub(prod, rows)
+            total = ad.add(diff, rows)
+            pos = ad.relu(total)
+            weights = ad.softmax_rows(ad.linear(x, wg, bg))
+            loss = ad.add(sum_all(ad.hadamard(pos, prod)),
+                          sum_all(ad.hadamard(ad.gate_mix(weights, layer, x), layer)))
+            refs = [weakref.ref(v.value) for v in (rows, prod, diff, total, pos, weights)]
+            del layer, rows, prod, diff, total, pos, weights
+            alive = [r() is not None for r in refs]
+        g = ad.backward(loss, tape)
+        return alive, [g[v] for v in (x, w, bias, m, wg, bg)]
+
+    alive, grads = run()
+    assert alive == [False] * 6
+    with ad.Tape():
+        plain = (ad.spmm(s, x), ad.matmul(x, m), ad.add(x, x), ad.sub(x, x), ad.relu(x),
+                 ad.softmax_rows(x))
+        assert not any(hasattr(v, "_recipe") for v in plain)
+    monkeypatch.setattr(ad, "_keep", lambda v: v)
+    kept_alive, kept = run()
+    assert kept_alive == [True] * 6
+    assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
+    assert all(np.abs(g).max() > 0 for g in grads)
+
+
 def _rule(op, *args):
     """The output of one taped op and its backward rule: g -> a gradient per input."""
     with ad.Tape() as tape:

@@ -350,6 +350,53 @@ def test_bad_config_value_exit_code(workspace, capsys):
     assert "'abc'" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    """A run config that is not UTF-8 used to die with a raw UnicodeDecodeError (exit 1)."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"output.dir=.\ndata.path=x\xff\n")
+    assert main(["train", "--config", str(bad)]) == 2
+    assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
+
+
+_CONFIG_PIECES = st.one_of(st.binary(max_size=12),
+                           st.sampled_from([b"data.path=x", b"model.d=", b"train.n_neg=3",
+                                            b"eval.filter_interacted=", b"=", b"#", b" ",
+                                            b"\n", b"\r", b"\r\n", b"\xff", b"\xc3\xa9",
+                                            b"\xc3", b"\xef\xbb\xbf", b"\x00"]))
+
+
+@given(st.lists(_CONFIG_PIECES, max_size=12).map(b"".join))
+@settings(max_examples=300, deadline=None)
+def test_runconfig_file_fuzz_parses_or_config_error(content):
+    """Any bytes in a run config file either parse or raise ConfigError."""
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        try:
+            RunConfig.from_file(path)
+        except ConfigError:
+            pass
+
+
+@pytest.mark.parametrize("line, message", [
+    ("model.d=100000000000000000000", "d=100000000000000000000 is too large"),
+    ("model.d=1099511627776", "d=1099511627776 is too large"),
+    # a day's (b, n_neg) int64 draws: b x 128 PiB, more than any machine maps
+    (f"train.n_neg={2 ** 54}", "Unable to allocate")],
+    ids=["d-over-intp", "d-112-TiB", "n_neg-over-128-PiB"])
+def test_unallocatable_size_exit_code(workspace, capsys, line, message):
+    """Sizes no machine can hold used to exit 1 with a traceback: a TypeError
+    from ``np.sqrt`` of the d, numpy's ArrayMemoryError at the embeddings or
+    at a day's negative draws."""
+    tmp_path, out, _ = workspace
+    bad = tmp_path / "bad.cfg"
+    write_config(bad, out / "dataset.bin", out, extra=[line])
+    assert main(["train", "--config", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n_users,n_items", [(6, 1), (1, 6)])
 def test_train_rejects_a_log_with_one_user_or_one_item(tmp_path, capsys, n_users, n_items):
     """Such a log passes preprocess, but no negative exists beside the positive:

@@ -594,18 +594,20 @@ def test_evolve_states_without_tape_keeps_no_iterates():
 
 def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
     """No rule keeps a fusion intermediate: every ``linear`` output (the gate
-    logits, read by no rule, as the softmax reads its own output; the
-    experts, which the mixes' rules and recipes read through recipes) and
-    the ``final`` task's per-class mixes, copied into z, are freed once the
-    forward code drops them. The scenarios' mixes are the blocks ``fuse``
-    returns. With ``_keep`` giving Vars, the rules and recipes keep the
-    experts, and z's recipe keeps the ``final`` mixes; the gradients are the
-    bytes that keeping them gave."""
+    logits, read by no rule, as the softmax reads its own output, but by the
+    gate weights' recipes; the experts, which the mixes' rules and recipes
+    read through recipes), the softmax gate weights, which their own rules
+    and the mixes' read through recipes, and the ``final`` task's per-class
+    mixes, copied into z, are freed once the forward code drops them. The
+    scenarios' mixes are the blocks ``fuse`` returns. With ``_keep`` giving
+    Vars, the rules and recipes keep the gate logits, the experts and the
+    gate weights, and z's recipe keeps the ``final`` mixes; the gradients
+    are the bytes that keeping them gave."""
     import weakref
     model = make_model(n_users=5, n_items=4, d=6)
     rng = np.random.default_rng(41)
     xh, xc = ad.Var(rng.normal(size=(9, 6))), ad.Var(rng.normal(size=(9, 6)))
-    refs = {"linear": [], "gate_mix": []}
+    refs = {"linear": [], "softmax_rows": [], "gate_mix": []}
 
     def watched(name, op):
         def run(*args):
@@ -629,11 +631,10 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
             experts = [r for k in (0, 7) for r in refs["linear"][k:k + 7:2]]
             # in each class the his, ctx and final mixes
             finals = [refs["gate_mix"][k] for k in (2, 5)]
-            assert all(r() is None for r in gates)
             assert all(block.value is refs["gate_mix"][k + j]()
                        for j, sc in enumerate(("his", "ctx"))
                        for block, k in zip(fused[sc], (0, 3)))
-            alive = [r() is not None for r in experts + finals]
+            alive = [r() is not None for r in gates + experts + finals + refs["softmax_rows"]]
             # their nodes stay on the tape, as handles without values
             handles = sum(o.value.size == 0 for o, _ in tape.nodes)
             # per class: 2 row blocks, their concatenation, the shared expert and
@@ -645,9 +646,10 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
         return alive, handles, [grads[xh], grads[xc]]
 
     alive, handles, grads = run()
-    assert alive == [False] * 10 and handles >= 2 * (7 + 3)
+    # per class: 7 layers, 3 gate weights, the final mix and the 2 row blocks
+    assert alive == [False] * 22 and handles >= 2 * (7 + 3 + 1 + 2)
     monkeypatch.setattr(ad, "_keep", lambda v: v)
     kept_alive, kept_handles, kept = run()
-    assert kept_alive == [True] * 10 and kept_handles == handles - 10
+    assert kept_alive == [True] * 22 and kept_handles == handles - 22
     assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
     assert np.abs(grads[0]).max() > 0 and np.abs(grads[1]).max() > 0

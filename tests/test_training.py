@@ -370,13 +370,14 @@ def taped_days(ds, store, days, config, hold=None):
 
 
 @pytest.mark.parametrize("variant, substeps", [("full", 1), ("wo_ctx", 1), ("wo_his", 1),
-                                               ("wo_fusion", 1), ("full", 3)],
-                         ids=["full", "wo_ctx", "wo_his", "wo_fusion", "full-3-substeps"])
+                                               ("wo_fusion", 1), ("full", 3), ("wo_fusion", 3)],
+                         ids=["full", "wo_ctx", "wo_his", "wo_fusion", "full-3-substeps",
+                              "wo_fusion-3-substeps"])
 def test_recipes_give_the_gradients_of_kept_copies(variant, substeps, monkeypatch):
     """Rebuilding gathers, their concatenations, sparse products, layers,
-    mixes, a day's states and its prediction block in the backward gives
-    every gradient byte for byte as keeping the copies did, also on a clock
-    of 3 Taylor sub-steps a day."""
+    gate weights, mixes, the instant update's rows, a day's states and its
+    prediction block in the backward gives every gradient byte for byte as
+    keeping the copies did, also on a clock of 3 Taylor sub-steps a day."""
     ds, store, days = recipe_days()
     days = days[:5]
     assert 1 in [len(store.instant_edges(d)[0]) for d in days]   # a one-interaction day
@@ -395,6 +396,53 @@ def test_recipes_give_the_gradients_of_kept_copies(variant, substeps, monkeypatc
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def _captured(keeper):
+    """What a rule (its defaults and closure cells) or a recipe (its sources) keeps."""
+    if isinstance(keeper, ad._Recipe):
+        return keeper.args
+    return (*(keeper.__defaults__ or ()), *(c.cell_contents for c in keeper.__closure__ or ()))
+
+
+def test_the_instant_updates_rules_and_recipes_keep_no_float_array(monkeypatch):
+    """After a taped full-model ``step`` the rules of ``update_instant`` and
+    the recipes it makes keep recipes, parameters, index arrays, relu masks
+    and sparse operators, and no float array: the selected rows, the partner
+    means, the replacement rows and the new states are rebuilt in the
+    backward. The walk reads no recipe's ``.value``."""
+    ds, store, days = recipe_days()
+    model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, ModelConfig(**SMALL_MODEL),
+                      rng=np.random.default_rng(0))
+    rebuildable, update = ad._rebuildable, CpmrModel.update_instant
+    made, spans = [], []
+
+    def recording(*args, **kw):
+        out = rebuildable(*args, **kw)
+        if len(spans) % 2 and hasattr(out, "_recipe"):      # inside update_instant
+            made.append(out._recipe)
+        return out
+
+    def watched(self, *args):
+        spans.append(len(ad._ACTIVE_TAPE.nodes))
+        out = update(self, *args)
+        spans.append(len(ad._ACTIVE_TAPE.nodes))
+        return out
+
+    monkeypatch.setattr(ad, "_rebuildable", recording)
+    monkeypatch.setattr(CpmrModel, "update_instant", watched)
+    with ad.Tape() as tape:
+        model.step(model.init_states(), store, days[1])
+    assert len(spans) == 2 * 2 and made
+    held = [x for r in made for x in _captured(r)]
+    for start, stop in zip(spans[::2], spans[1::2]):
+        held += [x for _, (_, rule) in tape.nodes[start:stop] for x in _captured(rule)]
+    params = {id(p) for p in model.params.values()}
+    kinds = {type(x).__name__ for x in held}
+    assert {"_Recipe", "Var", "ndarray", "csr_matrix"} <= kinds, kinds
+    assert all(id(x) in params for x in held if isinstance(x, ad.Var))
+    assert all(x.dtype.kind in "ib" for x in held if isinstance(x, np.ndarray))
+    assert any(x.dtype.kind == "b" for x in held if isinstance(x, np.ndarray))
 
 
 def test_backward_builds_each_shared_expert_once(monkeypatch):
@@ -483,7 +531,11 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
     recipes keep the replacement rows). Once the caller drops them: ~5.9,
     as the gathers' recipes pinned z; ~4.6 since z, the states and the
     fusion mixes are recipes, and the tape keeps of the day the two fusion
-    inputs (2 state matrices), the involved rows and the graph operators."""
+    inputs (2 state matrices), the involved rows and the graph operators;
+    ~3.4 (~6.5 held) since the instant update's selected rows, partner means
+    and replacement rows and the softmax gate weights are recipes too, so the
+    tape keeps of the day the two fusion inputs, index arrays, relu masks and
+    the graph operators."""
     import tracemalloc
     rng = np.random.default_rng(5)
     n_u, n_i = 300, 100
@@ -508,6 +560,6 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
             kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 9 * state_bytes
-    assert kept < 5 * state_bytes
+    assert held < 7 * state_bytes
+    assert kept < 4 * state_bytes
     ad.backward(loss, tape, params=model.params.values())
