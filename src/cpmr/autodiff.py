@@ -9,15 +9,14 @@ numpy forward computations, which is the no-grad path used during evaluation.
 Ownership: the tape holds handles (:class:`TapeNode`), not values. A handle
 knows its ``Var`` only through a weak reference, so reference counting frees
 each intermediate as soon as the forward code drops it. A backward rule
-captures the arrays or shapes it reads, never a ``Var`` it does not read;
-what no rule reads is not kept. A rule (and ``graph_flow`` its input) keeps
-a recipe for a ``row_select`` gather, a ``concat_cols``/``concat_rows`` or
-``row_replace`` over recipes, an ``spmm`` product larger than its dense
-operand, a ``linear`` or a ``gate_mix``, and for an ``spmm``, ``matmul``,
-``add``, ``sub``, ``relu`` or ``softmax_rows`` over a recipe: the op's
-function and its sources, as recipes where they have one. It is built at
-most once per backward, on its first read, and freed after its last reader
-(``_keep`` counts them); sources must not be mutated before ``backward``.
+captures the arrays or shapes it reads, never a ``Var``; what no rule reads
+is not kept.
+
+:func:`checkpoint` trades time for memory at a coarser grain: it runs a
+pure function with no tape and records one node that keeps only the
+function's input arrays. ``backward`` replays the function under a fresh
+tape when it reaches that node and runs the replay's nodes in its own loop,
+so every gradient is summed in the order a plain tape would sum it.
 
 Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 ``graph_flow``; gradients flow through the dense operands.
@@ -25,9 +24,7 @@ Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import weakref
 
 import numpy as np
@@ -42,7 +39,7 @@ MAX_SUBSTEPS = 10_000  # per graph_flow; a day gap <= span takes <= ceil(time_sc
 class Var:
     """A matrix value participating in differentiable computation."""
 
-    __slots__ = ("value", "name", "_node", "_recipe", "__weakref__")   # _node, _recipe: taped
+    __slots__ = ("value", "name", "_node", "__weakref__")   # _node: taped
 
     def __init__(self, value, name=None):
         arr = np.asarray(value, dtype=np.float64)
@@ -98,7 +95,6 @@ class Tape:
 
     def __init__(self):
         self.nodes = []  # (out_node, (in_nodes, rule)); rule(g) -> a gradient per input
-        self.built = {}  # recipe -> its value in backward, from its first read to its last
         self.consumed = False
 
     def __enter__(self):
@@ -120,41 +116,42 @@ def _record(out, inputs, rule):
         _ACTIVE_TAPE.nodes.append((out._node, (tuple(map(_node, inputs)), rule)))
 
 
-class _Recipe(functools.partial):
-    """``func`` of its sources' values; read ``.value`` as a Var's, once per reader."""
-    readers = 0
+class _Outputs(tuple):
+    """A :func:`checkpoint` node's output: its outputs' handles. It keeps no value."""
 
-    @property
-    def value(self):
-        v = self.built.pop(self, None)
-        v = self.func(*(getattr(a, "value", a) for a in self.args)) if v is None else v
-        self.readers -= 1
-        if self.readers > 0:
-            self.built[self] = v
-        return v
+    value = np.empty(0)
 
 
-def _keep(v):
-    """What a rule or recipe keeps to read ``v`` once: its recipe, one more reader, if any."""
-    r = getattr(v, "_recipe", None) if _ACTIVE_TAPE is not None else None
-    if r is None:
-        return v
-    r.readers += 1
-    return r
+def _run(tape, fn, *args):
+    """``fn(*args)`` as a tuple with ``tape`` active (None: no tape), then the outer tape again."""
+    global _ACTIVE_TAPE
+    outer, _ACTIVE_TAPE = _ACTIVE_TAPE, tape
+    try:
+        return tuple(fn(*args))
+    finally:
+        _ACTIVE_TAPE = outer
 
 
-def _rebuildable(fn, *args, recipe=True):
-    """A Var of ``fn`` over the values of ``args``; under a tape, if ``recipe``, it has one."""
-    out = Var(fn(*[a.value if isinstance(a, Var) else a for a in args]))
-    if recipe and _ACTIVE_TAPE is not None:
-        out._recipe = _Recipe(fn, *map(_keep, args))
-        out._recipe.built = _ACTIVE_TAPE.built
-    return out
+def checkpoint(fn, *inputs: Var):
+    """``fn(*inputs)``, a tuple of Vars, run with no tape; under a tape, one node.
 
-
-def _sourced(*args):
-    """Whether an op over ``args`` gets a recipe because one of them has one."""
-    return any(hasattr(a, "_recipe") for a in args)
+    ``fn`` must be pure: on the same input values it runs the same ops to the
+    same bytes. The node keeps only the inputs' arrays, which must not be
+    mutated before ``backward`` replays ``fn`` on them.
+    """
+    outs = _run(None, fn, *inputs)
+    if _ACTIVE_TAPE is not None:
+        def replay(in_nodes, nodes, arrays=tuple(x.value for x in inputs)):
+            # on Vars of the arrays with the inputs' handles, recording onto nodes
+            again = [Var(a) for a in arrays]
+            for var, node in zip(again, in_nodes):
+                var._node = node
+            tape = Tape()
+            tape.nodes = nodes
+            return _run(tape, fn, *again)
+        out_nodes = _Outputs(map(_node, outs))
+        _ACTIVE_TAPE.nodes.append((out_nodes, (tuple(map(_node, inputs)), replay)))
+    return outs
 
 
 def _check(cond, op, *shapes):
@@ -168,31 +165,30 @@ def _check(cond, op, *shapes):
 
 def matmul(a: Var, b: Var) -> Var:
     _check(a.value.shape[1] == b.value.shape[0], "matmul", a.shape, b.shape)
-    out = _rebuildable(operator.matmul, a, b, recipe=_sourced(a, b))
+    out = Var(a.value @ b.value)
     # a C-ordered b.T: OpenBLAS rounds a few-row g times a transposed b unlike a taller g
-    _record(out, (a, b), lambda g, a=_keep(a), b=_keep(b): (g @ b.value.T.copy(), a.value.T @ g))
+    _record(out, (a, b), lambda g, a=a.value, b=b.value: (g @ b.T.copy(), a.T @ g))
     return out
 
 
 def spmm(s, x: Var) -> Var:
     """Sparse @ dense. ``s`` is a constant scipy sparse matrix."""
     _check(s.shape[1] == x.value.shape[0], "spmm", s.shape, x.shape)
-    # a recipe for a product with more rows than x, or over x's recipe
-    out = _rebuildable(operator.matmul, s, x, recipe=s.shape[0] > x.shape[0] or _sourced(x))
+    out = Var(s @ x.value)
     _record(out, (x,), lambda g, s=s: (np.asarray(s.T @ g),))
     return out
 
 
 def add(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "add", a.shape, b.shape)
-    out = _rebuildable(operator.add, a, b, recipe=_sourced(a, b))
+    out = Var(a.value + b.value)
     _record(out, (a, b), lambda g: (g, g))
     return out
 
 
 def sub(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "sub", a.shape, b.shape)
-    out = _rebuildable(operator.sub, a, b, recipe=_sourced(a, b))
+    out = Var(a.value - b.value)
     _record(out, (a, b), lambda g: (g, -g))
     return out
 
@@ -207,7 +203,7 @@ def scale(a: Var, c: float) -> Var:
 def hadamard(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "hadamard", a.shape, b.shape)
     out = Var(a.value * b.value)
-    _record(out, (a, b), lambda g, a=_keep(a), b=_keep(b): (g * b.value, g * a.value))
+    _record(out, (a, b), lambda g, a=a.value, b=b.value: (g * b, g * a))
     return out
 
 
@@ -215,28 +211,23 @@ def linear(x: Var, w: Var, b: Var) -> Var:
     """One dense layer: x @ w with the (1, m) row b added to every row."""
     _check(x.value.shape[1] == w.value.shape[0] and b.value.shape == (1, w.value.shape[1]),
            "linear", x.shape, w.shape, b.shape)
-    out = _rebuildable(_affine, x, w, b)
-    _record(out, (x, w, b), lambda g, x=_keep(x), w=_keep(w): (
-        g @ w.value.T, x.value.T @ g, g.sum(axis=0, keepdims=True)))
+    y = x.value @ w.value
+    y += b.value
+    out = Var(y)
+    _record(out, (x, w, b), lambda g, x=x.value, w=w.value: (
+        g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)))
     return out
-
-
-def _affine(x, w, b):
-    y = x @ w
-    y += b
-    return y
 
 
 def gate_mix(w: Var, a: Var, b: Var) -> Var:
     """Row-wise two-way mix a * w[:, 0] + b * w[:, 1], with w of shape (n, 2)."""
     _check(a.shape == b.shape and w.value.shape == (a.value.shape[0], 2),
            "gate_mix", w.shape, a.shape, b.shape)
-    out = _rebuildable(lambda w, a, b: a * w[:, 0:1] + b * w[:, 1:2], w, a, b)
-    def rule(g, w=_keep(w), a=_keep(a), b=_keep(b)):
+    out = Var(a.value * w.value[:, 0:1] + b.value * w.value[:, 1:2])
+    def rule(g, w=w.value, a=a.value, b=b.value):
         # + 0.0: a row sum of -0.0 reads +0.0, whichever zero numpy's sum gives
-        g_w = np.concatenate([np.sum(g * a.value, axis=1, keepdims=True),
-                              np.sum(g * b.value, axis=1, keepdims=True)], axis=1) + 0.0
-        w = w.value
+        g_w = np.concatenate([np.sum(g * a, axis=1, keepdims=True),
+                              np.sum(g * b, axis=1, keepdims=True)], axis=1) + 0.0
         return g_w, g * w[:, 0:1], g * w[:, 1:2]
     _record(out, (w, a, b), rule)
     return out
@@ -246,8 +237,7 @@ def concat_cols(*parts: Var) -> Var:
     rows = parts[0].value.shape[0]
     _check(all(p.value.shape[0] == rows for p in parts), "concat_cols",
            *[p.shape for p in parts])
-    out = _rebuildable(lambda *v: np.concatenate(v, axis=1), *parts,
-                       recipe=all(hasattr(p, "_recipe") for p in parts))
+    out = Var(np.concatenate([p.value for p in parts], axis=1))
     cuts = np.cumsum([p.value.shape[1] for p in parts[:-1]])
     _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=1))
     return out
@@ -257,15 +247,14 @@ def concat_rows(*parts: Var) -> Var:
     cols = parts[0].value.shape[1]
     _check(all(p.value.shape[1] == cols for p in parts), "concat_rows",
            *[p.shape for p in parts])
-    out = _rebuildable(lambda *v: np.concatenate(v, axis=0), *parts,
-                       recipe=all(hasattr(p, "_recipe") for p in parts))
+    out = Var(np.concatenate([p.value for p in parts], axis=0))
     cuts = np.cumsum([p.value.shape[0] for p in parts[:-1]])
     _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=0))
     return out
 
 
 def relu(x: Var) -> Var:
-    out = _rebuildable(lambda v: np.maximum(v, 0.0), x, recipe=_sourced(x))
+    out = Var(np.maximum(x.value, 0.0))
     if _ACTIVE_TAPE is not None:
         _record(out, (x,), lambda g, pos=x.value > 0.0: (g * pos,))
     return out
@@ -273,7 +262,7 @@ def relu(x: Var) -> Var:
 
 def sigmoid(x: Var) -> Var:
     out = Var(_sigmoid(x.value))
-    _record(out, (x,), lambda g, out=out: (g * out.value * (1.0 - out.value),))
+    _record(out, (x,), lambda g, s=out.value: (g * s * (1.0 - s),))
     return out
 
 
@@ -287,11 +276,8 @@ def _sigmoid(a):
 
 
 def softmax_rows(x: Var) -> Var:
-    out = _rebuildable(_softmax_rows, x, recipe=_sourced(x))
-    def rule(g, out=_keep(out)):
-        s = out.value
-        return s * (g - np.sum(g * s, axis=1, keepdims=True)),
-    _record(out, (x,), rule)
+    out = Var(_softmax_rows(x.value))
+    _record(out, (x,), lambda g, s=out.value: (s * (g - np.sum(g * s, axis=1, keepdims=True)),))
     return out
 
 
@@ -304,14 +290,14 @@ def _softmax_rows(a):
 def logsumexp_rows(x: Var) -> Var:
     m = x.value.max(axis=1, keepdims=True)
     out = Var(m + np.log(np.sum(np.exp(x.value - m), axis=1, keepdims=True)))
-    _record(out, (x,), lambda g, x=_keep(x): (g * _softmax_rows(x.value),))
+    _record(out, (x,), lambda g, x=x.value: (g * _softmax_rows(x),))
     return out
 
 
 def row_select(x: Var, idx) -> Var:
     """Gather rows by ids in [0, n); duplicate ids accumulate gradient."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = _rebuildable(operator.getitem, x, idx)
+    out = Var(x.value[idx])
     def rule(g, n=x.shape[0], idx=idx):
         # bincount sums each entry's draws from 0.0 in draw order, as np.add.at into zeros
         d = g.shape[1]
@@ -336,18 +322,13 @@ def row_replace(x: Var, idx, rows: Var) -> Var:
     """x with its rows ``idx`` (distinct ids) replaced by ``rows``, in order."""
     idx = np.asarray(idx, dtype=np.int64)
     _check(rows.value.shape == (len(idx), x.value.shape[1]), "row_replace", x.shape, rows.shape)
-    out = _rebuildable(_replace, x, idx, rows, recipe=_sourced(x))
+    out = Var(x.value.copy())
+    out.value[idx] = rows.value
     def rule(g, idx=idx):
         g_x = g.copy()
         g_x[idx] = 0.0
         return g_x, g[idx]
     _record(out, (x, rows), rule)
-    return out
-
-
-def _replace(x, idx, rows):
-    out = x.copy()
-    out[idx] = rows
     return out
 
 
@@ -379,10 +360,10 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     the numbers are bit for bit the same. ``dt = 0`` returns ``x`` itself. Two
     scratch buffers per sub-step hold ``y * gate`` and the ``X / k! + tau E / (k+1)!``
     term, and each iterate is finished in place in the fresh array ``N @ scratch``
-    returns. Under a tape the rule keeps only each sub-step's input (the first
-    as ``_keep(x)``); the adjoint recomputes the sub-step's iterates
-    y_K ... y_1 from it, K-1 sparse products, just before the transposed
-    recurrence reads them, and runs that recurrence in place with one scratch buffer.
+    returns. Under a tape the forward keeps each sub-step's iterates y_K ... y_1,
+    and the adjoint pops them as the transposed recurrence reads them, which it
+    runs in place with one scratch buffer. A ``checkpoint`` around the flow
+    keeps them only while its replay runs.
     """
     _check(x.shape == e.shape and gate.shape == (x.shape[0], 1)
            and n.shape == (x.shape[0],) * 2, "graph_flow", x.shape, e.shape, gate.shape, n.shape)
@@ -400,21 +381,15 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     tau = dt / steps
     inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
     s, ev, cur = gate.value, e.value, x.value
-    inputs = [_keep(x)] if _ACTIVE_TAPE is not None else None
-    for i in range(steps):
-        if i and inputs is not None:
-            inputs.append(cur)
-        cur = _horner_substep(cur, s, ev, n, tau, inv_fact)
+    iterates = [] if _ACTIVE_TAPE is not None else None      # y_K ... y_1 of each sub-step
+    for _ in range(steps):
+        cur = _horner_substep(cur, s, ev, n, tau, inv_fact, iterates)
     out = Var(cur)
 
     def adjoint(g):
         nt, g_e, g_s = n.T, np.zeros(ev.shape), np.zeros_like(s)
         buf = np.empty(ev.shape)
-        while inputs:
-            iterates = []             # y_K ... y_1 of the sub-step, popped from y_1
-            start = inputs.pop()
-            _horner_substep(start if inputs else start.value, s, ev, n, tau, inv_fact,
-                            stop=1, iterates=iterates)
+        for _ in range(steps):
             for k in range(order):
                 h = np.asarray(nt @ g)
                 np.multiply(h, iterates.pop(), out=buf)
@@ -438,15 +413,12 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     return out
 
 
-def _horner_substep(cur, s, ev, n, tau, inv_fact, stop=0, iterates=None):
-    """Iterate y_stop of one sub-step from its input ``cur``; y_0 is its output.
-
-    Given a list, appends y_K ... y_stop to ``iterates`` in that order.
-    """
+def _horner_substep(cur, s, ev, n, tau, inv_fact, iterates=None):
+    """Output y_0 of one sub-step from its input ``cur``; appends y_K ... y_1 to ``iterates``."""
     order = len(inv_fact) - 1
     y = cur * inv_fact[order]
     gated, w = np.empty_like(cur), np.empty_like(cur)
-    for k in range(order - 1, stop - 1, -1):
+    for k in range(order - 1, -1, -1):
         if iterates is not None:
             iterates.append(y)
         np.multiply(y, s, out=gated)
@@ -458,8 +430,6 @@ def _horner_substep(cur, s, ev, n, tau, inv_fact, stop=0, iterates=None):
         w += gated
         t += w
         y = t
-    if iterates is not None:
-        iterates.append(y)
     return y
 
 
@@ -473,7 +443,8 @@ def backward(loss: Var, tape: Tape, params=None):
     Returns a dict mapping Var -> gradient array for the reached leaves that
     are still alive. Parameters in ``params`` the loss does not reach get
     explicit zero gradients. Each node is popped as it runs, so the tape ends
-    empty and cannot be consumed again; no recipe keeps a built value after.
+    empty and cannot be consumed again. A checkpoint's node is replaced by
+    the nodes of its replay, which take its outputs' gradients.
     """
     if tape.consumed:
         raise CpmrError("tape already consumed by a previous backward pass")
@@ -486,21 +457,20 @@ def backward(loss: Var, tape: Tape, params=None):
     nodes = tape.nodes
     while nodes:
         out, (inputs, rule) = nodes.pop()
-        g = grads.pop(out, None)
-        if g is None:
-            continue
-        for inp, contrib in zip(inputs, rule(g)):
+        if isinstance(out, _Outputs):            # a checkpoint: its replay's nodes run next
+            gs = [grads.pop(node, None) for node in out]
+            pairs = [(_node(v), g) for v, g in zip(rule(inputs, nodes), gs) if g is not None]
+        else:
+            g = grads.pop(out, None)
+            if g is None:
+                continue
+            pairs = zip(inputs, rule(g))
+        for inp, contrib in pairs:
             grads[inp] = grads[inp] + contrib if inp in grads else contrib
-    tape.built.clear()
-    result = {}
-    for node, g in grads.items():
-        var = node.var()
-        if var is not None:
-            result[var] = g
-    if params is not None:
-        for p in params:
-            if p not in result:
-                result[p] = np.zeros_like(p.value)
+    result = {node.var(): g for node, g in grads.items() if node.var() is not None}
+    for p in params or ():
+        if p not in result:
+            result[p] = np.zeros_like(p.value)
     return result
 
 

@@ -16,7 +16,7 @@ from .data import SECONDS_PER_DAY, RawEvent, canonicalize
 from .errors import ConfigError
 from .graphs import EdgeStore
 from .model import CpmrModel, ModelConfig
-from .training import InteractionHistory, batch_loss
+from .training import InteractionHistory, _train_day
 
 TOLERANCE = 1e-4
 
@@ -79,7 +79,7 @@ def op_checks(seed=0):
         "row_block": (mats((5, 2)),
                       lambda p: ad.mean_all(ad.hadamard(
                           ad.row_block(p[0], 1, 4), ad.constant(_cmat(2, rows=3))))),
-        # at order 1 the backward recomputes no iterate with a sparse product
+        # order 1: one sparse product and one kept iterate per sub-step
         "graph_flow_order1": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
                               lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
                                   *p, flow_n, 0.9, 1, 0.3), ad.constant(_cmat(2, rows=5))))),
@@ -108,7 +108,7 @@ def _toy_log():
 
 
 def end_to_end_check(seed=0, d=4):
-    """Relative error of a two-step CPMR loss on the 4x4 toy log."""
+    """Relative error of three checkpointed training days' loss on the 4x4 toy log."""
     ds = _toy_log()
     cfg = ModelConfig(d=d, s_days=2, taylor_order=4)
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, cfg,
@@ -124,11 +124,8 @@ def end_to_end_check(seed=0, d=4):
         states = model.init_states()
         total = None
         for day in days[:3]:
-            z, states = model.step(states, store, int(day))
-            users, items = store.instant_edges(int(day))
-            loss = batch_loss(model, z, users, items, history, 2, rng)
+            loss, states = _train_day(model, store, states, int(day), history, 2, rng)
             total = loss if total is None else ad.add(total, loss)
-            history.add_day(users, items)
         return ad.scale(total, 1.0 / 3.0)
 
     return ad.grad_check(f, list(model.params.values()), h=1e-5, max_coords=6,

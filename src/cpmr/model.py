@@ -212,38 +212,47 @@ class CpmrModel:
     def step(self, states: TemporalStates, store, day_k, *, predict=True):
         """One recurrence: evolve from ``states.day`` to day_k-, fuse, apply day_k's jumps.
 
-        Each scenario in turn takes its graph view (the history, or the last
-        ``s_days`` days), normalizes it and evolves its states; the states
-        are fused; then each scenario's states jump on day_k's instant graph.
-        Returns (z, new_states): z is the fused representation used for
-        predictions at day_k, before the instant update. ``predict=False``
-        is for days nothing is scored on: fusion skips the prediction task
-        and z is None, except under wo_fusion (there z is the sum of the
-        evolved states, which every scenario takes as its fused states, and
-        costs nothing). The new states do not depend on ``predict``.
+        Each scenario in turn evolves its states on its normalized graph view
+        (the history, or the last ``s_days`` days); the states are fused;
+        then each scenario's states jump on day_k's instant graph. Returns
+        (z, new_states): z is the fused representation used for predictions
+        at day_k, before the instant update. ``predict=False`` is for days
+        nothing is scored on: fusion skips the prediction task and z is None,
+        except under wo_fusion (there z is the sum of the evolved states,
+        which every scenario takes as its fused states, and costs nothing).
+        The new states do not depend on ``predict``.
+        """
+        z, *new = self._recurrence(store, states.day, day_k, predict=predict)(*states.x.values())
+        return z, TemporalStates(dict(zip(states.x, new)), day_k)
+
+    def _recurrence(self, store, day_from, day_k, *, predict=True):
+        """``step`` from ``day_from`` to ``day_k`` as a pure function of the states.
+
+        It builds the normalized graph views and the instant averaging operators
+        once; the function it returns maps the states, in scenario order, to
+        (z, *new states), so a ``checkpoint`` can replay it.
         """
         cfg = self.config
-        if day_k < states.day:
-            raise SequencingError(f"cannot step backwards {states.day} -> {day_k}")
-        dt = (day_k - states.day) * self.day_unit * cfg.time_scale
-
-        minus = {}
-        for sc, x in states.x.items():
-            view = (store.history_biadjacency(day_k) if sc == "his"
-                    else store.context_biadjacency(day_k, cfg.s_days))
-            minus[sc] = self.evolve_states(x, normalize_adjacency(view, cfg.alpha0), sc, dt)
-
-        if cfg.variant == "wo_fusion":
-            z = functools.reduce(ad.add, minus.values())
-            # a pair per scenario: one shared pair would sum their gradients first
-            fused = {sc: tuple(ad.row_block(z, *rows) for rows in self._blocks)
-                     for sc in minus}
-        else:
-            fused, z = self.fuse(minus, predict=predict)
-
+        if day_k < day_from:
+            raise SequencingError(f"cannot step backwards {day_from} -> {day_k}")
+        dt = (day_k - day_from) * self.day_unit * cfg.time_scale
+        nadj = [normalize_adjacency(store.history_biadjacency(day_k) if sc == "his"
+                                    else store.context_biadjacency(day_k, cfg.s_days), cfg.alpha0)
+                for sc in cfg.scenarios]
         ops = averaging_operators(store.instant_biadjacency(day_k))
-        new = {sc: self.update_instant(*blocks, ops, sc) for sc, blocks in fused.items()}
-        return z, TemporalStates(new, day_k)
+
+        def advance(*xs):
+            minus = {sc: self.evolve_states(x, n, sc, dt)
+                     for sc, x, n in zip(cfg.scenarios, xs, nadj)}
+            if cfg.variant == "wo_fusion":
+                z = functools.reduce(ad.add, minus.values())
+                # a pair per scenario: one shared pair would sum their gradients first
+                fused = {sc: tuple(ad.row_block(z, *rows) for rows in self._blocks)
+                         for sc in minus}
+            else:
+                fused, z = self.fuse(minus, predict=predict)
+            return (z, *(self.update_instant(*blocks, ops, sc) for sc, blocks in fused.items()))
+        return advance
 
     # -- prediction ---------------------------------------------------------
 

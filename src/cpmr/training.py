@@ -37,6 +37,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.n_tbptt, self.n_neg, self.lr_decay_period, self.max_epochs) < 1:
             raise ConfigError("n_tbptt, n_neg, lr_decay_period and max_epochs must be >= 1")
+        if 8 * (1 + 2 * self.n_neg) > np.iinfo(np.intp).max:     # one interaction's logits
+            raise ConfigError(f"n_neg={self.n_neg} is too large: numpy cannot size its logits")
         for name in ("lr", "weight_decay", "lr_decay_factor"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -96,17 +98,14 @@ def _draw(excluded, n_total, positive, n_neg, rng):
     return pool[rng.choice(len(pool), size=n_neg, replace=len(pool) < n_neg)], empty
 
 
-def batch_loss(model: CpmrModel, z, users, items, history, n_neg, rng):
-    """Mean InfoNCE over one day's concurrent interactions (a Var scalar)."""
-    b = len(users)
+def batch_loss(model: CpmrModel, z, users, items, neg_u, neg_i):
+    """Mean InfoNCE over one day's concurrent interactions (a Var scalar).
+
+    Row j of the (b, n_neg) ``neg_u`` and ``neg_i`` holds interaction j's negatives.
+    """
+    b, n_neg = neg_u.shape
     if b == 0:
         raise ConfigError("batch_loss on an empty instant graph")
-    neg_u = np.empty((b, n_neg), dtype=np.int64)
-    neg_i = np.empty((b, n_neg), dtype=np.int64)
-    for j, (u, i) in enumerate(zip(users, items)):
-        neg_u[j], neg_i[j] = sample_negatives(int(u), int(i), history,
-                                              model.n_users, model.n_items,
-                                              n_neg, rng)
     p_pos = model.user_repr(z, users)             # (b, d)
     q_pos = model.item_repr(z, items)             # (b, d)
     lam_pos = ad.sum_cols(ad.hadamard(p_pos, q_pos))
@@ -121,6 +120,29 @@ def batch_loss(model: CpmrModel, z, users, items, history, n_neg, rng):
 
     logits = ad.concat_cols(lam_pos, lam_nu, lam_ni)   # (b, 1 + 2*n_neg)
     return ad.mean_all(ad.sub(ad.logsumexp_rows(logits), lam_pos))
+
+
+def _train_day(model, store, states, day, history, n_neg, rng):
+    """(loss, new states) of one training day, recorded as one checkpoint.
+
+    The day's negatives are drawn first, so the checkpointed function, the
+    recurrence step plus its ``batch_loss``, draws nothing; ``backward``
+    replays it from the day's input states. Then ``history`` takes the day.
+    """
+    users, items = store.instant_edges(day)
+    neg_u = np.empty((len(users), n_neg), dtype=np.int64)
+    neg_i = np.empty_like(neg_u)
+    for j, (u, i) in enumerate(zip(users, items)):
+        neg_u[j], neg_i[j] = sample_negatives(int(u), int(i), history, model.n_users,
+                                              model.n_items, n_neg, rng)
+    advance = model._recurrence(store, states.day, day)
+
+    def scored_day(*xs):
+        z, *new = advance(*xs)
+        return (batch_loss(model, z, users, items, neg_u, neg_i), *new)
+    loss, *new = ad.checkpoint(scored_day, *states.x.values())
+    history.add_day(users, items)
+    return loss, TemporalStates(dict(zip(states.x, new)), day)
 
 
 def _detach(states: TemporalStates):
@@ -162,9 +184,12 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig,
     if eval_fn is None:
         eval_fn = lambda m, s: validation_mrr(m, s, dataset)
 
-    train_days = np.unique(dataset.days[:i_val])
+    train_days, day_sizes = np.unique(dataset.days[:i_val], return_counts=True)
     if len(train_days) == 0:
         raise ConfigError("empty training split")
+    if 8 * int(day_sizes.max()) * (1 + 2 * cfg.n_neg) > np.iinfo(np.intp).max:
+        raise ConfigError(f"n_neg={cfg.n_neg} is too large: numpy cannot size the logits "
+                          f"of a day of {day_sizes.max()} interactions")
     opt = ad.AdamState()
     segments = []
     epoch_log = []
@@ -211,9 +236,7 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
                 states = model.init_states()
             seg_losses = []
             for day in seg_days:
-                z, states = model.step(states, store, day)
-                users, items = store.instant_edges(day)
-                loss = batch_loss(model, z, users, items, history, cfg.n_neg, rng)
+                loss, states = _train_day(model, store, states, day, history, cfg.n_neg, rng)
                 if not np.isfinite(loss.value[0, 0]):
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch} day {day} (segment days "
@@ -224,7 +247,6 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
                                              f"{day} (loss {loss.value[0, 0]:.6g}, lr {lr})")
                 seg_losses.append(loss)
                 day_losses.append(float(loss.value[0, 0]))
-                history.add_day(users, items)
             total = ad.scale(functools.reduce(ad.add, seg_losses), 1.0 / len(seg_losses))
             grads = ad.backward(total, tape, params=model.params.values())
             named = {name: grads[var] for name, var in model.params.items()}

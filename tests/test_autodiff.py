@@ -90,84 +90,127 @@ def test_tape_holds_handles_and_backward_pops_them():
 
 
 def test_rules_keep_recipes_not_pure_copies(monkeypatch):
-    """Under a tape a gather, a concatenation of gathers, a sparse product
-    larger than its dense operand and a dense layer's output die once the
-    forward drops them: the rules that read them (a ``linear`` layer's, a
-    ``hadamard``'s and a ``gate_mix``'s) keep recipes, and the gradients are
-    the bytes that keeping the copies gave. A sparse product no larger than
-    its operand is kept as it is. Without a tape no recipe is made."""
+    """Under a tape a ``checkpoint`` keeps its recipe, the function and its
+    input arrays, as one node: the gather, the concatenation of gathers, the
+    sparse product and the dense layer's output made inside it die once the
+    forward drops them, where a plain tape's rules keep them to read them.
+    Its replay gives the gradients of the plain tape byte for byte."""
     rng = np.random.default_rng(0)
     x, w = ad.constant(rng.normal(size=(5, 3))), ad.constant(rng.normal(size=(6, 3)))
     bias, mix = ad.constant(rng.normal(size=(1, 3))), ad.constant(rng.normal(size=(4, 2)))
     y = ad.constant(rng.normal(size=(3, 3)))
     s = sp.random(4, 3, density=0.5, random_state=np.random.RandomState(0), format="csr")
+    refs = []
+
+    def fn(x, y):
+        picked = ad.row_select(x, [4, 0, 0, 2])
+        both = ad.concat_cols(picked, ad.row_select(x, [1, 1, 3, 0]))
+        prod = ad.spmm(s, y)
+        layer = ad.linear(both, w, bias)
+        refs.extend(weakref.ref(v.value) for v in (picked, both, prod, layer))
+        return ad.add(sum_all(ad.hadamard(layer, prod)),
+                      sum_all(ad.gate_mix(mix, ad.hadamard(picked, prod), layer))),
 
     def run():
+        refs.clear()
         with ad.Tape() as tape:
-            picked = ad.row_select(x, [4, 0, 0, 2])
-            both = ad.concat_cols(picked, ad.row_select(x, [1, 1, 3, 0]))
-            prod = ad.spmm(s, y)
-            layer = ad.linear(both, w, bias)
-            loss = ad.add(sum_all(ad.hadamard(layer, prod)),
-                          sum_all(ad.gate_mix(mix, ad.hadamard(picked, prod), layer)))
-            refs = [weakref.ref(v) for v in (picked, both, prod, layer)]
-            del picked, both, prod, layer
+            (loss,) = ad.checkpoint(fn, x, y)
             alive = [r() is not None for r in refs]
+            n_nodes = len(tape.nodes)
         g = ad.backward(loss, tape)
-        return alive, [g[v] for v in (x, w, bias, mix, y)]
+        return alive, n_nodes, [g[v] for v in (x, w, bias, mix, y)]
 
-    alive, grads = run()
-    assert alive == [False] * 4
-    assert not hasattr(ad.linear(ad.concat_cols(x, x), w, bias), "_recipe")
-    with ad.Tape():
-        assert not hasattr(ad.spmm(s.T.tocsr(), mix), "_recipe")
-    monkeypatch.setattr(ad, "_keep", lambda v: v)
-    kept_alive, kept = run()
-    assert kept_alive == [True] * 4
+    alive, n_nodes, grads = run()
+    assert alive == [False] * 4 and n_nodes == 1
+    monkeypatch.setattr(ad, "checkpoint", lambda fn, *inputs: fn(*inputs))
+    kept_alive, kept_nodes, kept = run()
+    assert kept_alive == [True] * 4 and kept_nodes > 10
     assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
 
 
 def test_ops_over_a_recipe_get_one(monkeypatch):
-    """Under a tape a ``spmm`` product no larger than its operand, a
-    ``matmul``, an ``add``, a ``sub``, a ``relu`` and a ``softmax_rows`` over
-    a recipe (here a layer's output) get recipes too, so they die once the
-    forward drops them, softmax gate weights among them, and the gradients
-    are the bytes that keeping them gave. Over operands without a recipe
-    they get none."""
+    """Ops over a recipe get one: a checkpoint (a recipe) inside a
+    checkpoint's function is one node of the outer replay, and ``backward``
+    replays it in turn. The ``spmm``, ``matmul``, ``add``, ``sub``, ``relu``
+    and ``softmax_rows`` over the inner checkpoint's output (a layer's
+    output) die with the forward, as four of them do not on a plain tape;
+    the inner function runs three times (in the forward, in the outer replay
+    and in its own replay), and the gradients are the plain tape's bytes."""
     rng = np.random.default_rng(8)
     x, w, m, wg = (ad.constant(rng.normal(size=(k, j))) for k, j in ((5, 3), (3, 3), (3, 3),
                                                                    (3, 2)))
     bias, bg = ad.constant(rng.normal(size=(1, 3))), ad.constant(rng.normal(size=(1, 2)))
     s = sp.random(2, 5, density=0.6, random_state=np.random.RandomState(1), format="csr")
+    refs, inner_runs = [], []
+
+    def inner(x):
+        inner_runs.append(ad._ACTIVE_TAPE)
+        return ad.linear(x, w, bias),
+
+    def outer(x):
+        (layer,) = ad.checkpoint(inner, x)
+        rows = ad.spmm(s, layer)
+        prod = ad.matmul(rows, m)
+        diff = ad.sub(prod, rows)
+        total = ad.add(diff, rows)
+        pos = ad.relu(total)
+        weights = ad.softmax_rows(ad.linear(x, wg, bg))
+        refs.extend(weakref.ref(v.value) for v in (rows, prod, diff, total, pos, weights))
+        return ad.add(sum_all(ad.hadamard(pos, prod)),
+                      sum_all(ad.hadamard(ad.gate_mix(weights, layer, x), layer))),
 
     def run():
+        refs.clear()
+        inner_runs.clear()
         with ad.Tape() as tape:
-            layer = ad.linear(x, w, bias)
-            rows = ad.spmm(s, layer)
-            prod = ad.matmul(rows, m)
-            diff = ad.sub(prod, rows)
-            total = ad.add(diff, rows)
-            pos = ad.relu(total)
-            weights = ad.softmax_rows(ad.linear(x, wg, bg))
-            loss = ad.add(sum_all(ad.hadamard(pos, prod)),
-                          sum_all(ad.hadamard(ad.gate_mix(weights, layer, x), layer)))
-            refs = [weakref.ref(v.value) for v in (rows, prod, diff, total, pos, weights)]
-            del layer, rows, prod, diff, total, pos, weights
+            (loss,) = ad.checkpoint(outer, x)
             alive = [r() is not None for r in refs]
         g = ad.backward(loss, tape)
         return alive, [g[v] for v in (x, w, bias, m, wg, bg)]
 
     alive, grads = run()
     assert alive == [False] * 6
-    with ad.Tape():
-        plain = (ad.spmm(s, x), ad.matmul(x, m), ad.add(x, x), ad.sub(x, x), ad.relu(x),
-                 ad.softmax_rows(x))
-        assert not any(hasattr(v, "_recipe") for v in plain)
-    monkeypatch.setattr(ad, "_keep", lambda v: v)
+    assert len(inner_runs) == 3 and inner_runs[:2] == [None, None] and inner_runs[2] is not None
+    monkeypatch.setattr(ad, "checkpoint", lambda fn, *inputs: fn(*inputs))
     kept_alive, kept = run()
-    assert kept_alive == [True] * 6
+    # a plain tape keeps what rules read: not the sum and the difference
+    assert kept_alive == [True, True, False, False, True, True]
     assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
     assert all(np.abs(g).max() > 0 for g in grads)
+
+
+@pytest.mark.parametrize("fail", [None, "forward", "replay"])
+def test_checkpoint_restores_the_active_tape(fail):
+    """A ``checkpoint`` runs its function with no tape, and ``backward``
+    replays it under a fresh tape, inside which a nested ``Tape()`` is still
+    rejected; each gives the caller's tape back on every exit, also when the
+    function raises."""
+    x = ad.constant([[1.0, -2.0]])
+    seen = []
+
+    def fn(v):
+        seen.append(ad._ACTIVE_TAPE)
+        if seen[-1] is not None:
+            with pytest.raises(CpmrError, match="nested"):
+                with ad.Tape():
+                    pass
+        if fail == ("replay" if seen[-1] is not None else "forward"):
+            raise RuntimeError(fail)
+        return sum_all(ad.relu(v)),
+
+    with ad.Tape() as tape:
+        try:
+            (loss,) = ad.checkpoint(fn, x)
+            assert ad._ACTIVE_TAPE is tape
+            g = ad.backward(loss, tape)
+        except RuntimeError as err:
+            assert str(err) == fail
+        else:
+            assert fail is None and g[x].tolist() == [[1.0, 0.0]]
+        assert ad._ACTIVE_TAPE is tape
+    assert ad._ACTIVE_TAPE is None
+    assert seen[0] is None and len(seen) == (1 if fail == "forward" else 2)
+    assert fail == "forward" or isinstance(seen[1], ad.Tape) and seen[1] is not tape
 
 
 def _rule(op, *args):
@@ -485,7 +528,9 @@ class _CountingOperator:
 
 
 @pytest.mark.parametrize("order", [1, 4])
-def test_graph_flow_backward_recomputes_k_minus_1_products_per_substep(order):
+def test_graph_flow_backward_recomputes_no_product(order):
+    """Under a tape the forward keeps each sub-step's iterates, so the
+    backward runs only the S·K transposed products of the adjoint."""
     steps = 3
     n, x, e, gate, g = _flow_inputs("random", 9)
     counts = {"forward": 0, "transposed": 0}
@@ -496,5 +541,4 @@ def test_graph_flow_backward_recomputes_k_minus_1_products_per_substep(order):
         loss = sum_all(ad.hadamard(out, ad.constant(g)))
     assert counts == {"forward": steps * order, "transposed": 0}
     ad.backward(loss, tape, params=[xv, ev, sv])
-    assert counts == {"forward": steps * order + steps * (order - 1),
-                      "transposed": steps * order}
+    assert counts == {"forward": steps * order, "transposed": steps * order}

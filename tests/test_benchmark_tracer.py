@@ -41,13 +41,14 @@ def test_traced_run_reaches_every_graph_layer(tracer, monkeypatch):
     """train and a test replay call the graph views, the normalization, the
     fusion and the instant update by the names the tracer wraps; a path that
     bypassed them would leave their per-layer figures at zero. The tracer's
-    own copy of the sub-step rule counts the forward Horner sub-steps that
-    ``graph_flow`` ran."""
+    own copy of the sub-step rule counts the Horner sub-steps that
+    ``graph_flow`` ran: in the forward of each training day, in its replay
+    in the backward, and in the validation and test replays."""
     forward = [0]
 
-    def counted(*args, iterates=None, **kwargs):
-        forward[0] += iterates is None          # the adjoint's recomputes pass a list
-        return horner(*args, iterates=iterates, **kwargs)
+    def counted(*args, **kwargs):
+        forward[0] += 1
+        return horner(*args, **kwargs)
 
     horner = cpmr.autodiff._horner_substep
     monkeypatch.setattr(cpmr.autodiff, "_horner_substep", counted)

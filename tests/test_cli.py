@@ -384,12 +384,15 @@ def test_runconfig_file_fuzz_parses_or_config_error(content):
     ("model.d=100000000000000000000", "d=100000000000000000000 is too large"),
     ("model.d=1099511627776", "d=1099511627776 is too large"),
     # a day's (b, n_neg) int64 draws: b x 128 PiB, more than any machine maps
-    (f"train.n_neg={2 ** 54}", "Unable to allocate")],
-    ids=["d-over-intp", "d-112-TiB", "n_neg-over-128-PiB"])
+    (f"train.n_neg={2 ** 54}", "Unable to allocate"),
+    # numpy cannot size the (b, n_neg) draws: "array is too big", a ValueError
+    (f"train.n_neg={2 ** 61}", f"n_neg={2 ** 61} is too large"),
+    (f"train.n_neg={2 ** 63 - 1}", f"n_neg={2 ** 63 - 1} is too large")],
+    ids=["d-over-intp", "d-112-TiB", "n_neg-over-128-PiB", "n_neg-2**61", "n_neg-int64-max"])
 def test_unallocatable_size_exit_code(workspace, capsys, line, message):
     """Sizes no machine can hold used to exit 1 with a traceback: a TypeError
     from ``np.sqrt`` of the d, numpy's ArrayMemoryError at the embeddings or
-    at a day's negative draws."""
+    at a day's negative draws, and numpy's ValueError for draws it cannot size."""
     tmp_path, out, _ = workspace
     bad = tmp_path / "bad.cfg"
     write_config(bad, out / "dataset.bin", out, extra=[line])

@@ -280,16 +280,16 @@ def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
         z, new = model.step(states, store, 3)
         assert len(blocks) == 4 and all(r() is None for r in blocks)
         loss = ad.mean_all(ad.hadamard(ad.add(new.x["his"], new.x["ctx"]), z))
-    params = [id(p) for p in model.params.values()]
+    params = {id(p.value) for p in model.params.values()}
     rows = set()
     for start, stop in spans:
         for _, (_, rule) in tape.nodes[start:stop]:
             kept = list(rule.__defaults__ or ()) + [c.cell_contents
                                                     for c in rule.__closure__ or ()]
             for obj in kept:
-                if id(obj) in params:
-                    continue
                 value = getattr(obj, "value", obj)
+                if id(value) in params:
+                    continue
                 if sp.issparse(value) or getattr(value, "ndim", 0) == 2:
                     rows.add(value.shape[0])
     assert rows == set(involved)
@@ -568,12 +568,20 @@ def test_evolve_states_without_tape_keeps_no_iterates():
     # the sub-step's input, the last iterate, the one being made and two
     # scratch buffers; the iterate as one expression peaked above 6
     assert peak < 6 * state_bytes
+    flow = lambda: model.evolve_states(x, nadj, "his", 5.0)
+    _, kept_plain, _ = traced_bytes(lambda: taped(flow))
+    # a taped flow keeps the 6 Horner iterates of each of its 40 sub-steps
+    assert 40 * 6 * state_bytes < kept_plain < (40 * 6 + 3) * state_bytes
+
+    def checkpointed():
+        return ad.checkpoint(lambda v: (model.evolve_states(v, nadj, "his", 5.0),), x)[0]
+
     with ad.Tape() as tape:
         tracemalloc.start()
         try:
-            out = model.evolve_states(x, nadj, "his", 5.0)
+            out = checkpointed()
             kept_taped, peak_taped = tracemalloc.get_traced_memory()
-            assert len(tape.nodes) == 2
+            assert len(tape.nodes) == 1
             loss = ad.mean_all(out)
             del out
             tracemalloc.reset_peak()
@@ -582,27 +590,28 @@ def test_evolve_states_without_tape_keeps_no_iterates():
             peak_backward = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # the inputs of the 40 sub-steps (the first is x's own array, not traced)
-    # and the output: keeping the 6 Horner iterates of each sub-step made 242
-    assert kept_taped < 41 * state_bytes
-    # the same buffers as without a tape beside them while an iterate is made
-    assert peak_taped < (40 + 4) * state_bytes
-    # the backward holds one sub-step's 6 recomputed iterates at a time, the
-    # recompute's two scratch buffers and the adjoint's five arrays
-    assert peak_backward < before + (6 + 2 + 5) * state_bytes
+    # checkpointed, a segment keeps of the flow its output: its input is x's own array
+    assert kept_taped < 2 * state_bytes
+    assert peak_taped < 6 * state_bytes
+    # the replay's iterates, its two scratch buffers and the adjoint's five arrays
+    assert peak_backward < before + (40 * 6 + 2 + 5 + 1) * state_bytes
+
+
+def taped(fn):
+    """``fn()`` under a tape, with the tape: what a taped op keeps stays alive."""
+    with ad.Tape() as tape:
+        return fn(), tape
 
 
 def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
-    """No rule keeps a fusion intermediate: every ``linear`` output (the gate
-    logits, read by no rule, as the softmax reads its own output, but by the
-    gate weights' recipes; the experts, which the mixes' rules and recipes
-    read through recipes), the softmax gate weights, which their own rules
-    and the mixes' read through recipes, and the ``final`` task's per-class
-    mixes, copied into z, are freed once the forward code drops them. The
-    scenarios' mixes are the blocks ``fuse`` returns. With ``_keep`` giving
-    Vars, the rules and recipes keep the gate logits, the experts and the
-    gate weights, and z's recipe keeps the ``final`` mixes; the gradients
-    are the bytes that keeping them gave."""
+    """Under a tape, fusion inside a ``checkpoint`` keeps none of its
+    intermediates: every ``linear`` output (the gate logits and the
+    experts), the softmax gate weights and the ``final`` task's per-class
+    mixes, copied into z, are freed once the forward code drops them, and
+    the tape holds one node. On a plain tape the rules keep what they read,
+    the experts and the gate weights, while the gate logits (the softmax
+    reads its own output) and the final mixes die there too. The gradients
+    are the same bytes either way."""
     import weakref
     model = make_model(n_users=5, n_items=4, d=6)
     rng = np.random.default_rng(41)
@@ -619,11 +628,15 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
     for name in refs:
         monkeypatch.setattr(ad, name, watched(name, getattr(ad, name)))
 
+    def fuse(xh, xc):
+        fused, z = model.fuse({"his": xh, "ctx": xc})
+        return (*fused["his"], *fused["ctx"], z)
+
     def run():
         for r in refs.values():
             r.clear()
         with ad.Tape() as tape:
-            fused, z = model.fuse({"his": xh, "ctx": xc})
+            *blocks, z = ad.checkpoint(fuse, xh, xc)
             # per entity class: 7 linear layers (shared, 3 gates, 3 experts), 3 mixes
             assert len(refs["linear"]) == 2 * 7 and len(refs["gate_mix"]) == 2 * 3
             # in each class the shared expert, then per task its gate and its expert
@@ -631,25 +644,23 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
             experts = [r for k in (0, 7) for r in refs["linear"][k:k + 7:2]]
             # in each class the his, ctx and final mixes
             finals = [refs["gate_mix"][k] for k in (2, 5)]
-            assert all(block.value is refs["gate_mix"][k + j]()
-                       for j, sc in enumerate(("his", "ctx"))
-                       for block, k in zip(fused[sc], (0, 3)))
+            assert all(block.value is refs["gate_mix"][k]()
+                       for block, k in zip(blocks, (0, 3, 1, 4)))
             alive = [r() is not None for r in gates + experts + finals + refs["softmax_rows"]]
-            # their nodes stay on the tape, as handles without values
-            handles = sum(o.value.size == 0 for o, _ in tape.nodes)
-            # per class: 2 row blocks, their concatenation, the shared expert and
-            # per task its gate linear, softmax, expert linear and mix; z's stack
-            assert len(tape.nodes) == 2 * (2 + 1 + 1 + 3 * 4) + 1
-            h, c = (ad.concat_rows(*fused[sc]) for sc in ("his", "ctx"))
+            n_nodes = len(tape.nodes)
+            h, c = ad.concat_rows(*blocks[:2]), ad.concat_rows(*blocks[2:])
             loss = ad.mean_all(ad.add(ad.add(h, c), z))
         grads = ad.backward(loss, tape, params=[xh, xc])
-        return alive, handles, [grads[xh], grads[xc]]
+        return alive, n_nodes, [grads[xh], grads[xc]]
 
-    alive, handles, grads = run()
-    # per class: 7 layers, 3 gate weights, the final mix and the 2 row blocks
-    assert alive == [False] * 22 and handles >= 2 * (7 + 3 + 1 + 2)
-    monkeypatch.setattr(ad, "_keep", lambda v: v)
-    kept_alive, kept_handles, kept = run()
-    assert kept_alive == [True] * 22 and kept_handles == handles - 22
+    alive, n_nodes, grads = run()
+    assert alive == [False] * 22 and n_nodes == 1
+    monkeypatch.setattr(ad, "checkpoint", lambda fn, *inputs: fn(*inputs))
+    kept_alive, kept_nodes, kept = run()
+    # the gate logits and final mixes die; the experts and the gate weights are kept
+    assert kept_alive == [False] * 6 + [True] * 8 + [False] * 2 + [True] * 6
+    # per class: 2 row blocks, their concatenation, the shared expert and
+    # per task its gate linear, softmax, expert linear and mix; z's stack
+    assert kept_nodes == 2 * (2 + 1 + 1 + 3 * 4) + 1
     assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
     assert np.abs(grads[0]).max() > 0 and np.abs(grads[1]).max() > 0

@@ -11,7 +11,7 @@ from cpmr.data import RawEvent, SECONDS_PER_DAY, canonicalize
 from cpmr.errors import ConfigError, NumericalError
 from cpmr.graphs import EdgeStore
 from cpmr.model import CpmrModel, ModelConfig
-from cpmr.training import (InteractionHistory, TrainConfig, batch_loss,
+from cpmr.training import (InteractionHistory, TrainConfig, _train_day, batch_loss,
                            sample_negatives, train)
 
 
@@ -132,13 +132,13 @@ def test_batch_loss_matches_scalar_oracle():
     history = InteractionHistory(ds.n_users, ds.n_items)
     users, items = ds.user_ids[:5], ds.item_ids[:5]
 
-    got = batch_loss(model, z, users, items, history, n_neg=2,
-                     rng=np.random.default_rng(7)).value[0, 0]
-    # replay the same negative draws, then average per-pair scalar losses
     rng = np.random.default_rng(7)
-    losses = []
     draws = [sample_negatives(int(u), int(i), history, ds.n_users, ds.n_items,
                               2, rng) for u, i in zip(users, items)]
+    neg_u, neg_i = (np.array([d[k] for d in draws]) for k in (0, 1))
+    got = batch_loss(model, z, users, items, neg_u, neg_i).value[0, 0]
+    # average per-pair scalar losses over the same draws
+    losses = []
 
     def score(user, item):
         return float(model.user_repr(z, [user]).value[0] @ model.item_repr(z, [item]).value[0])
@@ -157,8 +157,7 @@ def test_batch_loss_empty_batch():
                       ModelConfig(**SMALL_MODEL), rng=np.random.default_rng(0))
     z = ad.constant(np.zeros((model.n_nodes, 4)))
     with pytest.raises(ConfigError):
-        batch_loss(model, z, [], [], InteractionHistory(1, 1), 2,
-                   np.random.default_rng(0))
+        batch_loss(model, z, [], [], *np.empty((2, 0, 2), dtype=np.int64))
 
 
 def test_training_deterministic_bit_exact():
@@ -291,10 +290,10 @@ def test_non_finite_state_with_finite_loss_raises(monkeypatch):
     ds = canonicalize(events)
 
     class NanGate(tr.CpmrModel):
-        def step(self, states, store, day_k):
+        def _recurrence(self, store, day_from, day_k, **kw):
             if day_k == 4:
                 self.params["alpha_ctx"].value[0, 0] = np.nan
-            return super().step(states, store, day_k)
+            return super()._recurrence(store, day_from, day_k, **kw)
 
     losses = []
     def recorded(*args):
@@ -304,7 +303,8 @@ def test_non_finite_state_with_finite_loss_raises(monkeypatch):
     monkeypatch.setattr(tr, "batch_loss", recorded)
     with pytest.raises(NumericalError, match="non-finite his states at epoch 0 day 4"):
         train(ds, ModelConfig(**{**SMALL_MODEL, "s_days": 1}), quick_cfg(max_epochs=1))
-    assert len(losses) == 5 and all(np.isfinite(l.value[0, 0]) for l in losses)
+    # days 0-4, then days 0-3 again in the replays of their segment's backward
+    assert len(losses) == 5 + 4 and all(np.isfinite(l.value[0, 0]) for l in losses)
 
 
 def test_train_log_file_written(tmp_path):
@@ -339,7 +339,7 @@ def test_empty_negative_pools_counted_not_logged(tmp_path, caplog):
     assert epoch_line["negative_fallbacks"] > 0
 
 
-def recipe_days():
+def few_days():
     """Eight days of a 6 x 6 log, one of them with a single interaction."""
     rng = np.random.default_rng(4)
     events = [RawEvent(f"u{rng.integers(6)}", f"i{rng.integers(6)}", day * SECONDS_PER_DAY)
@@ -348,25 +348,21 @@ def recipe_days():
     return ds, EdgeStore.from_dataset(ds), [int(d) for d in np.unique(ds.days)]
 
 
-def taped_days(ds, store, days, config, hold=None):
-    """(model, loss, tape): taped ``step`` plus ``batch_loss`` over ``days``.
-
-    ``hold(z, states)``, if given, sees each day's prediction block and new
-    states before the forward drops them.
-    """
+def taped_days(ds, store, days, config):
+    """(model, loss, tape): the training days ``days``, each a checkpoint, under a tape."""
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, config, rng=np.random.default_rng(0))
     history, draws = InteractionHistory(ds.n_users, ds.n_items), np.random.default_rng(1)
     with ad.Tape() as tape:
         states, total = model.init_states(), None
         for day in days:
-            z, states = model.step(states, store, day)
-            users, items = store.instant_edges(day)
-            loss = batch_loss(model, z, users, items, history, 3, draws)
+            loss, states = _train_day(model, store, states, day, history, 3, draws)
             total = loss if total is None else ad.add(total, loss)
-            history.add_day(users, items)
-            if hold:
-                hold(z, states)
     return model, total, tape
+
+
+def plain(fn, *inputs):
+    """``fn(*inputs)`` on the active tape: ``ad.checkpoint`` taken out."""
+    return fn(*inputs)
 
 
 @pytest.mark.parametrize("variant, substeps", [("full", 1), ("wo_ctx", 1), ("wo_his", 1),
@@ -374,11 +370,11 @@ def taped_days(ds, store, days, config, hold=None):
                          ids=["full", "wo_ctx", "wo_his", "wo_fusion", "full-3-substeps",
                               "wo_fusion-3-substeps"])
 def test_recipes_give_the_gradients_of_kept_copies(variant, substeps, monkeypatch):
-    """Rebuilding gathers, their concatenations, sparse products, layers,
-    gate weights, mixes, the instant update's rows, a day's states and its
-    prediction block in the backward gives every gradient byte for byte as
-    keeping the copies did, also on a clock of 3 Taylor sub-steps a day."""
-    ds, store, days = recipe_days()
+    """A training day's checkpoint, the day's recipe (its function and input
+    states), is one tape node, and replaying it in the backward gives every
+    gradient byte for byte as a plain tape that keeps each op's arrays does,
+    for every variant, also on a clock of 3 Taylor sub-steps a day."""
+    ds, store, days = few_days()
     days = days[:5]
     assert 1 in [len(store.instant_edges(d)[0]) for d in days]   # a one-interaction day
     time_scale = (substeps - 0.5) * 0.125 / ds.day_unit         # a one-day gap, tau_max 0.125
@@ -387,115 +383,98 @@ def test_recipes_give_the_gradients_of_kept_copies(variant, substeps, monkeypatc
 
     def grads():
         model, total, tape = taped_days(ds, store, days, config)
+        n_nodes = len(tape.nodes)
         g = ad.backward(total, tape, params=model.params.values())
-        return {name: g[v] for name, v in model.params.items()}
+        return n_nodes, {name: g[v] for name, v in model.params.items()}
 
-    got = grads()
-    monkeypatch.setattr(ad, "_keep", lambda v: v)      # keep the Var, as before recipes
-    want = grads()
+    n_nodes, got = grads()
+    # E's copies, one checkpoint a day and the sum of the day losses
+    assert n_nodes == len(config.scenarios) + 2 * len(days) - 1
+    monkeypatch.setattr(ad, "checkpoint", plain)
+    plain_nodes, want = grads()
+    assert plain_nodes > 40 * len(days)
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-def _captured(keeper):
-    """What a rule (its defaults and closure cells) or a recipe (its sources) keeps."""
-    if isinstance(keeper, ad._Recipe):
-        return keeper.args
-    return (*(keeper.__defaults__ or ()), *(c.cell_contents for c in keeper.__closure__ or ()))
+def closure(fn):
+    """The variables a function's closure keeps, by name."""
+    return {name: c.cell_contents for name, c in zip(fn.__code__.co_freevars, fn.__closure__)}
 
 
-def test_the_instant_updates_rules_and_recipes_keep_no_float_array(monkeypatch):
-    """After a taped full-model ``step`` the rules of ``update_instant`` and
-    the recipes it makes keep recipes, parameters, index arrays, relu masks
-    and sparse operators, and no float array: the selected rows, the partner
-    means, the replacement rows and the new states are rebuilt in the
-    backward. The walk reads no recipe's ``.value``."""
-    ds, store, days = recipe_days()
+def test_the_instant_updates_rules_and_recipes_keep_no_float_array():
+    """A taped full-model training day is one node whose float arrays are
+    its input states. Its recipe holds the instant update's averaging
+    operators (index arrays and sparse selections and means), the normalized
+    graph views and the day's interactions and negatives, and no float
+    array: the instant update's rows and the new states are rebuilt in the
+    backward, with the rest of the day."""
+    ds, store, days = few_days()
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, ModelConfig(**SMALL_MODEL),
                       rng=np.random.default_rng(0))
-    rebuildable, update = ad._rebuildable, CpmrModel.update_instant
-    made, spans = [], []
-
-    def recording(*args, **kw):
-        out = rebuildable(*args, **kw)
-        if len(spans) % 2 and hasattr(out, "_recipe"):      # inside update_instant
-            made.append(out._recipe)
-        return out
-
-    def watched(self, *args):
-        spans.append(len(ad._ACTIVE_TAPE.nodes))
-        out = update(self, *args)
-        spans.append(len(ad._ACTIVE_TAPE.nodes))
-        return out
-
-    monkeypatch.setattr(ad, "_rebuildable", recording)
-    monkeypatch.setattr(CpmrModel, "update_instant", watched)
     with ad.Tape() as tape:
-        model.step(model.init_states(), store, days[1])
-    assert len(spans) == 2 * 2 and made
-    held = [x for r in made for x in _captured(r)]
-    for start, stop in zip(spans[::2], spans[1::2]):
-        held += [x for _, (_, rule) in tape.nodes[start:stop] for x in _captured(rule)]
-    params = {id(p) for p in model.params.values()}
-    kinds = {type(x).__name__ for x in held}
-    assert {"_Recipe", "Var", "ndarray", "csr_matrix"} <= kinds, kinds
-    assert all(id(x) in params for x in held if isinstance(x, ad.Var))
-    assert all(x.dtype.kind in "ib" for x in held if isinstance(x, np.ndarray))
-    assert any(x.dtype.kind == "b" for x in held if isinstance(x, np.ndarray))
+        states = model.init_states()
+        _train_day(model, store, states, days[1], InteractionHistory(ds.n_users, ds.n_items),
+                   3, np.random.default_rng(1))
+    (_, (_, replay)), = tape.nodes[len(states.x):]
+    (arrays,) = replay.__defaults__              # the checkpoint's input arrays
+    assert [a is x.value for a, x in zip(arrays, states.x.values())] == [True, True]
+    day = closure(closure(replay)["fn"])         # the day's recurrence and the loss's data
+    cells = closure(day.pop("advance"))
+
+    def walk(x):
+        if isinstance(x, (list, tuple)):
+            for y in x:
+                yield from walk(y)
+        else:
+            yield x
+
+    held = list(walk([list(day.values()), list(cells.values())]))
+    assert not any(isinstance(x, ad.Var) for x in held)
+    assert all(x.dtype.kind in "iu" for x in held if isinstance(x, np.ndarray))
+    ops = list(walk(cells["ops"]))
+    assert [type(x).__name__ for x in ops] == ["ndarray", "csr_matrix", "csr_matrix"] * 2
 
 
 def test_backward_builds_each_shared_expert_once(monkeypatch):
-    """In the backward of two taped full-model days of ``step`` plus
-    ``batch_loss`` each class's shared expert is rebuilt by one GEMM a day,
-    not once per task mix that reads it: the first day's his, ctx and final
-    mixes all get gradients."""
-    ds, store, days = recipe_days()
-    affine, built = ad._affine, []
-    monkeypatch.setattr(ad, "_affine", lambda x, w, b: built.append(w) or affine(x, w, b))
+    """In the backward of two checkpointed full-model days each class's
+    shared expert is computed by one layer a day, in the day's replay, not
+    once per task mix that reads it."""
+    ds, store, days = few_days()
     model, loss, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
-    built.clear()
+    linear, built = ad.linear, []
+    monkeypatch.setattr(ad, "linear", lambda x, w, b: built.append(w) or linear(x, w, b))
     ad.backward(loss, tape, params=model.params.values())
     for cls in ("user", "item"):
-        shared = model.params[f"fusion.{cls}.expert_shared.w"].value
+        shared = model.params[f"fusion.{cls}.expert_shared.w"]
         assert sum(w is shared for w in built) == 2
 
 
 def test_no_recipe_holds_a_value_once_backward_returns(monkeypatch):
-    """Recipe values are cached between their readers in ``backward``, and
-    the ones whose last readers never ran (the last day's shared experts:
-    no loss reads that day's his and ctx mixes) are dropped when it returns."""
-    ds, store, days = recipe_days()
+    """A day's replay builds the day's arrays again (here its fusion mixes)
+    under a tape of its own, and none of them outlives ``backward``; the
+    active tape is the caller's again."""
+    ds, store, days = few_days()
     model, loss, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
-    value, cached = ad._Recipe.value, []
-    monkeypatch.setattr(ad._Recipe, "value",
-                        property(lambda r: cached.append(len(tape.built)) or value.fget(r)))
+    gate_mix, built = ad.gate_mix, []
+
+    def watched(*args):
+        out = gate_mix(*args)
+        built.append((ad._ACTIVE_TAPE, weakref.ref(out.value)))
+        return out
+
+    monkeypatch.setattr(ad, "gate_mix", watched)
     ad.backward(loss, tape, params=model.params.values())
-    assert max(cached) > 0 and tape.built == {}
-
-
-@pytest.mark.parametrize("variant", ["full", "wo_ctx", "wo_his"])
-def test_a_days_states_and_prediction_block_die_under_a_tape(variant):
-    """The rules that read a day's new states (the next day's graph flows)
-    and its prediction block z (the loss's gathers) keep recipes, so the
-    arrays die once the forward code drops them."""
-    ds, store, days = recipe_days()
-    refs = []
-
-    def hold(z, states):
-        refs.extend(weakref.ref(x.value) for x in (z, *states.x.values()))
-
-    config = ModelConfig(**SMALL_MODEL, variant=variant)
-    model, loss, tape = taped_days(ds, store, days[1:4], config, hold=hold)
-    assert len(refs) == 3 * (1 + len(model.config.scenarios))
-    assert [r() for r in refs] == [None] * len(refs)
-    grads = ad.backward(loss, tape, params=model.params.values())
-    assert all(np.isfinite(g).all() for g in grads.values())
+    assert len(built) == 2 * 2 * 3            # two days, two classes, three tasks
+    assert all(t is not None and t is not tape for t, _ in built)
+    assert [r() for _, r in built] == [None] * len(built)
+    assert ad._ACTIVE_TAPE is None
 
 
 def test_a_segments_gradients_are_freed_before_the_next_segment(monkeypatch):
     """The gradients of a segment, parameter-sized and those of its starting
-    states, are dead when the next segment's first ``step`` runs."""
+    states, are dead when the next segment's first day is built."""
     import cpmr.training as tr
     backward, grads, live = ad.backward, [], []
 
@@ -505,10 +484,10 @@ def test_a_segments_gradients_are_freed_before_the_next_segment(monkeypatch):
         return out
 
     class Watched(tr.CpmrModel):
-        def step(self, *args, **kw):
+        def _recurrence(self, *args, **kw):
             if grads:
                 live.append(sum(r() is not None for r in grads))
-            return super().step(*args, **kw)
+            return super()._recurrence(*args, **kw)
 
     monkeypatch.setattr(ad, "backward", watched)
     monkeypatch.setattr(tr, "CpmrModel", Watched)
@@ -517,25 +496,15 @@ def test_a_segments_gradients_are_freed_before_the_next_segment(monkeypatch):
 
 
 def test_taped_step_and_loss_keep_only_what_backward_reads():
-    """Live bytes of one taped ``step`` plus ``batch_loss``, in state-matrix
-    sizes: ~79 when the tape held every op's output, ~39.5 once it held
-    handles and each rule kept only what it reads, ~27.4 once the graph
-    flow kept one array per sub-step in place of its Horner iterates, ~16.6
-    since rules keep recipes for gathers, their concatenations and sparse
-    products in place of the copies (~16.2 with whole-layer fusion ops),
-    ~9.4 since they keep recipes for dense layers' outputs too: the fusion
-    experts and the per-draw representations, rebuilt by one GEMM; ~7.9
-    since the instant update keeps only the day's involved rows, not the
-    fused n x d blocks its sparse products read. Those figures count z and
-    the new states, which the caller holds (~8.2 now: the new states'
-    recipes keep the replacement rows). Once the caller drops them: ~5.9,
-    as the gathers' recipes pinned z; ~4.6 since z, the states and the
-    fusion mixes are recipes, and the tape keeps of the day the two fusion
-    inputs (2 state matrices), the involved rows and the graph operators;
-    ~3.4 (~6.5 held) since the instant update's selected rows, partner means
-    and replacement rows and the softmax gate weights are recipes too, so the
-    tape keeps of the day the two fusion inputs, index arrays, relu masks and
-    the graph operators."""
+    """Live bytes of a taped segment of training days, ``step`` plus
+    ``batch_loss`` each, in state-matrix sizes. A day kept ~79 when the tape
+    held every op's output, ~39.5 once it held handles and each rule kept
+    only what it reads, and ~3.4 with the per-op recipes of earlier
+    versions: the two fusion inputs, index arrays, relu masks and the graph
+    operators. As one checkpoint a day keeps its input states, one state
+    matrix per scenario, and index and sparse data: the day's graph views,
+    averaging operators, interactions and negatives. The caller holds the
+    last day's new states."""
     import tracemalloc
     rng = np.random.default_rng(5)
     n_u, n_i = 300, 100
@@ -546,20 +515,21 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
     model = CpmrModel(n_u, n_i, day_unit=0.01, config=ModelConfig(d=32),
                       rng=np.random.default_rng(0))
     state_bytes = model.params["embed"].value.nbytes
-    states = model.init_states()
-    day = int(days[-1])
-    u, i = store.instant_edges(day)
+    history, draws = InteractionHistory(n_u, n_i), np.random.default_rng(1)
+    seg_days = [int(d) for d in np.unique(days)[-4:]]
     tracemalloc.start()
     try:
         with ad.Tape() as tape:
-            z, new = model.step(states, store, day)
-            loss = batch_loss(model, z, u, i, InteractionHistory(n_u, n_i), 8,
-                              np.random.default_rng(1))
-            held = tracemalloc.get_traced_memory()[0]
-            del z, new
+            states = model.init_states()      # the first day's input states
+            total = None
+            for day in seg_days:
+                loss, states = _train_day(model, store, states, day, history, 8, draws)
+                total = loss if total is None else ad.add(total, loss)
             kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 7 * state_bytes
-    assert kept < 4 * state_bytes
-    ad.backward(loss, tape, params=model.params.values())
+    # each day's input states and the last day's new states, plus ~0.5 a day
+    # (here 2.1 in all) of graph views, averaging operators and negatives
+    states_kept = 2 * (len(seg_days) + 1)
+    assert states_kept * state_bytes < kept < (states_kept + 0.75 * len(seg_days)) * state_bytes
+    ad.backward(total, tape, params=model.params.values())
