@@ -28,12 +28,14 @@ import math
 import weakref
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from . import arrayfile
-from .errors import ConfigError, CpmrError, ShapeError
+from .errors import ConfigError, CpmrError, NumericalError, ShapeError
 
 _ACTIVE_TAPE = None
 MAX_SUBSTEPS = 10_000  # per graph_flow; a day gap <= span takes <= ceil(time_scale / tau_max)
+MAX_ORDER = 170        # the largest Taylor order K whose 1 / K! is a positive float
 
 
 class Var:
@@ -356,19 +358,20 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
 
     Each sub-step of length tau is one truncated Taylor series of order K in
     Horner form: y = X / K!, then y <- tau (N (gate * y) - y) + X / k! + tau E / (k+1)!
-    for k = K-1 ... 0, with the operations of that expression in its order, so
-    the numbers are bit for bit the same. ``dt = 0`` returns ``x`` itself. Two
-    scratch buffers per sub-step hold ``y * gate`` and the ``X / k! + tau E / (k+1)!``
-    term, and each iterate is finished in place in the fresh array ``N @ scratch``
-    returns. Under a tape the forward keeps each sub-step's iterates y_K ... y_1,
-    and the adjoint pops them as the transposed recurrence reads them, which it
-    runs in place with one scratch buffer. A ``checkpoint`` around the flow
-    keeps them only while its replay runs.
+    for k = K-1 ... 0, in that expression's order of operations and in buffers the
+    flow owns, so the numbers are bit for bit the same. ``n`` is scipy CSR or CSC; ``dt = 0``
+    returns ``x``. Under a tape the forward keeps each sub-step's input (the first is
+    ``x``'s own array) and the last one's y_{K-1} ... y_1; the adjoint rebuilds
+    y_K = input / K!, recomputes each earlier sub-step's y_{K-1} ... y_1 into those
+    K-1 arrays (K-1 products) and runs the transposed recurrence in four owned
+    buffers. A ``checkpoint`` around the flow keeps all this only while its replay runs.
     """
     _check(x.shape == e.shape and gate.shape == (x.shape[0], 1)
            and n.shape == (x.shape[0],) * 2, "graph_flow", x.shape, e.shape, gate.shape, n.shape)
-    if order < 1:
-        raise ConfigError(f"series truncation order must be >= 1, got {order}")
+    if getattr(n, "format", None) not in ("csr", "csc"):    # what _product_into runs
+        raise ConfigError(f"graph_flow needs a CSR or CSC matrix, got {type(n).__name__}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ConfigError(f"series truncation order must lie in [1, {MAX_ORDER}], got {order}")
     if not math.isfinite(dt) or dt < 0:
         raise ConfigError(f"evolution interval must be finite and >= 0, got {dt}")
     if not math.isfinite(tau_max) or tau_max <= 0:
@@ -380,19 +383,27 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     steps = max(1, math.ceil(dt / tau_max))
     tau = dt / steps
     inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
-    s, ev, cur = gate.value, e.value, x.value
-    iterates = [] if _ACTIVE_TAPE is not None else None      # y_K ... y_1 of each sub-step
-    for _ in range(steps):
-        cur = _horner_substep(cur, s, ev, n, tau, inv_fact, iterates)
+    s, ev, cur, shape = gate.value, e.value, x.value, x.shape
+    scratch, inputs = (np.empty(shape), np.empty(shape)), []
+    for i in range(steps):
+        if _ACTIVE_TAPE is not None:
+            inputs.append(cur)
+        kept = [np.empty(shape) for _ in range(order - 1)] if inputs and i == steps - 1 else None
+        cur = _horner_substep(cur, s, ev, n, tau, inv_fact, scratch, kept)
     out = Var(cur)
 
     def adjoint(g):
-        nt, g_e, g_s = n.T, np.zeros(ev.shape), np.zeros_like(s)
-        buf = np.empty(ev.shape)
-        for _ in range(steps):
+        nt, g_e, g_s = n.T, np.zeros(shape), np.zeros_like(s)
+        y_top, buf, h, spare = (np.empty(shape) for _ in range(4))
+        for i in range(steps - 1, -1, -1):
+            start = inputs.pop()
+            if i < steps - 1:
+                _horner_substep(start, s, ev, n, tau, inv_fact, (buf, y_top), kept, stop=1)
+            np.multiply(start, inv_fact[order], out=y_top)        # y_K, as the forward made it
             for k in range(order):
-                h = np.asarray(nt @ g)
-                np.multiply(h, iterates.pop(), out=buf)
+                h, spare = (spare, h) if g is h else (h, spare)   # N^T G not into G
+                _product_into(nt, g, h)
+                np.multiply(h, kept[k] if k < order - 1 else y_top, out=buf)
                 g_s += tau * np.sum(buf, axis=1, keepdims=True)
                 np.multiply(g, inv_fact[k], out=buf)
                 if k == 0:
@@ -413,24 +424,37 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     return out
 
 
-def _horner_substep(cur, s, ev, n, tau, inv_fact, iterates=None):
-    """Output y_0 of one sub-step from its input ``cur``; appends y_K ... y_1 to ``iterates``."""
+def _horner_substep(cur, s, ev, n, tau, inv_fact, scratch, kept=None, stop=0):
+    """Iterate y_stop of a sub-step from ``cur``; y_0, the output, is its one fresh array.
+
+    ``scratch``: the ``y * gate`` buffer, and one that iterates and affine terms
+    share with the output by turns. ``kept[k - 1]`` takes y_k for k >= 1.
+    """
     order = len(inv_fact) - 1
-    y = cur * inv_fact[order]
-    gated, w = np.empty_like(cur), np.empty_like(cur)
-    for k in range(order - 1, -1, -1):
-        if iterates is not None:
-            iterates.append(y)
+    gated, other = scratch
+    out = np.empty(cur.shape) if stop == 0 else None
+    y = other if kept is not None or order % 2 else out     # so y_1 is never in out
+    np.multiply(cur, inv_fact[order], out=y)
+    for k in range(order - 1, stop - 1, -1):
+        t = out if k == 0 else kept[k - 1] if kept is not None else other if y is out else out
         np.multiply(y, s, out=gated)
-        t = np.asarray(n @ gated)
+        _product_into(n, gated, t)
         t -= y
         t *= tau
+        w = y if kept is None else other          # y is read for the last time above
         np.multiply(cur, inv_fact[k], out=w)
         np.multiply(ev, tau * inv_fact[k + 1], out=gated)
         w += gated
         t += w
         y = t
     return y
+
+
+def _product_into(n, x, out):
+    """``out`` <- ``n @ x`` for CSR or CSC ``n``: scipy's kernel into zeros, as ``@`` runs it."""
+    out.fill(0.0)
+    getattr(_sparsetools, n.format + "_matvecs")(*n.shape, x.shape[1], n.indptr, n.indices,
+                                                 n.data, x.ravel(), out.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +551,8 @@ def adam_step(params, grads, lr, weight_decay, state: AdamState):
     """One Adam update in place. ``params``: dict name -> Var.
 
     The L2 term ``weight_decay * param`` is added to the gradient before
-    the moment updates (classic Adam-with-L2).
+    the moment updates (classic Adam-with-L2). A non-finite gradient or second
+    moment raises ``NumericalError`` before its parameter moves to NaN or freezes.
     """
     state.step += 1
     t = state.step
@@ -544,6 +569,8 @@ def adam_step(params, grads, lr, weight_decay, state: AdamState):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
+        if not np.isfinite(v).all():             # as is g: a non-finite g makes v non-finite
+            raise NumericalError(f"adam_step: non-finite gradient or second moment for {name!r}")
         mhat = m / (1.0 - b1 ** t)
         vhat = v / (1.0 - b2 ** t)
         p.value -= lr * mhat / (np.sqrt(vhat) + eps)

@@ -83,6 +83,10 @@ def op_checks(seed=0):
         "graph_flow_order1": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
                               lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
                                   *p, flow_n, 0.9, 1, 0.3), ad.constant(_cmat(2, rows=5))))),
+        # 3 sub-steps of odd order: the adjoint recomputes two, in buffers it reuses
+        "graph_flow_substeps3": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
+                                 lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
+                                     *p, flow_n, 0.8, 5, 0.3), ad.constant(_cmat(2, rows=5))))),
     }
     for name, (params, f) in cases.items():
         yield name, ad.grad_check(f, params, h=1e-5)

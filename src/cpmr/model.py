@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import MAX_SUBSTEPS, Var
+from .autodiff import MAX_ORDER, MAX_SUBSTEPS, Var
 from .errors import ConfigError, SequencingError
 from .graphs import ALPHA0, averaging_operators, normalize_adjacency
 
@@ -47,6 +47,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d < 1 or self.s_days < 1 or self.taylor_order < 1:
             raise ConfigError("d, s_days and taylor_order must all be >= 1")
+        if self.taylor_order > MAX_ORDER:        # 1/K! is a positive float up to K = 170
+            raise ConfigError(f"taylor_order must be <= {MAX_ORDER}, got {self.taylor_order}")
         if 16 * self.d * self.d > np.iinfo(np.intp).max:     # the 2d x d float64 head weights
             raise ConfigError(f"d={self.d} is too large: numpy cannot size a 2d x d weight")
         if self.time_scale <= 0 or self.tau_max <= 0:
@@ -78,7 +80,7 @@ class TemporalStates:
 def evolve(x, e, adj, dt, order, tau_max=0.125):
     """Advance the linear ODE dX/dt = (A - I) X + E by ``dt`` on arrays.
 
-    ``adj`` is a (sparse) matrix with singular values < 1. The flow
+    ``adj`` is a scipy CSR or CSC matrix with singular values < 1. The flow
     X(dt) = P(dt) E + Q(dt) X with Q = exp((A-I) dt) and
     P = (A-I)^-1 (Q - I) is evaluated inverse-free as one truncated Taylor
     series in Horner form over sub-intervals of length <= tau_max.

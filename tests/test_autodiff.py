@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import _sparsetools
 from scipy.special import logsumexp as scipy_logsumexp
 
 from cpmr import autodiff as ad
-from cpmr.errors import CpmrError, DataFormatError, ShapeError
+from cpmr.errors import CpmrError, DataFormatError, NumericalError, ShapeError
 from cpmr.graphs import normalize_adjacency
 
 
@@ -388,6 +389,20 @@ def test_adam_weight_decay_in_gradient():
     assert p.value[0, 0] < 10.0
 
 
+@pytest.mark.parametrize("grad, weight_decay", [(np.nan, 0.0), (np.inf, 0.0), (1e200, 0.0),
+                                                (0.5, 1e308)])
+def test_adam_rejects_a_non_finite_gradient_or_second_moment(grad, weight_decay):
+    """A NaN or infinite gradient, or one whose square overflows the second
+    moment (``weight_decay=1e308`` on a parameter of 1e-3 gives a gradient
+    of 1e305), would leave the parameter NaN or frozen; the step raises
+    before it moves it."""
+    p = ad.Var(np.full((2, 1), 1e-3))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="'p'"):
+        ad.adam_step({"p": p}, {"p": np.full((2, 1), grad)}, 0.1, weight_decay, ad.AdamState())
+    assert np.array_equal(p.value, np.full((2, 1), 1e-3))
+
+
 def test_adam_shape_mismatch():
     p = ad.Var(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
@@ -492,7 +507,7 @@ def _flow_inputs(graph, seed):
 
 @pytest.mark.parametrize("graph", ["random", "normalized"])
 @pytest.mark.parametrize("order", [1, 3, 6])
-@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("steps", [1, 2, 3])
 def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, steps):
     n, x, e, gate, g = _flow_inputs(graph, 100 * order + steps)
     assert graph == "normalized" or (n != n.T).nnz > 0
@@ -512,33 +527,57 @@ def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, step
     assert not np.array_equal(x, want) and np.abs(want_grads[2]).max() > 0
 
 
-class _CountingOperator:
-    """A sparse operator that counts its products, its transpose's apart."""
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_scipy_kernel_into_a_zeroed_buffer_is_n_at_x_byte_for_byte(index_dtype):
+    """``graph_flow`` runs its sparse products through scipy's private
+    ``csr_matvecs`` / ``csc_matvecs`` into a zeroed buffer it owns; ``n @ x``
+    runs the same kernel into fresh zeros (``*_matvec`` for one column). A
+    scipy release that changed either would show here."""
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
+    dense[4], dense[:, 2] = 0.0, 0.0            # an empty row, and an empty row of N^T
+    n = sp.csr_matrix(dense)
+    wide = rng.normal(size=(9, 7)) * 10.0 ** rng.integers(-8, 9, size=(9, 7))
+    # one column; the column views np.split makes, as concat_cols hands out gradients
+    operands = [wide, wide[:, :1].copy(), *np.split(wide, [3], axis=1)]
+    assert not operands[2].flags.c_contiguous and not operands[3].flags.c_contiguous
+    for m, fmt in ((n, "csr"), (n.T, "csc")):
+        m.indptr, m.indices = m.indptr.astype(index_dtype), m.indices.astype(index_dtype)
+        assert m.format == fmt
+        assert np.diff(m.indptr).min() == 0
+        for x in operands:
+            out = np.full((9, x.shape[1]), np.nan)
+            ad._product_into(m, x, out)
+            assert out.tobytes() == np.asarray(m @ x).tobytes()
 
-    def __init__(self, m, counts, key="forward"):
-        self.m, self.counts, self.key, self.shape = m, counts, key, m.shape
 
-    def __matmul__(self, other):
-        self.counts[self.key] += 1
-        return self.m @ other
+def _count_kernel_calls(monkeypatch):
+    """Count scipy's CSR and CSC product kernels: the flow's N and its transpose N^T."""
+    counts = {"csr": 0, "csc": 0}
+    for fmt in counts:
+        kernel = getattr(_sparsetools, fmt + "_matvecs")
 
-    @property
-    def T(self):
-        return _CountingOperator(self.m.T, self.counts, "transposed")
+        def counted(*args, fmt=fmt, kernel=kernel):
+            counts[fmt] += 1
+            return kernel(*args)
+        monkeypatch.setattr(_sparsetools, fmt + "_matvecs", counted)
+    return counts
 
 
 @pytest.mark.parametrize("order", [1, 4])
-def test_graph_flow_backward_recomputes_no_product(order):
-    """Under a tape the forward keeps each sub-step's iterates, so the
-    backward runs only the S·K transposed products of the adjoint."""
+def test_graph_flow_backward_recomputes_k_minus_1_products_per_earlier_substep(
+        order, monkeypatch):
+    """Under a tape the forward keeps each sub-step's input and only the last
+    sub-step's iterates, so the backward recomputes the K-1 products of each
+    earlier sub-step and runs the S·K transposed products of the adjoint."""
     steps = 3
     n, x, e, gate, g = _flow_inputs("random", 9)
-    counts = {"forward": 0, "transposed": 0}
+    counts = _count_kernel_calls(monkeypatch)
     xv, ev, sv = ad.Var(x), ad.Var(e), ad.Var(gate)
     with ad.Tape() as tape:
         # 0.6 over at most 0.25: 3 sub-steps
-        out = ad.graph_flow(xv, ev, sv, _CountingOperator(n, counts), 0.6, order, 0.25)
+        out = ad.graph_flow(xv, ev, sv, n, 0.6, order, 0.25)
         loss = sum_all(ad.hadamard(out, ad.constant(g)))
-    assert counts == {"forward": steps * order, "transposed": 0}
+    assert counts == {"csr": steps * order, "csc": 0}
     ad.backward(loss, tape, params=[xv, ev, sv])
-    assert counts == {"forward": steps * order, "transposed": steps * order}
+    assert counts == {"csr": steps * order + (steps - 1) * (order - 1), "csc": steps * order}

@@ -43,12 +43,19 @@ def test_traced_run_reaches_every_graph_layer(tracer, monkeypatch):
     bypassed them would leave their per-layer figures at zero. The tracer's
     own copy of the sub-step rule counts the Horner sub-steps that
     ``graph_flow`` ran: in the forward of each training day, in its replay
-    in the backward, and in the validation and test replays."""
-    forward = [0]
+    in the backward, and in the validation and test replays. The adjoint of
+    each replayed, taped flow also recomputes its S - 1 earlier sub-steps
+    up to y_1 (``stop=1``); the tracer counts those as backward time, not
+    as sub-steps."""
+    forward, taped, recomputed = [0], [0], [0]
 
-    def counted(*args, **kwargs):
-        forward[0] += 1
-        return horner(*args, **kwargs)
+    def counted(*args, stop=0, **kwargs):
+        if stop:
+            recomputed[0] += 1
+        else:
+            forward[0] += 1
+            taped[0] += cpmr.autodiff._ACTIVE_TAPE is not None
+        return horner(*args, stop=stop, **kwargs)
 
     horner = cpmr.autodiff._horner_substep
     monkeypatch.setattr(cpmr.autodiff, "_horner_substep", counted)
@@ -70,3 +77,4 @@ def test_traced_run_reaches_every_graph_layer(tracer, monkeypatch):
     assert tr.calls["run", "model.update_instant"] > 0
     substeps = tr.counts["run", "model.evolve_substeps"]
     assert substeps == forward[0] > tr.calls["run", "model.evolve"]
+    assert recomputed[0] > 0 and 3 * recomputed[0] == 2 * taped[0]     # S = 3 every day

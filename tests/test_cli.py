@@ -473,7 +473,8 @@ def test_malformed_dataset_record_exit_code(workspace, capsys):
                                   "model.alpha0=nan", "train.lr=nan", "train.lr=inf",
                                   "train.weight_decay=nan", "train.lr_decay_factor=nan",
                                   "train.lr_decay_factor=-1", "train.seed=-1",
-                                  "train.patience=-1"])
+                                  "train.patience=-1", "model.taylor_order=171",
+                                  "model.taylor_order=1000000"])
 def test_config_out_of_range_exit_code(workspace, capsys, line):
     tmp_path, out, _ = workspace
     bad = tmp_path / "bad.cfg"
@@ -481,6 +482,19 @@ def test_config_out_of_range_exit_code(workspace, capsys, line):
     rc = main(["train", "--config", str(bad)])
     assert rc == 2
     assert line.partition("=")[0].rpartition(".")[2] in capsys.readouterr().err
+
+
+def test_overflowing_weight_decay_exit_code(workspace, capsys):
+    """weight_decay=1e308 overflows Adam's second moment, which used to
+    leave most parameters frozen at exit 0; now the run stops, exit 3."""
+    tmp_path, out, _ = workspace
+    bad = tmp_path / "bad.cfg"
+    write_config(bad, out / "dataset.bin", out, extra=["train.weight_decay=1e308"])
+    with np.errstate(over="ignore"):            # numpy's overflow is the cause, not the point
+        rc = main(["train", "--config", str(bad)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "second moment" in err and re.search(r"for '[\w.]+'", err)
 
 
 def test_eval_rejects_checkpoint_of_another_config(workspace, capsys):

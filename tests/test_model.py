@@ -97,9 +97,15 @@ def test_evolve_rejects_bad_args():
         with pytest.raises(ConfigError):
             evolve(x, x, a, dt, 6, tau_max)
     v, gate = ad.constant(x), ad.constant(np.ones((2, 1)))
-    for dt, order, tau_max in ((0.1, 0, 0.125), (-0.1, 6, 0.125), (0.1, 6, 0.0), (1e9, 6, 0.125)):
+    # 1/171! is not a float: rejected before any factorial is computed
+    for dt, order, tau_max in ((0.1, 0, 0.125), (-0.1, 6, 0.125), (0.1, 6, 0.0), (1e9, 6, 0.125),
+                               (0.1, 171, 0.125), (0.1, 10**6, 0.125)):
         with pytest.raises(ConfigError):
             ad.graph_flow(v, v, gate, a, dt, order, tau_max)
+    assert ad.graph_flow(v, v, gate, a, 0.1, 170, 0.125).shape == (2, 2)
+    for other in (a.toarray(), a.todia(), a.tocoo()):     # scipy's kernel takes CSR or CSC
+        with pytest.raises(ConfigError, match="CSR or CSC"):
+            ad.graph_flow(v, v, gate, other, 0.1, 6, 0.125)
 
 
 def make_model(n_users=4, n_items=4, variant="full", d=6, seed=0, **kw):
@@ -565,13 +571,15 @@ def test_evolve_states_without_tape_keeps_no_iterates():
 
     _, kept, peak = traced_bytes(lambda: model.evolve_states(x, nadj, "his", 5.0))
     assert kept < 3 * state_bytes             # the output, no iterates
-    # the sub-step's input, the last iterate, the one being made and two
-    # scratch buffers; the iterate as one expression peaked above 6
+    # the sub-step's input and output, the flow's two buffers and numpy's
+    # buffer for the broadcast gate product; the iterate as one expression
+    # peaked above 6
     assert peak < 6 * state_bytes
     flow = lambda: model.evolve_states(x, nadj, "his", 5.0)
     _, kept_plain, _ = traced_bytes(lambda: taped(flow))
-    # a taped flow keeps the 6 Horner iterates of each of its 40 sub-steps
-    assert 40 * 6 * state_bytes < kept_plain < (40 * 6 + 3) * state_bytes
+    # a taped flow keeps the inputs of its 40 sub-steps, the first x's own
+    # array, and the last sub-step's 5 Horner iterates y_5 ... y_1, not 240
+    assert (39 + 5) * state_bytes < kept_plain < (39 + 5 + 3) * state_bytes
 
     def checkpointed():
         return ad.checkpoint(lambda v: (model.evolve_states(v, nadj, "his", 5.0),), x)[0]
@@ -593,8 +601,9 @@ def test_evolve_states_without_tape_keeps_no_iterates():
     # checkpointed, a segment keeps of the flow its output: its input is x's own array
     assert kept_taped < 2 * state_bytes
     assert peak_taped < 6 * state_bytes
-    # the replay's iterates, its two scratch buffers and the adjoint's five arrays
-    assert peak_backward < before + (40 * 6 + 2 + 5 + 1) * state_bytes
+    # what the replay keeps, as above, and in the adjoint its G, g_e, its four
+    # buffers, the adjoints of two sub-step inputs and numpy's ufunc buffer
+    assert peak_backward < before + (39 + 5 + 9) * state_bytes
 
 
 def taped(fn):
