@@ -289,28 +289,70 @@ def _softmax_rows(a):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def logsumexp_rows(x: Var) -> Var:
-    m = x.value.max(axis=1, keepdims=True)
-    out = Var(m + np.log(np.sum(np.exp(x.value - m), axis=1, keepdims=True)))
-    _record(out, (x,), lambda g, x=x.value: (g * _softmax_rows(x),))
+def gathered_linear(e: Var, z: Var, idx, w: Var, b: Var) -> Var:
+    """concat(e[idx], z[idx]) @ w + b; repeated ids accumulate gradient. The rule
+    keeps e, z and idx, not the gathered input, and rebuilds that for ``x^T g``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    _check(e.value.shape[0] == z.value.shape[0] and b.value.shape == (1, w.value.shape[1])
+           and w.value.shape[0] == e.value.shape[1] + z.value.shape[1],
+           "gathered_linear", e.shape, z.shape, w.shape, b.shape)
+    y = _gathered(e.value, z.value, idx) @ w.value
+    y += b.value
+    out = Var(y)
+    def rule(g, e=e.value, z=z.value, idx=idx, w=w.value):
+        g_x = g @ w.T                                  # one GEMM, split at e's width
+        g_e, g_z = (_scatter_rows(h, idx, len(e)) for h in np.split(g_x, [e.shape[1]], axis=1))
+        del g_x                                        # one gathered-size temporary at a time
+        return g_e, g_z, _gathered(e, z, idx).T @ g, g.sum(axis=0, keepdims=True)
+    _record(out, (e, z, w, b), rule)
     return out
 
 
-def row_select(x: Var, idx) -> Var:
-    """Gather rows by ids in [0, n); duplicate ids accumulate gradient."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Var(x.value[idx])
-    def rule(g, n=x.shape[0], idx=idx):
-        # bincount sums each entry's draws from 0.0 in draw order, as np.add.at into zeros
-        d = g.shape[1]
-        flat = (idx[:, None] * d + np.arange(d)).ravel()
-        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),
-    _record(out, (x,), rule)
+def _gathered(e, z, idx):
+    x = np.empty((len(idx), e.shape[1] + z.shape[1]))
+    x[:, :e.shape[1]] = e[idx]
+    x[:, e.shape[1]:] = z[idx]
+    return x
+
+
+def _scatter_rows(g, idx, n):
+    """Row j of g summed into row idx[j] of n rows from 0.0 in order, as np.add.at into zeros."""
+    d = g.shape[1]
+    return np.bincount((idx[:, None] * d + np.arange(d)).ravel(), weights=g.ravel(),
+                       minlength=n * d).reshape(n, d)
+
+
+def info_nce(p_pos: Var, q_pos: Var, p_neg: Var, q_neg: Var) -> Var:
+    """Mean InfoNCE (1x1): row j of p_pos, q_pos holds interaction j's user and item,
+    rows j*m ... j*m + m-1 of p_neg, q_neg its m negative users and items. The rule
+    keeps the inputs and logits; a negative meets its interaction's row by broadcasting."""
+    pp, qp, pn, qn = (v.value for v in (p_pos, q_pos, p_neg, q_neg))
+    (b, d), m = pp.shape, len(pn) // max(len(pp), 1)
+    _check(b > 0 and qp.shape == (b, d) and pn.shape == qn.shape == (b * m, d),
+           "info_nce", pp.shape, qp.shape, pn.shape, qn.shape)
+
+    def paired(rows, pos):       # row j*m + k of rows (d or 1 wide) times row j of pos
+        return (rows.reshape(b, m, rows.shape[1]) * pos[:, None, :]).reshape(b * m, d)
+    logits = np.concatenate([(pp * qp).sum(axis=1, keepdims=True),      # the positive score
+                             paired(pn, qp).sum(axis=1, keepdims=True).reshape(b, m),
+                             paired(qn, pp).sum(axis=1, keepdims=True).reshape(b, m)], axis=1)
+    top = logits.max(axis=1, keepdims=True)
+    lse = top + np.log(np.sum(np.exp(logits - top), axis=1, keepdims=True))
+    out = Var(np.array([[(lse - logits[:, :1]).sum() / b]]))
+    def rule(g, logits=logits):
+        g_mean = np.full((b, 1), g[0, 0] / b)
+        g_logits = g_mean * _softmax_rows(logits)
+        g_pos = (-g_mean) + g_logits[:, :1]
+        g_nu, g_ni = g_logits[:, 1:m + 1].reshape(b * m, 1), g_logits[:, m + 1:].reshape(b * m, 1)
+        rep = np.repeat(np.arange(b), m)
+        return (_scatter_rows(g_ni * qn, rep, b) + g_pos * qp,
+                _scatter_rows(g_nu * pn, rep, b) + g_pos * pp, paired(g_nu, qp), paired(g_ni, pp))
+    _record(out, (p_pos, q_pos, p_neg, q_neg), rule)
     return out
 
 
 def row_block(x: Var, start, stop) -> Var:
-    """Rows start:stop of x as a view: ``row_select`` over an ``arange``, without the copy."""
+    """Rows start:stop of x as a view; the gradient is g in those rows of zeros."""
     out = Var(x.value[start:stop])
     def rule(g, shape=x.shape, start=start, stop=stop):
         z = np.zeros(shape)
@@ -331,18 +373,6 @@ def row_replace(x: Var, idx, rows: Var) -> Var:
         g_x[idx] = 0.0
         return g_x, g[idx]
     _record(out, (x, rows), rule)
-    return out
-
-
-def sum_cols(x: Var) -> Var:
-    out = Var(x.value.sum(axis=1, keepdims=True))
-    _record(out, (x,), lambda g, shape=x.shape: (np.broadcast_to(g, shape).copy(),))
-    return out
-
-
-def reshape(x: Var, shape) -> Var:
-    out = Var(x.value.reshape(shape))
-    _record(out, (x,), lambda g, shape=x.shape: (g.reshape(shape),))
     return out
 
 
@@ -437,7 +467,8 @@ def _horner_substep(cur, s, ev, n, tau, inv_fact, scratch, kept=None, stop=0):
     np.multiply(cur, inv_fact[order], out=y)
     for k in range(order - 1, stop - 1, -1):
         t = out if k == 0 else kept[k - 1] if kept is not None else other if y is out else out
-        np.multiply(y, s, out=gated)
+        # y * gate with no ufunc buffer; a -0.0 reads +0.0, as the product's sum from +0.0 does
+        np.einsum("ij,i->ij", y, s[:, 0], out=gated)
         _product_into(n, gated, t)
         t -= y
         t *= tau

@@ -190,6 +190,7 @@ def load_dataset(path) -> Dataset:
     wrong = [why for why, bad in (
         (f"split {split} outside [0, {n}]", not 0 <= split[0] <= split[1] <= n),
         (f"day unit {day_unit} not finite and in (0, 1]", not 0 < day_unit <= 1),
+        (f"{n_users} users or {n_items} items for {n} interactions", max(n_users, n_items) > n),
         (f"user ids outside [0, {n_users})", np.any((u < 0) | (u >= n_users))),
         (f"item ids outside [0, {n_items})", np.any((i < 0) | (i >= n_items))),
         ("days unsorted or negative", np.any(days[:1] < 0) or np.any(days[1:] < days[:-1])),

@@ -61,17 +61,13 @@ def op_checks(seed=0):
         "softmax_rows": (mats((3, 4)),
                          lambda p: ad.mean_all(ad.hadamard(
                              ad.softmax_rows(p[0]), ad.constant(_cmat(4))))),
-        "logsumexp_rows": (mats((3, 4)),
-                           lambda p: ad.mean_all(ad.logsumexp_rows(p[0]))),
-        "row_select": (mats((3, 2)),
-                       lambda p: ad.mean_all(ad.hadamard(
-                           ad.row_select(p[0], idx), ad.constant(_cmat(2, rows=4))))),
+        # shapes that draw as many numbers as the cases of the ops these two replaced
+        "gathered_linear": (mats((3, 1), (3, 1), (2, 4), (1, 4)),
+                            lambda p: ad.mean_all(ad.hadamard(ad.gathered_linear(
+                                p[0], p[1], idx, p[2], p[3]), ad.constant(_cmat(4, rows=4))))),
         "row_replace": (mats((4, 2), (2, 2)), lambda p: ad.mean_all(ad.hadamard(
             ad.row_replace(p[0], rep, p[1]), ad.constant(_cmat(2, rows=4))))),
-        "sum_cols": (mats((3, 4)), lambda p: ad.mean_all(ad.sum_cols(p[0]))),
-        "reshape": (mats((3, 4)),
-                    lambda p: ad.mean_all(ad.hadamard(
-                        ad.reshape(p[0], (6, 2)), ad.constant(_cmat(2, rows=6))))),
+        "info_nce": (mats((2, 2), (2, 2), (4, 2), (4, 2)), lambda p: ad.info_nce(*p)),
         "mean_all": (mats((3, 2)), lambda p: ad.mean_all(p[0])),
         "graph_flow": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
                        lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(

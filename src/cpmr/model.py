@@ -260,14 +260,12 @@ class CpmrModel:
 
     def user_repr(self, z: Var, user_idx):
         """FC_U(E_u ++ Z_u) rows for the given user ids (duplicates allowed)."""
-        idx = np.asarray(user_idx, dtype=np.int64)
-        x = ad.concat_cols(ad.row_select(self.params["embed"], idx),
-                           ad.row_select(z, idx))
-        return self._linear(x, "predict.fc_user")
+        return ad.gathered_linear(self.params["embed"], z, user_idx, *self._layer("fc_user"))
 
     def item_repr(self, z: Var, item_idx):
         """FC_I(E_i ++ Z_i) rows for the given item ids."""
         idx = np.asarray(item_idx, dtype=np.int64) + self.n_users
-        x = ad.concat_cols(ad.row_select(self.params["embed"], idx),
-                           ad.row_select(z, idx))
-        return self._linear(x, "predict.fc_item")
+        return ad.gathered_linear(self.params["embed"], z, idx, *self._layer("fc_item"))
+
+    def _layer(self, head):
+        return self.params[f"predict.{head}.w"], self.params[f"predict.{head}.b"]

@@ -103,23 +103,11 @@ def batch_loss(model: CpmrModel, z, users, items, neg_u, neg_i):
 
     Row j of the (b, n_neg) ``neg_u`` and ``neg_i`` holds interaction j's negatives.
     """
-    b, n_neg = neg_u.shape
-    if b == 0:
+    if len(neg_u) == 0:
         raise ConfigError("batch_loss on an empty instant graph")
-    p_pos = model.user_repr(z, users)             # (b, d)
-    q_pos = model.item_repr(z, items)             # (b, d)
-    lam_pos = ad.sum_cols(ad.hadamard(p_pos, q_pos))
-
-    rep = np.repeat(np.arange(b), n_neg)
-    p_neg = model.user_repr(z, neg_u.reshape(-1))
-    lam_nu = ad.reshape(ad.sum_cols(ad.hadamard(p_neg, ad.row_select(q_pos, rep))),
-                        (b, n_neg))
-    q_neg = model.item_repr(z, neg_i.reshape(-1))
-    lam_ni = ad.reshape(ad.sum_cols(ad.hadamard(ad.row_select(p_pos, rep), q_neg)),
-                        (b, n_neg))
-
-    logits = ad.concat_cols(lam_pos, lam_nu, lam_ni)   # (b, 1 + 2*n_neg)
-    return ad.mean_all(ad.sub(ad.logsumexp_rows(logits), lam_pos))
+    return ad.info_nce(model.user_repr(z, users), model.item_repr(z, items),
+                       model.user_repr(z, neg_u.reshape(-1)),
+                       model.item_repr(z, neg_i.reshape(-1)))
 
 
 def _train_day(model, store, states, day, history, n_neg, rng):
@@ -201,6 +189,7 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig,
             states, losses, fallbacks = _train_epoch(model, store, train_days, cfg,
                                                      lr, opt, epoch, segments, log_fh)
             val_metric = eval_fn(model, states)
+            del states                  # the next epoch starts from E: free these before it
             epoch_log.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                               "val_mrr": val_metric, "lr": lr,
                               "negative_fallbacks": fallbacks})

@@ -14,9 +14,63 @@ from cpmr.errors import CpmrError, DataFormatError, NumericalError, ShapeError
 from cpmr.graphs import normalize_adjacency
 
 
+# The generic ops the fused ``gathered_linear`` and ``info_nce`` replaced,
+# with their rules as the engine had them: the reference those two must equal
+# byte for byte, and what ``sum_all`` is built of.
+
+
+def row_select(x, idx):
+    """Gather rows by ids in [0, n); duplicate ids accumulate gradient."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = ad.Var(x.value[idx])
+    def rule(g, n=x.shape[0], idx=idx):
+        # bincount sums each entry's draws from 0.0 in draw order, as np.add.at into zeros
+        d = g.shape[1]
+        flat = (idx[:, None] * d + np.arange(d)).ravel()
+        return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(n, d),
+    ad._record(out, (x,), rule)
+    return out
+
+
+def sum_cols(x):
+    out = ad.Var(x.value.sum(axis=1, keepdims=True))
+    ad._record(out, (x,), lambda g, shape=x.shape: (np.broadcast_to(g, shape).copy(),))
+    return out
+
+
+def reshape(x, shape):
+    out = ad.Var(x.value.reshape(shape))
+    ad._record(out, (x,), lambda g, shape=x.shape: (g.reshape(shape),))
+    return out
+
+
+def logsumexp_rows(x):
+    m = x.value.max(axis=1, keepdims=True)
+    out = ad.Var(m + np.log(np.sum(np.exp(x.value - m), axis=1, keepdims=True)))
+    ad._record(out, (x,), lambda g, x=x.value: (g * ad._softmax_rows(x),))
+    return out
+
+
+def gathered_linear_chain(e, z, idx, w, b):
+    """``gathered_linear`` as two gathers, their concatenation and a ``linear``: 4 nodes."""
+    return ad.linear(ad.concat_cols(row_select(e, idx), row_select(z, idx)), w, b)
+
+
+def info_nce_chain(p_pos, q_pos, p_neg, q_neg):
+    """``info_nce`` as the 14 generic nodes of the loss, in their order."""
+    b = p_pos.shape[0]
+    m = p_neg.shape[0] // b
+    rep = np.repeat(np.arange(b), m)
+    lam_pos = sum_cols(ad.hadamard(p_pos, q_pos))
+    lam_nu = reshape(sum_cols(ad.hadamard(p_neg, row_select(q_pos, rep))), (b, m))
+    lam_ni = reshape(sum_cols(ad.hadamard(row_select(p_pos, rep), q_neg)), (b, m))
+    logits = ad.concat_cols(lam_pos, lam_nu, lam_ni)
+    return ad.mean_all(ad.sub(logsumexp_rows(logits), lam_pos))
+
+
 def sum_all(x):
     """The sum of all entries as a 1x1 Var, through ``reshape`` and ``sum_cols``."""
-    return ad.sum_cols(ad.reshape(x, (1, -1)))
+    return sum_cols(reshape(x, (1, -1)))
 
 
 def test_var_requires_2d():
@@ -104,8 +158,8 @@ def test_rules_keep_recipes_not_pure_copies(monkeypatch):
     refs = []
 
     def fn(x, y):
-        picked = ad.row_select(x, [4, 0, 0, 2])
-        both = ad.concat_cols(picked, ad.row_select(x, [1, 1, 3, 0]))
+        picked = row_select(x, [4, 0, 0, 2])
+        both = ad.concat_cols(picked, row_select(x, [1, 1, 3, 0]))
         prod = ad.spmm(s, y)
         layer = ad.linear(both, w, bias)
         refs.extend(weakref.ref(v.value) for v in (picked, both, prod, layer))
@@ -297,7 +351,7 @@ def test_matmul_grad_hand_computed():
 def test_row_select_duplicates_accumulate():
     x = ad.constant([[1.0], [2.0]])
     with ad.Tape() as tape:
-        picked = ad.row_select(x, [0, 0, 1])
+        picked = row_select(x, [0, 0, 1])
         loss = sum_all(picked)
     g = ad.backward(loss, tape)
     np.testing.assert_array_equal(g[x], [[2.0], [1.0]])
@@ -312,11 +366,107 @@ def test_row_select_backward_is_add_at_byte_for_byte(n_rows, n_picks):
     idx = rng.integers(0, n_rows, n_picks)
     g = rng.normal(size=(n_picks, 3)) * 10.0 ** rng.integers(-8, 9, (n_picks, 1))
     g[::3] = -0.0
-    rule = _rule(ad.row_select, ad.constant(rng.normal(size=(n_rows, 3))), idx)[1]
+    rule = _rule(row_select, ad.constant(rng.normal(size=(n_rows, 3))), idx)[1]
     want = np.zeros((n_rows, 3))
     np.add.at(want, idx, g)
     (got,) = rule(g)
     assert got.tobytes() == want.tobytes()
+
+
+def _head(gathered, nce, e, z, w_u, b_u, w_i, b_i, users, items, neg_u, neg_i):
+    """A day's InfoNCE head as in ``batch_loss``: 4 representations, then the loss."""
+    item = lambda idx: gathered(e, z, idx + 5, w_i, b_i)            # items are rows 5 ...
+    return nce(gathered(e, z, users, w_u, b_u), item(items),
+               gathered(e, z, neg_u.reshape(-1), w_u, b_u), item(neg_i.reshape(-1)))
+
+
+@pytest.mark.parametrize("fused", ["gathered_linear", "info_nce", "both"])
+@pytest.mark.parametrize("checkpointed", [False, True])
+# burst-d32's day: 960 negative rows, where x^T g over the halves of x differs
+@pytest.mark.parametrize("b, m, d", [(1, 1, 3), (4, 3, 3), (30, 8, 3), (120, 8, 32)])
+def test_fused_head_ops_are_the_generic_op_chain_byte_for_byte(b, m, d, checkpointed, fused):
+    """``gathered_linear`` and ``info_nce``, each alone and both, give the
+    loss of the gathers, concatenations, ``linear`` layers, products, row
+    sums, reshapes, logsumexp and mean they replace, and every gradient,
+    byte for byte: on a tape, and inside a ``checkpoint`` against the chain
+    on a plain tape. Ids repeat, a row of z is -0.0 and some logits are in
+    the thousands. The fused head records 5 nodes, the chain 30."""
+    rng = np.random.default_rng(b * 10 + m)
+    n = 12
+    e, z = ad.constant(rng.normal(size=(n, d))), ad.constant(rng.normal(size=(n, d)))
+    w_u, w_i = (ad.constant(rng.normal(size=(2 * d, d))) for _ in range(2))
+    b_u, b_i = (ad.constant(rng.normal(size=(1, d))) for _ in range(2))
+    e.value[3] *= 1e3                                  # logits in the thousands
+    z.value[6] = -0.0 * np.abs(z.value[6])             # a row of -0.0 in z
+    users, items = rng.integers(0, 5, b), rng.integers(0, 7, b)
+    neg_u, neg_i = rng.integers(0, 5, (b, m)), rng.integers(0, 7, (b, m))
+    leaves = (e, z, w_u, b_u, w_i, b_i)
+
+    def run(gathered, nce, wrap):
+        def day(z):
+            return ad.scale(_head(gathered, nce, e, z, w_u, b_u, w_i, b_i,
+                                  users, items, neg_u, neg_i), 0.37),
+        with ad.Tape() as tape:
+            (loss,) = wrap(day, z)
+            n_nodes = len(tape.nodes)
+        grads = ad.backward(loss, tape, params=leaves)
+        return n_nodes, [loss.value, *(grads[v] for v in leaves)]
+
+    plain = lambda fn, *inputs: fn(*inputs)
+    fused_nodes, got = run(gathered_linear_chain if fused == "info_nce" else ad.gathered_linear,
+                           info_nce_chain if fused == "gathered_linear" else ad.info_nce,
+                           ad.checkpoint if checkpointed else plain)
+    chain_nodes, want = run(gathered_linear_chain, info_nce_chain, plain)
+    # 4 x 4 gather nodes or 4 fused, 14 loss nodes or 1 fused, and the scale
+    nodes = {"gathered_linear": 4 + 14, "info_nce": 16 + 1, "both": 4 + 1}[fused] + 1
+    assert (fused_nodes, chain_nodes) == (1 if checkpointed else nodes, 31)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert np.isfinite(got[0]).all() and all(np.abs(g).max() > 0 for g in got[1:])
+
+
+def test_fused_head_rules_keep_their_inputs_not_gathered_copies():
+    """``gathered_linear``'s rule keeps e, z, the ids and w, not the (rows x 2d)
+    input; ``info_nce``'s keeps its four inputs and the logits, not the
+    positives repeated for each negative. Untaped, neither records anything."""
+    rng = np.random.default_rng(2)
+    e, z = ad.constant(rng.normal(size=(6, 2))), ad.constant(rng.normal(size=(6, 3)))
+    w, bias = ad.constant(rng.normal(size=(5, 4))), ad.constant(rng.normal(size=(1, 4)))
+    idx = np.array([5, 0, 0, 2, 3, 1])
+
+    def kept(rule):
+        cells = list(rule.__defaults__ or ()) + [c.cell_contents for c in rule.__closure__ or ()]
+        return [c for c in cells if isinstance(c, np.ndarray)]
+
+    with ad.Tape() as tape:
+        p_pos, q_pos, p_neg, q_neg = (ad.gathered_linear(e, z, idx[k:k + r], w, bias)
+                                      for k, r in ((0, 2), (2, 2), (0, 6), (0, 6)))
+        loss = ad.info_nce(p_pos, q_pos, p_neg, q_neg)
+    rules = [rule for _, (_, rule) in tape.nodes]
+    assert len(rules) == 5
+    for rule in rules[:4]:
+        arrays = kept(rule)
+        assert {id(a) for a in arrays if a.ndim == 2} == {id(e.value), id(z.value), id(w.value)}
+        assert [a.dtype for a in arrays if a.ndim == 1] == [np.int64]
+    arrays = kept(rules[4])
+    assert {id(a) for a in arrays} - {id(v.value) for v in (p_pos, q_pos, p_neg, q_neg)} \
+        == {id(a) for a in arrays if a.shape == (2, 1 + 2 * 3)}
+    assert len(arrays) == 5
+    untaped = ad.info_nce(p_pos, q_pos, p_neg, q_neg)
+    assert untaped.value.tobytes() == loss.value.tobytes()
+    with pytest.raises(AttributeError):
+        untaped._node
+
+
+def test_fused_head_ops_reject_bad_shapes():
+    x, w, bias = (ad.constant(np.ones(shape)) for shape in ((3, 2), (4, 2), (1, 2)))
+    with pytest.raises(ShapeError):
+        ad.gathered_linear(x, x, [0], ad.constant(np.ones((3, 2))), bias)
+    with pytest.raises(ShapeError):
+        ad.gathered_linear(x, ad.constant(np.ones((2, 2))), [0], w, bias)
+    with pytest.raises(ShapeError):
+        ad.info_nce(x, x, ad.constant(np.ones((4, 2))), ad.constant(np.ones((4, 2))))
+    with pytest.raises(ShapeError):
+        ad.info_nce(*(ad.constant(np.ones((0, 2))) for _ in range(4)))   # no interaction
 
 
 def test_fanout_gradients_sum():
@@ -332,13 +482,13 @@ def test_fanout_gradients_sum():
 @settings(max_examples=50, deadline=None)
 def test_logsumexp_matches_scipy(row):
     x = ad.constant([row])
-    got = ad.logsumexp_rows(x).value[0, 0]
+    got = logsumexp_rows(x).value[0, 0]
     assert got == pytest.approx(scipy_logsumexp(row), abs=1e-12)
 
 
 def test_logsumexp_extreme_values_stable():
     x = ad.constant([[1000.0, 999.0], [-1000.0, -1000.0]])
-    out = ad.logsumexp_rows(x).value
+    out = logsumexp_rows(x).value
     assert np.all(np.isfinite(out))
     assert out[0, 0] == pytest.approx(1000.0 + np.log(1 + np.exp(-1.0)))
 
@@ -525,6 +675,29 @@ def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, step
     grads = ad.backward(loss, tape, params=[xv, ev, sv])
     assert [grads[v].tobytes() for v in (xv, ev, sv)] == [a.tobytes() for a in want_grads]
     assert not np.array_equal(x, want) and np.abs(want_grads[2]).max() > 0
+
+
+@pytest.mark.parametrize("order, steps", [(1, 1), (4, 1), (6, 3)])
+def test_graph_flow_forward_with_signed_zeros_inf_and_nan_is_the_reference(order, steps):
+    """The forward's gate product is an ``einsum``, which writes a -0.0
+    product as +0.0 and allocates no ufunc buffer. The product feeds only the
+    sparse kernel, which sums from +0.0, so the output keeps the reference's
+    bytes, untaped and taped, with -0.0, infinities and NaNs in the states
+    and the embeddings."""
+    n, x, e, gate, _ = _flow_inputs("random", 10 * order + steps)
+    n = sp.csr_matrix(n.multiply(sp.random(12, 12, density=0.4, random_state=order)
+                                 .astype(bool)))          # sparser: the NaNs reach few rows
+    x[0, 0], x[1, 1], e[2, 2], x[3], e[3, 1] = np.inf, -np.inf, np.nan, -0.0, -0.0
+    tau = 0.37 / steps
+    with np.errstate(invalid="ignore", over="ignore"):
+        want, _ = _reference_flow(x, e, gate, n, tau, steps, order)
+        args = (ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(gate.copy()), n, 0.37, order,
+                0.4 / steps)
+        got = ad.graph_flow(*args).value
+        with ad.Tape():
+            taped = ad.graph_flow(*args).value
+    assert got.tobytes() == want.tobytes() and taped.tobytes() == want.tobytes()
+    assert np.isnan(want).any() and np.isfinite(want).any()      # inf - inf is NaN
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import math
 import os
@@ -40,7 +42,7 @@ def write_config(path, data_path, out_dir, extra=()):
              "train.lr=0.01", "train.n_tbptt=4", "train.n_neg=2",
              "train.max_epochs=2", "train.patience=5",
              *extra]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.fixture()
@@ -495,6 +497,75 @@ def test_overflowing_weight_decay_exit_code(workspace, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "second moment" in err and re.search(r"for '[\w.]+'", err)
+
+
+@pytest.mark.parametrize("count", [2 ** 62, 2 ** 40])
+@pytest.mark.parametrize("field", ["n_users", "n_items"])
+def test_dataset_counts_past_its_interactions_exit_code(workspace, capsys, field, count):
+    """A dataset file claiming more users or items than it has interactions:
+    2**62 used to exit 1 with numpy's "array is too big", and 2**40 to ask
+    numpy for 32 TiB before exiting 2. Ids are dense, so no real file does;
+    the file is now rejected as it loads, before anything is sized."""
+    import tracemalloc
+    tmp_path, out, cfg = workspace
+    path = out / "dataset.bin"
+    meta, arrays = arrayfile.load(path, "dataset")
+    meta[field] = count
+    arrayfile.save(path, "dataset", arrays, meta)
+    tracemalloc.start()
+    try:
+        rc = main(["train", "--config", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"{count} {field[2:]}" in err and "interactions" in err
+    assert peak < 2 ** 20 and not (out / "train.log").exists()
+
+
+_RUN_KEYS = ["data.path", "output.dir", "eval.split", "eval.filter_interacted", *_MODEL_TRAIN_KEYS]
+# int64's extremes and past them, non-finite and signed zeros, subnormals and
+# the largest double, empty and blank, non-ASCII (digits among them). None
+# passes validation and then sizes more than a few MiB on the tiny log.
+_EDGE_VALUES = [str(2 ** 63 - 1), str(-2 ** 63), str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 64),
+                "1e400", "-1e400", "nan", "-nan", "inf", "-inf", "Infinity", "-0.0", "0", "-0",
+                "5e-324", "-5e-324", "2.2250738585072014e-308", "1.7976931348623157e+308",
+                "", "  ", "\u00e9", "\u221e", "\u0661", "\uff11", "1", "-1", "0.5", "true"]
+
+
+@pytest.fixture(scope="module")
+def tiny_log(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("edge")
+    write_raw_log(tmp / "raw.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["preprocess", "--input", str(tmp / "raw.csv"), "--format", "amazon_csv",
+                     "--output", str(tmp / "out"), "--k-core", "2"]) == 0
+    return tmp
+
+
+@given(st.sampled_from(_RUN_KEYS), st.sampled_from(_EDGE_VALUES))
+@settings(max_examples=100, deadline=None)
+def test_every_run_config_key_exits_0_2_or_3_never_1(tiny_log, key, value):
+    """``cpmr train`` on the tiny log with one key set to an edge value exits
+    0, 2 (rejected) or 3 (a numerical abort, as ``train.lr=1e30`` gives): never
+    1, never a traceback. One epoch; a huge ``max_epochs`` runs at lr 0 with
+    patience 0, so it stops after its second."""
+    cfg = tiny_log / "edge.cfg"
+    extra = ["train.max_epochs=1"]
+    if key == "train.max_epochs":
+        extra += ["train.patience=0", "train.lr=0"]
+    write_config(cfg, tiny_log / "out" / "dataset.bin", tiny_log / "run", [*extra, f"{key}={value}"])
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(tiny_log)                             # a relative output.dir lands here
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            rc = main(["train", "--config", str(cfg)])
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 2, 3), (key, value, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_eval_rejects_checkpoint_of_another_config(workspace, capsys):

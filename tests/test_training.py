@@ -495,6 +495,59 @@ def test_a_segments_gradients_are_freed_before_the_next_segment(monkeypatch):
     assert len(hist["segments"]) >= 2 and live and live == [0] * len(live)
 
 
+@pytest.mark.parametrize("variant", ["full", "wo_fusion"])
+def test_batch_loss_is_five_nodes_and_the_generic_op_chain_byte_for_byte(variant, monkeypatch):
+    """``batch_loss`` records 5 tape nodes a training day, the four
+    representations (``gathered_linear``) and ``info_nce``, where the chain of
+    generic ops took 30. Over checkpointed training days, and so through
+    the accumulation into E, z and both head layers across the day's
+    representations, every loss and gradient is the chain's bytes."""
+    from test_autodiff import gathered_linear_chain, info_nce_chain
+    import cpmr.training as tr
+    ds, store, days = few_days()
+    config = ModelConfig(**SMALL_MODEL, variant=variant)
+    counts = []
+
+    def counted(*args):
+        nodes = ad._ACTIVE_TAPE.nodes if ad._ACTIVE_TAPE else None    # None: a checkpoint's forward
+        start = len(nodes or ())
+        loss = batch_loss(*args)
+        if nodes is not None:
+            counts.append(len(nodes) - start)
+        return loss
+
+    def run():
+        model, total, tape = taped_days(ds, store, days[:4], config)
+        grads = ad.backward(total, tape, params=model.params.values())
+        return [total.value] + [grads[v] for v in model.params.values()]
+
+    monkeypatch.setattr(tr, "batch_loss", counted)
+    fused = run()              # the replays count: one batch_loss a day
+    monkeypatch.setattr(ad, "gathered_linear", gathered_linear_chain)
+    monkeypatch.setattr(ad, "info_nce", info_nce_chain)
+    chain = run()
+    assert counts == [5] * 4 + [30] * 4
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+
+
+def test_train_holds_no_epochs_end_states_through_the_next_epoch(monkeypatch):
+    """Once ``eval_fn`` has scored an epoch's end states, ``train`` lets them
+    go: they are dead when the next epoch starts, and its days run without them."""
+    import cpmr.training as tr
+    train_epoch, ends, live = tr._train_epoch, [], []
+
+    def watched(*args):
+        live.append(sum(r() is not None for r in ends))
+        states, *rest = train_epoch(*args)
+        ends.extend(weakref.ref(x.value) for x in states.x.values())
+        return (states, *rest)
+
+    monkeypatch.setattr(tr, "_train_epoch", watched)
+    train(tiny_dataset(), ModelConfig(**SMALL_MODEL), quick_cfg(max_epochs=3),
+          eval_fn=lambda model, states: 0.5)
+    assert len(ends) == 3 * 2 and live == [0, 0, 0]
+
+
 def test_taped_step_and_loss_keep_only_what_backward_reads():
     """Live bytes of a taped segment of training days, ``step`` plus
     ``batch_loss`` each, in state-matrix sizes. A day kept ~79 when the tape
