@@ -12,16 +12,18 @@ from cpmr.gradcheck import TOLERANCE, run_suite
 
 
 def main():
-    # a two-layer toy: loss = mean(relu(X W1) W2)
+    # a two-layer toy: loss = mean(sigmoid(X W1 + b1) W2 + b2)
     rng = np.random.default_rng(0)
     x = ad.constant(rng.normal(size=(4, 3)), name="x")
     w1 = ad.constant(rng.normal(size=(3, 5)), name="w1")
+    b1 = ad.constant(rng.normal(size=(1, 5)), name="b1")
     w2 = ad.constant(rng.normal(size=(5, 2)), name="w2")
+    b2 = ad.constant(rng.normal(size=(1, 2)), name="b2")
     with ad.Tape() as tape:
-        loss = ad.mean_all(ad.matmul(ad.relu(ad.matmul(x, w1)), w2))
-    grads = ad.backward(loss, tape, params=[x, w1, w2])
+        loss = ad.mean_all(ad.linear(ad.sigmoid(ad.linear(x, w1, b1)), w2, b2))
+    grads = ad.backward(loss, tape, params=[x, w1, b1, w2, b2])
     print(f"loss = {loss.value[0, 0]:.4f}")
-    for var in (x, w1, w2):
+    for var in (x, w1, b1, w2, b2):
         print(f"  d loss / d {var.name}: shape {grads[var].shape}, "
               f"norm {np.linalg.norm(grads[var]):.4f}")
 
@@ -29,8 +31,8 @@ def main():
     h = 1e-6
 
     def f():
-        z = np.maximum(x.value @ w1.value, 0) @ w2.value
-        return z.mean()
+        hidden = 1.0 / (1.0 + np.exp(-(x.value @ w1.value + b1.value)))
+        return (hidden @ w2.value + b2.value).mean()
 
     x.value[0, 0] += h
     hi = f()

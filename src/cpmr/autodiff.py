@@ -18,8 +18,9 @@ function's input arrays. ``backward`` replays the function under a fresh
 tape when it reaches that node and runs the replay's nodes in its own loop,
 so every gradient is summed in the order a plain tape would sum it.
 
-Sparse operands (scipy CSR/CSC) appear only as constants of ``spmm`` and
-``graph_flow``; gradients flow through the dense operands.
+Sparse operands (scipy CSR/CSC) appear only as constants of
+``instant_update`` (its partner means) and ``graph_flow``; gradients flow
+through the dense operands.
 """
 
 from __future__ import annotations
@@ -165,33 +166,10 @@ def _check(cond, op, *shapes):
 # op set
 
 
-def matmul(a: Var, b: Var) -> Var:
-    _check(a.value.shape[1] == b.value.shape[0], "matmul", a.shape, b.shape)
-    out = Var(a.value @ b.value)
-    # a C-ordered b.T: OpenBLAS rounds a few-row g times a transposed b unlike a taller g
-    _record(out, (a, b), lambda g, a=a.value, b=b.value: (g @ b.T.copy(), a.T @ g))
-    return out
-
-
-def spmm(s, x: Var) -> Var:
-    """Sparse @ dense. ``s`` is a constant scipy sparse matrix."""
-    _check(s.shape[1] == x.value.shape[0], "spmm", s.shape, x.shape)
-    out = Var(s @ x.value)
-    _record(out, (x,), lambda g, s=s: (np.asarray(s.T @ g),))
-    return out
-
-
 def add(a: Var, b: Var) -> Var:
     _check(a.shape == b.shape, "add", a.shape, b.shape)
     out = Var(a.value + b.value)
     _record(out, (a, b), lambda g: (g, g))
-    return out
-
-
-def sub(a: Var, b: Var) -> Var:
-    _check(a.shape == b.shape, "sub", a.shape, b.shape)
-    out = Var(a.value - b.value)
-    _record(out, (a, b), lambda g: (g, -g))
     return out
 
 
@@ -252,13 +230,6 @@ def concat_rows(*parts: Var) -> Var:
     out = Var(np.concatenate([p.value for p in parts], axis=0))
     cuts = np.cumsum([p.value.shape[0] for p in parts[:-1]])
     _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=0))
-    return out
-
-
-def relu(x: Var) -> Var:
-    out = Var(np.maximum(x.value, 0.0))
-    if _ACTIVE_TAPE is not None:
-        _record(out, (x,), lambda g, pos=x.value > 0.0: (g * pos,))
     return out
 
 
@@ -362,17 +333,46 @@ def row_block(x: Var, start, stop) -> Var:
     return out
 
 
-def row_replace(x: Var, idx, rows: Var) -> Var:
-    """x with its rows ``idx`` (distinct ids) replaced by ``rows``, in order."""
-    idx = np.asarray(idx, dtype=np.int64)
-    _check(rows.value.shape == (len(idx), x.value.shape[1]), "row_replace", x.shape, rows.shape)
-    out = Var(x.value.copy())
-    out.value[idx] = rows.value
-    def rule(g, idx=idx):
-        g_x = g.copy()
-        g_x[idx] = 0.0
-        return g_x, g[idx]
-    _record(out, (x, rows), rule)
+def instant_update(x_u: Var, x_i: Var, users, items, avg_u, avg_i,
+                   w_u2u: Var, w_i2u: Var, w_i2i: Var, w_u2i: Var) -> Var:
+    """One scenario's user and item states joined, with the rows of a day's instant graph jumped.
+
+    ``users`` and ``items`` are distinct ids; ``avg_u`` (users x items) and
+    ``avg_i`` (items x users) are sparse partner means over their rows. A
+    user's row r becomes r + ((r w_u2u - r) + relu((avg_u R_i) w_i2u)), R_i
+    the items' rows, and an item's likewise with avg_i, R_u, w_i2i and w_u2i;
+    every other row keeps its bytes. The rule keeps the involved rows, their
+    means and the relu masks, and sums each gradient in the order of the
+    chain of generic ops this op replaced: the item rows', then the users'.
+    """
+    users, items = (np.asarray(ids, dtype=np.int64) for ids in (users, items))
+    (n_u, d), ws = x_u.value.shape, (w_u2u, w_i2u, w_i2i, w_u2i)
+    _check(x_i.value.shape[1] == d and avg_u.shape == (len(users), len(items))
+           and avg_i.shape == avg_u.shape[::-1] and all(w.value.shape == (d, d) for w in ws),
+           "instant_update", x_u.shape, x_i.shape, avg_u.shape, avg_i.shape, *(w.shape for w in ws))
+    w_uu, w_iu, w_ii, w_ui = (w.value for w in ws)
+    r_u, r_i = x_u.value[users] + 0.0, x_i.value[items] + 0.0   # -0.0 reads +0.0, as a 0/1 product
+    m_u, m_i = avg_u @ r_i, avg_i @ r_u
+    a_u, a_i = m_u @ w_iu, m_i @ w_ui
+    y = np.concatenate([x_u.value, x_i.value])
+    y[users] = r_u + ((r_u @ w_uu - r_u) + np.maximum(a_u, 0.0))
+    y[n_u + items] = r_i + ((r_i @ w_ii - r_i) + np.maximum(a_i, 0.0))
+    out = Var(y)
+    if _ACTIVE_TAPE is not None:
+        def rule(g, pos_u=a_u > 0.0, pos_i=a_i > 0.0):
+            g_ru, g_ri = g[users], g[n_u + items]
+            g_au, g_ai = g_ru * pos_u, g_ri * pos_i
+            # a C-ordered w.T: OpenBLAS rounds a few-row g times a transposed w unlike a taller g
+            acc_i = (g_ri + (-g_ri)) + g_ri @ w_ii.T.copy()
+            acc_i += avg_u.T @ (g_au @ w_iu.T.copy())
+            acc_u = (g_ru + (-g_ru)) + g_ru @ w_uu.T.copy()
+            acc_u += avg_i.T @ (g_ai @ w_ui.T.copy())
+            # g zeroed on the rows plus the rows scattered into zeros: + 0.0 turns g's -0.0
+            # into +0.0, and the rows, summed onto g + (-g), hold no -0.0
+            g_x = g + 0.0
+            g_x[users], g_x[n_u + items] = acc_u, acc_i
+            return g_x[:n_u], g_x[n_u:], r_u.T @ g_ru, m_u.T @ g_au, r_i.T @ g_ri, m_i.T @ g_ai
+        _record(out, (x_u, x_i, *ws), rule)
     return out
 
 

@@ -1,8 +1,8 @@
 """Command-line entry point: preprocess, train, eval, sweep, ablate, gradcheck.
 
-Exit status: 0 success, 2 user/config error, 3 numerical abort. The
-CPMR_THREADS environment variable caps BLAS thread pools (applied when the
-package is imported, before numpy).
+Exit status: 0 success, 1 a gradient check failed (gradcheck only), 2
+user/config error, 3 numerical abort. The CPMR_THREADS environment variable
+caps BLAS thread pools (applied when the package is imported, before numpy).
 """
 
 from __future__ import annotations

@@ -194,6 +194,8 @@ def load_dataset(path) -> Dataset:
         (f"user ids outside [0, {n_users})", np.any((u < 0) | (u >= n_users))),
         (f"item ids outside [0, {n_items})", np.any((i < 0) | (i >= n_items))),
         ("days unsorted or negative", np.any(days[:1] < 0) or np.any(days[1:] < days[:-1])),
+        *((f"split index {k} inside day {days[k]}", True) for k in split
+          if 0 < k < n and days[k] == days[k - 1]),     # a day's edges train together
     ) if bad]
     if wrong:
         raise DataFormatError(f"{path}: invalid dataset: {'; '.join(wrong)}")

@@ -181,44 +181,40 @@ def sweep_rows_to_csv(rows, path):
 # synthetic planted-trend data
 
 
-def synthetic_trend_dataset(rng, n_users=80, n_items=40, n_days=40,
-                            trend_window=10, mix=0.5, n_personal=4,
-                            n_trendy=5, n_pools=2, p_active=0.25) -> Dataset:
+# users, items; trend block length in days; share of trendy interactions;
+# items per user's static set and per trendy pool; pools; daily activity
+TREND_USERS, TREND_ITEMS, TREND_WINDOW, TREND_MIX = 80, 40, 10, 0.5
+TREND_PERSONAL, TREND_POOL, TREND_POOLS, TREND_P_ACTIVE = 4, 5, 2, 0.25
+
+
+def synthetic_trend_dataset(rng, n_days=40) -> Dataset:
     """Interaction log where recent context is predictive by construction.
 
     Each user owns a small static preference set drawn from the first half
     of the item space; a rotating "trendy" subset of the second half
-    (switched every ``trend_window`` days) attracts a ``mix`` fraction of
-    interactions. The blocks cycle through ``n_pools`` disjoint trendy
-    pools, so consecutive blocks promote different items yet every pool
-    recurs during training: a context window matching the block length
+    (switched every ``TREND_WINDOW`` days) attracts a ``TREND_MIX`` fraction
+    of interactions. The blocks cycle through ``TREND_POOLS`` disjoint
+    trendy pools, so consecutive blocks promote different items yet every
+    pool recurs during training: a context window matching the block length
     concentrates mass on the live trend, longer windows drag in the
     previous (now dead) trend, and the cumulative history spreads it over
-    all of them equally. Sparse daily activity (``p_active``) keeps any
-    single day's graph too thin to reveal the trend on its own. With mix=0
-    the context carries no signal; with mix=1 static preferences carry
-    none.
+    all of them equally. Sparse daily activity (``TREND_P_ACTIVE``) keeps
+    any single day's graph too thin to reveal the trend on its own. With a
+    mix of 0 the context would carry no signal; with 1 static preferences
+    would carry none.
     """
-    if min(n_users, n_items, n_days, trend_window, n_pools) < 1:
-        raise ConfigError("synthetic dataset parameters must be positive")
-    pool_split = n_items // 2
-    if n_pools * n_trendy > n_items - pool_split:
-        raise ConfigError("trendy pools exceed the second half of the items")
-    personal = [rng.choice(pool_split, size=n_personal, replace=False)
-                for _ in range(n_users)]
-    n_blocks = -(-n_days // trend_window)
-    perm = pool_split + rng.permutation(n_items - pool_split)
-    pools = [perm[j * n_trendy:(j + 1) * n_trendy] for j in range(n_pools)]
-    trendy = [pools[b % n_pools] for b in range(n_blocks)]
+    if n_days < 1:
+        raise ConfigError(f"synthetic dataset needs n_days >= 1, got {n_days}")
+    half = TREND_ITEMS // 2
+    personal = [rng.choice(half, size=TREND_PERSONAL, replace=False) for _ in range(TREND_USERS)]
+    perm = half + rng.permutation(TREND_ITEMS - half)
+    pools = [perm[j * TREND_POOL:(j + 1) * TREND_POOL] for j in range(TREND_POOLS)]
     events = []
     for day in range(n_days):
-        block = day // trend_window
-        for u in range(n_users):
-            if rng.random() > p_active:
+        trendy = pools[day // TREND_WINDOW % TREND_POOLS]
+        for u in range(TREND_USERS):
+            if rng.random() > TREND_P_ACTIVE:
                 continue
-            if rng.random() < mix:
-                item = int(rng.choice(trendy[block]))
-            else:
-                item = int(rng.choice(personal[u]))
+            item = int(rng.choice(trendy if rng.random() < TREND_MIX else personal[u]))
             events.append(RawEvent(f"u{u}", f"i{item}", day * SECONDS_PER_DAY))
     return canonicalize(k_core_filter(events, 5))

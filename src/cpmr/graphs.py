@@ -163,32 +163,30 @@ def normalize_adjacency(biadj, alpha0=ALPHA0):
 
 
 def averaging_operators(biadj):
-    """Per class, the ids B involves, a 0/1 selection of their rows and their partner means.
+    """Per class, the ids B involves and their partner means.
 
-    Returns ``((users, sel_u, avg_u), (items, sel_i, avg_i))``: ``users``
-    ascending, ``sel_u @ x_u`` their rows, and ``avg_u`` D_u^-1 B on their
-    rows and the involved items' columns, in ``items`` order; items likewise
-    with B^T. B must be a 0/1 view (``ConfigError`` otherwise), so ``D``
-    counts partners. A mean's row stores its columns in descending order,
-    with value ``1 / D[row]``: the arrays of ``sp.diags(dinv) @ B`` on those
-    rows and columns, whose stored order fixes the order in which a sparse
-    product sums. All are written from B's arrays, with no scipy indexing.
+    Returns ``((users, avg_u), (items, avg_i))``: ``users`` ascending and
+    ``avg_u`` D_u^-1 B on their rows and the involved items' columns, in
+    ``items`` order; items likewise with B^T. B must be a 0/1 view
+    (``ConfigError`` otherwise), so ``D`` counts partners. A mean's row
+    stores its columns in descending order, with value ``1 / D[row]``: the
+    arrays of ``sp.diags(dinv) @ B`` on those rows and columns, whose stored
+    order fixes the order in which a sparse product sums. The means are
+    written from B's arrays, with no scipy indexing.
     """
     b = _view(biadj)
-    n_u, n_i = b.shape
+    n_i = b.shape[1]
     deg_u, deg_i = np.diff(b.indptr), np.bincount(b.indices, minlength=n_i)
     users, items = np.flatnonzero(deg_u), np.flatnonzero(deg_i)
     # each entry's user and item as ranks among the involved ones
     user = np.repeat(np.arange(len(users)), deg_u[users])
     item = (np.cumsum(deg_i > 0) - 1)[b.indices]
     out = []
-    for ids, n, rows, cols, n_cols in ((users, n_u, user, item, len(items)),
-                                       (items, n_i, item, user, len(users))):
-        m = len(ids)
+    for ids, rows, cols, n_cols in ((users, user, item, len(items)),
+                                    (items, item, user, len(users))):
         # reverse B's entries, then group them stably by row: columns descend within a row
         rev = len(rows) - 1 - np.argsort(rows[::-1], kind="stable")
-        ptr = _indptr(rows, m)
-        out.append((ids, _csr(np.ones(m), ids, np.arange(m + 1), (m, n)),
-                    _csr(1.0 / np.diff(ptr)[rows[rev]], cols[rev], ptr, (m, n_cols),
-                         ascending=False)))
+        ptr = _indptr(rows, len(ids))
+        out.append((ids, _csr(1.0 / np.diff(ptr)[rows[rev]], cols[rev], ptr,
+                              (len(ids), n_cols), ascending=False)))
     return tuple(out)

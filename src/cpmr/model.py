@@ -194,22 +194,15 @@ class CpmrModel:
     def update_instant(self, x_u, x_i, ops, scenario):
         """Discrete jump of one scenario's user and item states from the instant graph.
 
-        ``ops`` is ``averaging_operators(b_ins)`` of that day's instant biadjacency.
-        Only its rows are computed, each taken by a 0/1 ``spmm`` selection: a
-        user's row x becomes x + ((x w_u2u - x) + relu(m w_i2u)), m its items'
-        mean, an item's likewise, and ``row_replace`` writes them into copies
-        of ``x_u`` and ``x_i``. Returns the n x d states.
+        ``ops`` is ``averaging_operators(b_ins)`` of that day's instant
+        biadjacency. One ``ad.instant_update`` computes only the rows it
+        involves: a user's row x becomes x + ((x w_u2u - x) + relu(m w_i2u)),
+        m its items' mean, an item's likewise. Returns the n x d states.
         """
-        (users, sel_u, avg_u), (items, sel_i, avg_i) = ops
-        w_i2u, w_u2i, w_u2u, w_i2i = (self.params[f"update.{scenario}.{k}"]
-                                      for k in ("w_i2u", "w_u2i", "w_u2u", "w_i2i"))
-        rows_u, rows_i = ad.spmm(sel_u, x_u), ad.spmm(sel_i, x_i)
-        delta_u = ad.relu(ad.matmul(ad.spmm(avg_u, rows_i), w_i2u))
-        delta_i = ad.relu(ad.matmul(ad.spmm(avg_i, rows_u), w_u2i))
-        self_u, self_i = ad.matmul(rows_u, w_u2u), ad.matmul(rows_i, w_i2i)
-        new_u = ad.row_replace(x_u, users, ad.add(rows_u, ad.add(ad.sub(self_u, rows_u), delta_u)))
-        new_i = ad.row_replace(x_i, items, ad.add(rows_i, ad.add(ad.sub(self_i, rows_i), delta_i)))
-        return ad.concat_rows(new_u, new_i)
+        (users, avg_u), (items, avg_i) = ops
+        return ad.instant_update(x_u, x_i, users, items, avg_u, avg_i,
+                                 *(self.params[f"update.{scenario}.{k}"]
+                                   for k in ("w_u2u", "w_i2u", "w_i2i", "w_u2i")))
 
     def step(self, states: TemporalStates, store, day_k, *, predict=True):
         """One recurrence: evolve from ``states.day`` to day_k-, fuse, apply day_k's jumps.

@@ -11,12 +11,53 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from cpmr import autodiff as ad
 from cpmr.errors import CpmrError, DataFormatError, NumericalError, ShapeError
-from cpmr.graphs import normalize_adjacency
+from cpmr.graphs import averaging_operators, normalize_adjacency
 
 
-# The generic ops the fused ``gathered_linear`` and ``info_nce`` replaced,
-# with their rules as the engine had them: the reference those two must equal
-# byte for byte, and what ``sum_all`` is built of.
+# The generic ops the fused ``gathered_linear``, ``info_nce`` and
+# ``instant_update`` replaced, with their rules as the engine had them: the
+# reference those three must equal byte for byte, and what ``sum_all`` is
+# built of.
+
+
+def matmul(a, b):
+    out = ad.Var(a.value @ b.value)
+    # a C-ordered b.T: OpenBLAS rounds a few-row g times a transposed b unlike a taller g
+    ad._record(out, (a, b), lambda g, a=a.value, b=b.value: (g @ b.T.copy(), a.T @ g))
+    return out
+
+
+def spmm(s, x):
+    """Sparse @ dense. ``s`` is a constant scipy sparse matrix."""
+    out = ad.Var(s @ x.value)
+    ad._record(out, (x,), lambda g, s=s: (np.asarray(s.T @ g),))
+    return out
+
+
+def sub(a, b):
+    out = ad.Var(a.value - b.value)
+    ad._record(out, (a, b), lambda g: (g, -g))
+    return out
+
+
+def relu(x):
+    out = ad.Var(np.maximum(x.value, 0.0))
+    if ad._ACTIVE_TAPE is not None:
+        ad._record(out, (x,), lambda g, pos=x.value > 0.0: (g * pos,))
+    return out
+
+
+def row_replace(x, idx, rows):
+    """x with its rows ``idx`` (distinct ids) replaced by ``rows``, in order."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = ad.Var(x.value.copy())
+    out.value[idx] = rows.value
+    def rule(g, idx=idx):
+        g_x = g.copy()
+        g_x[idx] = 0.0
+        return g_x, g[idx]
+    ad._record(out, (x, rows), rule)
+    return out
 
 
 def row_select(x, idx):
@@ -65,7 +106,26 @@ def info_nce_chain(p_pos, q_pos, p_neg, q_neg):
     lam_nu = reshape(sum_cols(ad.hadamard(p_neg, row_select(q_pos, rep))), (b, m))
     lam_ni = reshape(sum_cols(ad.hadamard(row_select(p_pos, rep), q_neg)), (b, m))
     logits = ad.concat_cols(lam_pos, lam_nu, lam_ni)
-    return ad.mean_all(ad.sub(logsumexp_rows(logits), lam_pos))
+    return ad.mean_all(sub(logsumexp_rows(logits), lam_pos))
+
+
+def selection(ids, n):
+    """The 0/1 CSR whose row j picks row ``ids[j]`` of an n-row matrix."""
+    m = len(ids)
+    return sp.csr_matrix((np.ones(m), np.asarray(ids), np.arange(m + 1)), shape=(m, n))
+
+
+def instant_update_chain(x_u, x_i, users, items, avg_u, avg_i, w_u2u, w_i2u, w_i2i, w_u2i):
+    """``instant_update`` as the 19 generic nodes of the jump, in their order: the
+    rows taken by 0/1 selections, written back by ``row_replace``, then joined."""
+    rows_u, rows_i = spmm(selection(users, x_u.shape[0]), x_u), \
+        spmm(selection(items, x_i.shape[0]), x_i)
+    delta_u = relu(matmul(spmm(avg_u, rows_i), w_i2u))
+    delta_i = relu(matmul(spmm(avg_i, rows_u), w_u2i))
+    self_u, self_i = matmul(rows_u, w_u2u), matmul(rows_i, w_i2i)
+    new_u = row_replace(x_u, users, ad.add(rows_u, ad.add(sub(self_u, rows_u), delta_u)))
+    new_i = row_replace(x_i, items, ad.add(rows_i, ad.add(sub(self_i, rows_i), delta_i)))
+    return ad.concat_rows(new_u, new_i)
 
 
 def sum_all(x):
@@ -83,8 +143,8 @@ def test_var_requires_2d():
 def test_ops_run_without_tape():
     # no-grad path: plain forward, nothing recorded anywhere
     a = ad.constant([[1.0, 2.0]])
-    out = ad.relu(ad.sub(ad.scale(a, 2.0), ad.constant([[3.0, 1.0]])))
-    np.testing.assert_array_equal(out.value, [[0.0, 3.0]])
+    out = ad.hadamard(ad.add(ad.scale(a, 2.0), ad.constant([[-3.0, 1.0]])), a)
+    np.testing.assert_array_equal(out.value, [[-1.0, 10.0]])
 
 
 def test_nested_tapes_rejected():
@@ -132,7 +192,7 @@ def test_tape_holds_handles_and_backward_pops_them():
     x = ad.constant([[1.0, -2.0]])
     with ad.Tape() as tape:
         h = ad.scale(x, 2.0)
-        loss = sum_all(ad.relu(h))
+        loss = sum_all(relu(h))
         h_node = tape.nodes[0][0]
         assert h_node.shape == (1, 2) and h_node.value is h.value
         del h                               # no rule reads the scaled values
@@ -160,7 +220,7 @@ def test_rules_keep_recipes_not_pure_copies(monkeypatch):
     def fn(x, y):
         picked = row_select(x, [4, 0, 0, 2])
         both = ad.concat_cols(picked, row_select(x, [1, 1, 3, 0]))
-        prod = ad.spmm(s, y)
+        prod = spmm(s, y)
         layer = ad.linear(both, w, bias)
         refs.extend(weakref.ref(v.value) for v in (picked, both, prod, layer))
         return ad.add(sum_all(ad.hadamard(layer, prod)),
@@ -204,11 +264,11 @@ def test_ops_over_a_recipe_get_one(monkeypatch):
 
     def outer(x):
         (layer,) = ad.checkpoint(inner, x)
-        rows = ad.spmm(s, layer)
-        prod = ad.matmul(rows, m)
-        diff = ad.sub(prod, rows)
+        rows = spmm(s, layer)
+        prod = matmul(rows, m)
+        diff = sub(prod, rows)
         total = ad.add(diff, rows)
-        pos = ad.relu(total)
+        pos = relu(total)
         weights = ad.softmax_rows(ad.linear(x, wg, bg))
         refs.extend(weakref.ref(v.value) for v in (rows, prod, diff, total, pos, weights))
         return ad.add(sum_all(ad.hadamard(pos, prod)),
@@ -251,7 +311,7 @@ def test_checkpoint_restores_the_active_tape(fail):
                     pass
         if fail == ("replay" if seen[-1] is not None else "forward"):
             raise RuntimeError(fail)
-        return sum_all(ad.relu(v)),
+        return sum_all(relu(v)),
 
     with ad.Tape() as tape:
         try:
@@ -322,7 +382,7 @@ def test_every_op_has_a_gradient_check_case():
     ops = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
            if f.__module__ == ad.__name__ and not name.startswith("_")
            and inspect.signature(f).return_annotation in ("Var", ad.Var)}
-    assert {"linear", "gate_mix", "graph_flow", "softmax_rows", "matmul"} <= ops
+    assert {"linear", "gate_mix", "graph_flow", "softmax_rows", "instant_update"} <= ops
     checks = dict(op_checks())
     assert ops <= set(checks)
     for case in checks:
@@ -331,9 +391,12 @@ def test_every_op_has_a_gradient_check_case():
 
 
 def test_untaped_ops_make_no_handles():
-    out = ad.relu(ad.matmul(ad.constant([[1.0]]), ad.constant([[2.0]])))
-    with pytest.raises(AttributeError):
-        out._node
+    one = ad.constant([[1.0]])
+    (users, avg_u), (items, avg_i) = averaging_operators(sp.csr_matrix([[1.0]]))
+    for out in (ad.sigmoid(ad.scale(one, 2.0)),
+                ad.instant_update(one, one, users, items, avg_u, avg_i, one, one, one, one)):
+        with pytest.raises(AttributeError):
+            out._node
 
 
 def test_matmul_grad_hand_computed():
@@ -341,7 +404,7 @@ def test_matmul_grad_hand_computed():
     a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
     b = ad.constant([[5.0, 6.0], [7.0, 8.0]])
     with ad.Tape() as tape:
-        loss = sum_all(ad.matmul(a, b))
+        loss = sum_all(matmul(a, b))
     g = ad.backward(loss, tape)
     ones = np.ones((2, 2))
     np.testing.assert_allclose(g[a], ones @ b.value.T)
@@ -467,6 +530,108 @@ def test_fused_head_ops_reject_bad_shapes():
         ad.info_nce(x, x, ad.constant(np.ones((4, 2))), ad.constant(np.ones((4, 2))))
     with pytest.raises(ShapeError):
         ad.info_nce(*(ad.constant(np.ones((0, 2))) for _ in range(4)))   # no interaction
+
+
+def _instant_day(case):
+    """(x_u, x_i, instant biadjacency, output gradient) of a day of ``case``."""
+    rng = np.random.default_rng(len(case))
+    n_u, n_i, d = (40, 30, 32) if case == "burst" else (5, 6, 3)
+    b = np.zeros((n_u, n_i))
+    if case == "one_interaction":
+        b[2, 4] = 1.0
+    elif case in ("several_items", "infinite_gradient"):   # user 1: four items; item 2: three users
+        b[1, [0, 2, 3, 5]] = b[[0, 3], 2] = 1.0
+    else:                                          # 120 draws, as on a burst-d32 day, at d=32
+        b[rng.integers(0, n_u, 120), rng.integers(0, n_i, 120)] = 1.0
+        b[4] = 0.0
+    x_u, x_i, g = (rng.normal(size=(n, d)) for n in (n_u, n_i, n_u + n_i))
+    x_u[1] = x_u[4] = -0.0                         # rows of -0.0; user 4 is never involved
+    # entries of -0.0 in the one-interaction day's rows, which a weight
+    # gradient r^T g over that one row multiplies alone
+    x_u[2, 0] = x_i[4, 1] = -0.0
+    g[rng.random(g.shape) < 0.2] = -0.0
+    if case == "infinite_gradient":               # in user 0's and item 0's rows, not partners
+        g[0, 2], g[n_u, 0] = np.inf, -np.inf
+    return x_u, x_i, sp.csr_matrix(b), g
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+@pytest.mark.parametrize("case", ["one_interaction", "several_items", "infinite_gradient",
+                                  "burst"])
+def test_instant_update_is_the_generic_op_chain_byte_for_byte(case, checkpointed):
+    """``instant_update`` gives the joined states of the 0/1 selections,
+    products, relus, differences, sums, ``row_replace`` and join it
+    replaces, and the gradients of both states and all four weights, byte
+    for byte: on a tape, and inside a ``checkpoint`` against the chain on a
+    plain tape. State rows of -0.0, involved and not, and -0.0 entries in
+    the incoming gradient keep the chain's signs, and an infinite entry
+    there gives the chain's NaNs: its ``sub`` and ``add`` nodes make g + (-g).
+    It records 1 node, the chain 19."""
+    x_u, x_i, b, g = _instant_day(case)
+    (users, avg_u), (items, avg_i) = averaging_operators(b)
+    rng = np.random.default_rng(9)          # weights under which each relu passes a value
+    leaves = [ad.constant(x_u), ad.constant(x_i),
+              *(ad.constant(rng.normal(size=(x_u.shape[1],) * 2)) for _ in range(4))]
+
+    def run(op, wrap):
+        def day(x_u, x_i):
+            return op(x_u, x_i, users, items, avg_u, avg_i, *leaves[2:]),
+        with ad.Tape() as tape, np.errstate(invalid="ignore"):
+            (out,) = wrap(day, *leaves[:2])
+            n_nodes = len(tape.nodes)
+            loss = sum_all(ad.hadamard(out, ad.constant(g)))     # hands the op g * 1.0 = g
+            grads = ad.backward(loss, tape, params=leaves)
+        return n_nodes, [out.value, *(grads[v] for v in leaves)]
+
+    fused_nodes, got = run(ad.instant_update,
+                           ad.checkpoint if checkpointed else lambda fn, *xs: fn(*xs))
+    chain_nodes, want = run(instant_update_chain, lambda fn, *xs: fn(*xs))
+    assert (fused_nodes, chain_nodes) == (1, 19)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert all((a != 0).any() for a in got)
+    assert np.isnan([got[1][0, 2], got[2][0, 0]]).all() == (case == "infinite_gradient")
+    for r in (1, 4):              # a -0.0 row keeps its bytes, or jumps from +0.0
+        assert np.signbit(got[0][r]).all() if r not in users else not np.signbit(got[0][r]).any()
+    assert (1 in users) == (case != "one_interaction")
+
+
+def test_instant_update_rejects_bad_shapes():
+    (users, avg_u), (items, avg_i) = averaging_operators(sp.csr_matrix(np.eye(2)))
+    x, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 3)))
+    with pytest.raises(ShapeError):
+        ad.instant_update(x, ad.constant(np.ones((2, 2))), users, items, avg_u, avg_i, w, w, w, w)
+    with pytest.raises(ShapeError):
+        ad.instant_update(x, x, users, items[:1], avg_u, avg_i, w, w, w, w)
+    with pytest.raises(ShapeError):
+        ad.instant_update(x, x, users, items, avg_u, avg_i, w, w, w, ad.constant(np.ones((2, 3))))
+
+
+def test_every_public_autodiff_function_has_a_caller_in_src():
+    """No public function of ``cpmr.autodiff`` that nothing uses: each is
+    named by another module of ``src/cpmr``, through ``ad.<name>``-style
+    attributes of the module or ``from .autodiff import <name>``. Tests do
+    not count, so an op that only a test calls fails here."""
+    import ast
+    import pathlib
+    src = pathlib.Path(ad.__file__).parent
+    public = {node.name for node in ast.parse((src / "autodiff.py").read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == "autodiff":
+                    used.update(a.name for a in node.names)
+                elif node.module is None:
+                    aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
+        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    assert {"graph_flow", "backward"} <= public
+    assert sorted(public - used) == []
 
 
 def test_fanout_gradients_sum():
@@ -601,7 +766,7 @@ def test_spmm_matches_dense():
                   format="csr")
     x = ad.constant(rng.normal(size=(4, 3)))
     with ad.Tape() as tape:
-        loss = sum_all(ad.spmm(s, x))
+        loss = sum_all(spmm(s, x))
     g = ad.backward(loss, tape)
     np.testing.assert_allclose(g[x], s.toarray().T @ np.ones((6, 3)), atol=1e-14)
 

@@ -524,6 +524,25 @@ def test_dataset_counts_past_its_interactions_exit_code(workspace, capsys, field
     assert peak < 2 ** 20 and not (out / "train.log").exists()
 
 
+@pytest.mark.parametrize("which", [0, 1], ids=["i_val", "i_test"])
+def test_dataset_split_inside_a_day_exit_code(workspace, capsys, which):
+    """A dataset file whose validation or test split starts two events into
+    a day used to train on all of that day's interactions, held-out ones
+    among them, and exit 0. The file is now rejected as it loads, with the
+    index named."""
+    tmp_path, out, cfg = workspace
+    path = out / "dataset.bin"
+    meta, arrays = arrayfile.load(path, "dataset")
+    days, k = arrays["days"], meta["split"][which]
+    assert days[k - 1] < days[k] == days[k + 2]          # k starts a day of 3+ events
+    meta["split"][which] = k + 2
+    arrayfile.save(path, "dataset", arrays, meta)
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"split index {k + 2} inside day {days[k]}" in err
+    assert not (out / "train.log").exists()
+
+
 _RUN_KEYS = ["data.path", "output.dir", "eval.split", "eval.filter_interacted", *_MODEL_TRAIN_KEYS]
 # int64's extremes and past them, non-finite and signed zeros, subnormals and
 # the largest double, empty and blank, non-ASCII (digits among them). None

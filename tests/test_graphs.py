@@ -239,26 +239,24 @@ def reference_normalize(biadj, alpha0=0.98):
 
 def reference_averaging(b_ins):
     """The instant operators of ``averaging_operators`` through COO constructions:
-    per class the involved ids, their 0/1 row selection and the averaging
-    operator over the involved rows and columns, columns ranked among the
-    involved nodes of the other class."""
+    per class the involved ids and the averaging operator over the involved
+    rows and columns, columns ranked among the involved nodes of the other
+    class."""
     coo = b_ins.tocoo()
     users, u_rank = np.unique(coo.row, return_inverse=True)
     items, i_rank = np.unique(coo.col, return_inverse=True)
     compact = sp.coo_matrix((coo.data, (u_rank, i_rank)),
                             shape=(len(users), len(items))).tocsr()
     out = []
-    for ids, n, b in ((users, b_ins.shape[0], compact), (items, b_ins.shape[1], compact.T)):
-        m = len(ids)
-        sel = sp.coo_matrix((np.ones(m), (np.arange(m), ids)), shape=(m, n)).tocsr()
+    for ids, b in ((users, compact), (items, compact.T)):
         dinv = 1.0 / np.asarray(b.sum(axis=1)).reshape(-1)
-        out.append((ids, sel, (sp.diags(dinv) @ b).tocsr()))
+        out.append((ids, (sp.diags(dinv) @ b).tocsr()))
     return tuple(out)
 
 
 def operators_bytes(ops):
-    """Per class: the involved ids, then the bytes of its two operators."""
-    return [(ids.tolist(), csr_bytes(sel), csr_bytes(avg)) for ids, sel, avg in ops]
+    """Per class: the involved ids, then the bytes of its averaging operator."""
+    return [(ids.tolist(), csr_bytes(avg)) for ids, avg in ops]
 
 
 def csr_bytes(mat):
@@ -318,20 +316,20 @@ def columns_ascend(mat, strictly):
 def test_every_operator_reports_its_index_order_truthfully(seed):
     """scipy trusts the sorted flags: a matrix claiming sorted indices is left
     as it is by ``sort_indices``. The views and the normalized adjacency
-    ascend and say so, as do the row selections; the averaging operators,
-    whose columns descend within a row, claim nothing. Every instant
-    operator's products are the reference's bytes."""
+    ascend and say so; the averaging operators, whose columns descend within
+    a row, claim nothing. Every instant operator's products are the
+    reference's bytes."""
     store = random_log(seed)
     rng = np.random.default_rng(2000 + seed)
     views = [store.history_biadjacency(day) for day in range(0, 44, 5)]
     views += [store.instant_biadjacency(day) for day in range(0, 44, 3)]
     views += [store.context_biadjacency(day, 3) for day in range(0, 44, 7)]
     for b in views:
-        ops = [mat for _, *pair in averaging_operators(b) for mat in pair]
+        ops = [avg for _, avg in averaging_operators(b)]
         for mat in [b, normalize_adjacency(b), *ops]:
             assert mat.has_sorted_indices == columns_ascend(mat, strictly=False)
             assert mat.has_canonical_format == columns_ascend(mat, strictly=True)
-        want_ops = [mat for _, *pair in reference_averaging(b) for mat in pair]
+        want_ops = [avg for _, avg in reference_averaging(b)]
         for got, want in zip(ops, want_ops, strict=True):
             x = rng.normal(size=(got.shape[1], 3))
             g = rng.normal(size=(got.shape[0], 3))

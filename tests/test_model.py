@@ -204,7 +204,7 @@ def test_update_instant_rows_oracle():
     for name, store, day in instant_days():
         b = store.instant_biadjacency(day)
         ops = averaging_operators(b)
-        assert [len(ids) for ids, _, _ in ops] == \
+        assert [len(ids) for ids, _ in ops] == \
             {"mixed": [2, 2], "one_user_one_item": [1, 1], "every_node": [4, 5],
              "duplicated_pair": [2, 2], "empty": [0, 0]}[name]
         xu, xi = ad.Var(rng.normal(size=(4, 4))), ad.Var(rng.normal(size=(5, 4)))
@@ -262,9 +262,9 @@ def test_update_instant_keeps_uninvolved_rows_and_empty_days_byte_for_byte():
 def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
     """After a taped ``step`` the his/ctx blocks that ``fuse`` hands to
     ``update_instant`` are freed while the tape still holds the day: the
-    instant update takes its rows by 0/1 sparse selections and keeps the
-    products, and every matrix its rules keep, apart from the weights, has
-    the day's involved user or item count of rows."""
+    instant update keeps copies of the involved rows and their means, and
+    every matrix its rule keeps, apart from the weights, has the day's
+    involved user or item count of rows."""
     import weakref
     users = np.array([0, 3, 3, 5, 1, 2, 7, 4, 2, 6])
     items = np.array([0, 1, 4, 2, 3, 5, 6, 2, 5, 5])
@@ -380,17 +380,19 @@ def _expm(a, dt):
 
 def test_step_splits_and_joins_each_scenario_once():
     """Fusion hands the instant update each scenario's user and item rows, so
-    a full step takes one row-block pair per fused input and joins only z and
-    the new states; wo_fusion splits z once per scenario. Nodes are told
-    apart by their backward rule, which is defined inside the op."""
-    for variant, want in (("full", (4, 3)), ("wo_fusion", (4, 2))):
+    a full step takes one row-block pair per fused input and joins only z;
+    ``instant_update`` joins each scenario's new states itself, one node a
+    scenario. wo_fusion splits z once per scenario. Nodes are told apart by
+    their backward rule, which is defined inside the op."""
+    for variant, want in (("full", (4, 1, 2)), ("wo_fusion", (4, 0, 2))):
         model = make_model(variant=variant)
         states = model.init_states()
         with ad.Tape() as tape:
             model.step(states, toy_store(), 2)
         ops = [rule.__qualname__.split(".")[0] for _, (_, rule) in tape.nodes]
-        assert (ops.count("row_block"), ops.count("concat_rows")) == want, variant
-        assert len(ops) == {"full": 75, "wo_fusion": 47}[variant]
+        assert tuple(map(ops.count, ("row_block", "concat_rows", "instant_update"))) == want, \
+            variant
+        assert len(ops) == {"full": 39, "wo_fusion": 11}[variant]
 
 
 def test_step_clock_enforced():

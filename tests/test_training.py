@@ -392,7 +392,10 @@ def test_recipes_give_the_gradients_of_kept_copies(variant, substeps, monkeypatc
     assert n_nodes == len(config.scenarios) + 2 * len(days) - 1
     monkeypatch.setattr(ad, "checkpoint", plain)
     plain_nodes, want = grads()
-    assert plain_nodes > 40 * len(days)
+    # E's copies, each day's step and 5 head nodes, and the sum of the day
+    # losses; the first day (dt = 0) has no flow, one node a scenario fewer
+    step = {"full": 39, "wo_ctx": 24, "wo_his": 24, "wo_fusion": 11}[variant]
+    assert plain_nodes == len(days) * (step + 5) + len(days) - 1
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
@@ -406,7 +409,7 @@ def closure(fn):
 def test_the_instant_updates_rules_and_recipes_keep_no_float_array():
     """A taped full-model training day is one node whose float arrays are
     its input states. Its recipe holds the instant update's averaging
-    operators (index arrays and sparse selections and means), the normalized
+    operators (index arrays and sparse means), the normalized
     graph views and the day's interactions and negatives, and no float
     array: the instant update's rows and the new states are rebuilt in the
     backward, with the rest of the day."""
@@ -434,7 +437,7 @@ def test_the_instant_updates_rules_and_recipes_keep_no_float_array():
     assert not any(isinstance(x, ad.Var) for x in held)
     assert all(x.dtype.kind in "iu" for x in held if isinstance(x, np.ndarray))
     ops = list(walk(cells["ops"]))
-    assert [type(x).__name__ for x in ops] == ["ndarray", "csr_matrix", "csr_matrix"] * 2
+    assert [type(x).__name__ for x in ops] == ["ndarray", "csr_matrix"] * 2
 
 
 def test_backward_builds_each_shared_expert_once(monkeypatch):
