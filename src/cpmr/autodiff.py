@@ -6,6 +6,13 @@ output, its inputs and one backward rule that maps the output's gradient to
 one gradient per input, in input order. With no active tape ops run as plain
 numpy forward computations, which is the no-grad path used during evaluation.
 
+An op with several outputs (``gated_fusion``, one per task) records their
+handles as one :class:`_Outputs` node. Its rule takes one gradient per
+output, None for an output nothing read, and gives one per input, None where
+it gives nothing; as a generator it hands each out as it makes it, so
+``backward`` sums one before the next is made. A :func:`checkpoint` node is
+an ``_Outputs`` whose rule replays a function instead (below).
+
 Ownership: the tape holds handles (:class:`TapeNode`), not values. A handle
 knows its ``Var`` only through a weak reference, so reference counting frees
 each intermediate as soon as the forward code drops it. A backward rule
@@ -18,9 +25,10 @@ function's input arrays. ``backward`` replays the function under a fresh
 tape when it reaches that node and runs the replay's nodes in its own loop,
 so every gradient is summed in the order a plain tape would sum it.
 
-Sparse operands (scipy CSR/CSC) appear only as constants of
-``instant_update`` (its partner means) and ``graph_flow``; gradients flow
-through the dense operands.
+Sparse operands (scipy CSR/CSC) are constants of two ops: ``graph_flow``'s
+normalized graph and ``instant_update``'s partner means. Integer ids, also
+constants, pick rows in ``gathered_linear`` and ``instant_update``.
+Gradients flow through the dense operands only.
 """
 
 from __future__ import annotations
@@ -97,7 +105,9 @@ class Tape:
     """
 
     def __init__(self):
-        self.nodes = []  # (out_node, (in_nodes, rule)); rule(g) -> a gradient per input
+        # (out_node, (in_nodes, rule)); rule(g) -> a gradient per input, and an
+        # _Outputs node's rule takes one g per output
+        self.nodes = []
         self.consumed = False
 
     def __enter__(self):
@@ -120,9 +130,17 @@ def _record(out, inputs, rule):
 
 
 class _Outputs(tuple):
-    """A :func:`checkpoint` node's output: its outputs' handles. It keeps no value."""
+    """The output of a node with several outputs: their handles. It keeps no value.
+
+    The node's rule maps their gradients, None for an output nothing read, to
+    one gradient per input, None for an input it gives nothing.
+    """
 
     value = np.empty(0)
+
+
+class _Replay(_Outputs):
+    """A :func:`checkpoint` node's output; its rule replays the function."""
 
 
 def _run(tape, fn, *args):
@@ -152,8 +170,7 @@ def checkpoint(fn, *inputs: Var):
             tape = Tape()
             tape.nodes = nodes
             return _run(tape, fn, *again)
-        out_nodes = _Outputs(map(_node, outs))
-        _ACTIVE_TAPE.nodes.append((out_nodes, (tuple(map(_node, inputs)), replay)))
+        _ACTIVE_TAPE.nodes.append((_Replay(map(_node, outs)), (tuple(map(_node, inputs)), replay)))
     return outs
 
 
@@ -191,46 +208,16 @@ def linear(x: Var, w: Var, b: Var) -> Var:
     """One dense layer: x @ w with the (1, m) row b added to every row."""
     _check(x.value.shape[1] == w.value.shape[0] and b.value.shape == (1, w.value.shape[1]),
            "linear", x.shape, w.shape, b.shape)
-    y = x.value @ w.value
-    y += b.value
-    out = Var(y)
+    out = Var(_affine(x.value, w.value, b.value))
     _record(out, (x, w, b), lambda g, x=x.value, w=w.value: (
         g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)))
     return out
 
 
-def gate_mix(w: Var, a: Var, b: Var) -> Var:
-    """Row-wise two-way mix a * w[:, 0] + b * w[:, 1], with w of shape (n, 2)."""
-    _check(a.shape == b.shape and w.value.shape == (a.value.shape[0], 2),
-           "gate_mix", w.shape, a.shape, b.shape)
-    out = Var(a.value * w.value[:, 0:1] + b.value * w.value[:, 1:2])
-    def rule(g, w=w.value, a=a.value, b=b.value):
-        # + 0.0: a row sum of -0.0 reads +0.0, whichever zero numpy's sum gives
-        g_w = np.concatenate([np.sum(g * a, axis=1, keepdims=True),
-                              np.sum(g * b, axis=1, keepdims=True)], axis=1) + 0.0
-        return g_w, g * w[:, 0:1], g * w[:, 1:2]
-    _record(out, (w, a, b), rule)
-    return out
-
-
-def concat_cols(*parts: Var) -> Var:
-    rows = parts[0].value.shape[0]
-    _check(all(p.value.shape[0] == rows for p in parts), "concat_cols",
-           *[p.shape for p in parts])
-    out = Var(np.concatenate([p.value for p in parts], axis=1))
-    cuts = np.cumsum([p.value.shape[1] for p in parts[:-1]])
-    _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=1))
-    return out
-
-
-def concat_rows(*parts: Var) -> Var:
-    cols = parts[0].value.shape[1]
-    _check(all(p.value.shape[1] == cols for p in parts), "concat_rows",
-           *[p.shape for p in parts])
-    out = Var(np.concatenate([p.value for p in parts], axis=0))
-    cuts = np.cumsum([p.value.shape[0] for p in parts[:-1]])
-    _record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=0))
-    return out
+def _affine(x, w, b):
+    y = x @ w
+    y += b
+    return y
 
 
 def sigmoid(x: Var) -> Var:
@@ -248,16 +235,107 @@ def _sigmoid(a):
     return out
 
 
-def softmax_rows(x: Var) -> Var:
-    out = Var(_softmax_rows(x.value))
-    _record(out, (x,), lambda g, s=out.value: (s * (g - np.sum(g * s, axis=1, keepdims=True)),))
-    return out
-
-
 def _softmax_rows(a):
     m = a.max(axis=1, keepdims=True)
     e = np.exp(a - m)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def gated_fusion(parts, n_users, layers) -> tuple[Var, ...]:
+    """The shared-expert gating block over the scenarios' n x d states ``parts``.
+
+    Rows [0, n_users) are users, the rest items; each class's input x is its
+    rows of all parts side by side. ``layers`` holds per class, users then
+    items, the (w, b) Var pairs of the shared expert and then of each task's
+    gate and expert. A task's rows are e * s[:, :1] + shared * s[:, 1:], with
+    shared = x w + b, e = x w_e + b_e and s = softmax(x w_g + b_g). Returns one
+    joined n x d Var per task, recorded as one node.
+
+    The rule keeps per class x and the shared expert, and per task s and e. It
+    runs the backward of the generic chain this op replaced in that chain's
+    order: items, then users; per class the tasks last to first, each expert
+    then its gate, then the shared expert. A task whose output nothing read is
+    skipped and gets no gradient. Each weight's gradient is handed out as it
+    is made, the parts' last.
+    """
+    parts, layers = tuple(parts), [tuple(c) for c in layers]
+    n_tasks = (len(layers[0]) - 1) // 2 if layers else 0
+    (n, d), k = parts[0].value.shape if parts else (0, 0), len(parts)
+    # per class the shared expert's (w, b) shapes, then a gate's and an expert's a task
+    shapes = [[(k * d, m), (1, m)] for m in [d] + [2, d] * n_tasks]
+    _check(k > 0 and n_tasks > 0 and 0 <= n_users <= n and len(layers) == 2
+           and all(p.value.shape == (n, d) for p in parts)
+           and all([[v.value.shape for v in l] for l in c] == shapes for c in layers),
+           "gated_fusion", *(p.shape for p in parts),
+           *(v.shape for c in layers for l in c for v in l))
+    blocks = (slice(0, n_users), slice(n_users, n))
+    outs = [np.empty((n, d)) for _ in range(n_tasks)]
+    kept = [] if _ACTIVE_TAPE is not None else None
+    for rows, ((w, b), *tasks) in zip(blocks, layers):
+        x = parts[0].value[rows] if k == 1 else np.concatenate([p.value[rows] for p in parts], 1)
+        shared, mixes = _affine(x, w.value, b.value), []
+        for out, gate, expert in zip(outs, tasks[::2], tasks[1::2]):
+            s = _softmax_rows(_affine(x, *(v.value for v in gate)))
+            e = _affine(x, *(v.value for v in expert))
+            mix = out[rows]
+            np.multiply(e, s[:, :1], out=mix)
+            mix += shared * s[:, 1:]
+            if kept is not None:
+                mixes.append((s, e))
+        if kept is not None:
+            kept.append((x, shared, mixes))
+    outs = tuple(Var(o) for o in outs)
+    if kept is None:
+        return outs
+    ws = [[w.value for w, _ in c] for c in layers]
+
+    def rule(gs):
+        g_parts = None
+        for c in (1, 0):
+            rows, (x, shared, mixes), g_x, g_shared = blocks[c], kept.pop(), None, None
+            for t in range(n_tasks - 1, -1, -1):
+                s, e = mixes.pop()
+                if gs[t] is None:
+                    yield from (None,) * 4
+                    continue
+                g = gs[t][rows]
+                # the mix's rule; + 0.0: a row sum of -0.0 reads +0.0, whichever zero numpy gives
+                g_s = np.concatenate([np.sum(g * e, axis=1, keepdims=True),
+                                      np.sum(g * shared, axis=1, keepdims=True)], axis=1) + 0.0
+                g_e, g_sh = g * s[:, 0:1], g * s[:, 1:2]
+                del g, e
+                g_shared = _summed(g_shared, g_sh)
+                # linear's rule for the expert, then softmax's and linear's for the gate
+                g_x = _summed(g_x, g_e @ ws[c][2 + 2 * t].T)
+                yield x.T @ g_e
+                yield g_e.sum(axis=0, keepdims=True)
+                del g_e
+                g_l = s * (g_s - np.sum(g_s * s, axis=1, keepdims=True))
+                g_x += g_l @ ws[c][1 + 2 * t].T
+                yield x.T @ g_l
+                yield g_l.sum(axis=0, keepdims=True)
+            g_x += g_shared @ ws[c][0].T
+            yield x.T @ g_shared
+            yield g_shared.sum(axis=0, keepdims=True)
+            del x, shared, g_shared
+            if g_parts is None:                  # each part's gradient: its rows of zeros += g
+                g_parts = [np.zeros((n, d)) for _ in range(k)]
+            for j, g_p in enumerate(g_parts):
+                g_p[rows] += g_x[:, j * d:(j + 1) * d]
+            del g_x
+        yield from g_parts
+    # the weights in the order the rule hands out their gradients, then the parts
+    inputs = [v for c in reversed(layers) for layer in reversed(c) for v in layer] + list(parts)
+    _ACTIVE_TAPE.nodes.append((_Outputs(map(_node, outs)), (tuple(map(_node, inputs)), rule)))
+    return outs
+
+
+def _summed(acc, g):
+    """``acc + g`` in place, or g when nothing has been summed yet."""
+    if acc is None:
+        return g
+    acc += g
+    return acc
 
 
 def gathered_linear(e: Var, z: Var, idx, w: Var, b: Var) -> Var:
@@ -322,45 +400,36 @@ def info_nce(p_pos: Var, q_pos: Var, p_neg: Var, q_neg: Var) -> Var:
     return out
 
 
-def row_block(x: Var, start, stop) -> Var:
-    """Rows start:stop of x as a view; the gradient is g in those rows of zeros."""
-    out = Var(x.value[start:stop])
-    def rule(g, shape=x.shape, start=start, stop=stop):
-        z = np.zeros(shape)
-        z[start:stop] += g          # 0 + g, as np.add.at gives, signed zeros included
-        return z,
-    _record(out, (x,), rule)
-    return out
-
-
-def instant_update(x_u: Var, x_i: Var, users, items, avg_u, avg_i,
+def instant_update(x: Var, n_users, users, items, avg_u, avg_i,
                    w_u2u: Var, w_i2u: Var, w_i2i: Var, w_u2i: Var) -> Var:
-    """One scenario's user and item states joined, with the rows of a day's instant graph jumped.
+    """One scenario's n x d states, users first, with the rows of a day's instant graph jumped.
 
-    ``users`` and ``items`` are distinct ids; ``avg_u`` (users x items) and
-    ``avg_i`` (items x users) are sparse partner means over their rows. A
-    user's row r becomes r + ((r w_u2u - r) + relu((avg_u R_i) w_i2u)), R_i
-    the items' rows, and an item's likewise with avg_i, R_u, w_i2i and w_u2i;
-    every other row keeps its bytes. The rule keeps the involved rows, their
-    means and the relu masks, and sums each gradient in the order of the
-    chain of generic ops this op replaced: the item rows', then the users'.
+    ``users`` and ``items`` are distinct ids, an item's row n_users + id;
+    ``avg_u`` (users x items) and ``avg_i`` (items x users) are sparse partner
+    means over their rows. A user's row r becomes
+    r + ((r w_u2u - r) + relu((avg_u R_i) w_i2u)), R_i the items' rows, and an
+    item's likewise with avg_i, R_u, w_i2i and w_u2i; every other row keeps its
+    bytes. The rule keeps the involved rows, their means and the relu masks,
+    and sums each gradient in the order of the chain of generic ops this op
+    replaced: the item rows', then the users'. The input's gradient holds no -0.0.
     """
     users, items = (np.asarray(ids, dtype=np.int64) for ids in (users, items))
-    (n_u, d), ws = x_u.value.shape, (w_u2u, w_i2u, w_i2i, w_u2i)
-    _check(x_i.value.shape[1] == d and avg_u.shape == (len(users), len(items))
+    (n, d), ws = x.value.shape, (w_u2u, w_i2u, w_i2i, w_u2i)
+    _check(0 <= n_users <= n and avg_u.shape == (len(users), len(items))
            and avg_i.shape == avg_u.shape[::-1] and all(w.value.shape == (d, d) for w in ws),
-           "instant_update", x_u.shape, x_i.shape, avg_u.shape, avg_i.shape, *(w.shape for w in ws))
+           "instant_update", x.shape, avg_u.shape, avg_i.shape, *(w.shape for w in ws))
     w_uu, w_iu, w_ii, w_ui = (w.value for w in ws)
-    r_u, r_i = x_u.value[users] + 0.0, x_i.value[items] + 0.0   # -0.0 reads +0.0, as a 0/1 product
+    rows_i = n_users + items
+    r_u, r_i = x.value[users] + 0.0, x.value[rows_i] + 0.0   # -0.0 reads +0.0, as a 0/1 product
     m_u, m_i = avg_u @ r_i, avg_i @ r_u
     a_u, a_i = m_u @ w_iu, m_i @ w_ui
-    y = np.concatenate([x_u.value, x_i.value])
+    y = x.value.copy()
     y[users] = r_u + ((r_u @ w_uu - r_u) + np.maximum(a_u, 0.0))
-    y[n_u + items] = r_i + ((r_i @ w_ii - r_i) + np.maximum(a_i, 0.0))
+    y[rows_i] = r_i + ((r_i @ w_ii - r_i) + np.maximum(a_i, 0.0))
     out = Var(y)
     if _ACTIVE_TAPE is not None:
         def rule(g, pos_u=a_u > 0.0, pos_i=a_i > 0.0):
-            g_ru, g_ri = g[users], g[n_u + items]
+            g_ru, g_ri = g[users], g[rows_i]
             g_au, g_ai = g_ru * pos_u, g_ri * pos_i
             # a C-ordered w.T: OpenBLAS rounds a few-row g times a transposed w unlike a taller g
             acc_i = (g_ri + (-g_ri)) + g_ri @ w_ii.T.copy()
@@ -370,9 +439,9 @@ def instant_update(x_u: Var, x_i: Var, users, items, avg_u, avg_i,
             # g zeroed on the rows plus the rows scattered into zeros: + 0.0 turns g's -0.0
             # into +0.0, and the rows, summed onto g + (-g), hold no -0.0
             g_x = g + 0.0
-            g_x[users], g_x[n_u + items] = acc_u, acc_i
-            return g_x[:n_u], g_x[n_u:], r_u.T @ g_ru, m_u.T @ g_au, r_i.T @ g_ri, m_i.T @ g_ai
-        _record(out, (x_u, x_i, *ws), rule)
+            g_x[users], g_x[rows_i] = acc_u, acc_i
+            return g_x, r_u.T @ g_ru, m_u.T @ g_au, r_i.T @ g_ri, m_i.T @ g_ai
+        _record(out, (x, *ws), rule)
     return out
 
 
@@ -512,16 +581,22 @@ def backward(loss: Var, tape: Tape, params=None):
     nodes = tape.nodes
     while nodes:
         out, (inputs, rule) = nodes.pop()
-        if isinstance(out, _Outputs):            # a checkpoint: its replay's nodes run next
+        if isinstance(out, _Outputs):
             gs = [grads.pop(node, None) for node in out]
-            pairs = [(_node(v), g) for v, g in zip(rule(inputs, nodes), gs) if g is not None]
+            if all(g is None for g in gs):
+                continue
+            if isinstance(out, _Replay):         # a checkpoint: its replay's nodes run next
+                pairs = [(_node(v), g) for v, g in zip(rule(inputs, nodes), gs)]
+            else:
+                pairs = zip(inputs, rule(gs))
         else:
             g = grads.pop(out, None)
             if g is None:
                 continue
             pairs = zip(inputs, rule(g))
-        for inp, contrib in pairs:
-            grads[inp] = grads[inp] + contrib if inp in grads else contrib
+        for inp, contrib in pairs:               # a rule may hand out each as it makes it
+            if contrib is not None:
+                grads[inp] = grads[inp] + contrib if inp in grads else contrib
     result = {node.var(): g for node, g in grads.items() if node.var() is not None}
     for p in params or ():
         if p not in result:

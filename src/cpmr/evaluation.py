@@ -217,4 +217,8 @@ def synthetic_trend_dataset(rng, n_days=40) -> Dataset:
                 continue
             item = int(rng.choice(trendy if rng.random() < TREND_MIX else personal[u]))
             events.append(RawEvent(f"u{u}", f"i{item}", day * SECONDS_PER_DAY))
-    return canonicalize(k_core_filter(events, 5))
+    kept = k_core_filter(events, 5)
+    if not kept:
+        raise ConfigError(f"n_days={n_days} is too short: the 5-core filter leaves none of "
+                          f"the {len(events)} generated interactions")
+    return canonicalize(kept)

@@ -41,35 +41,24 @@ def op_checks(seed=0):
                      lambda p: ad.mean_all(ad.hadamard(p[0], p[1]))),
         "linear": (mats((3, 4), (4, 2), (1, 2)),
                    lambda p: ad.mean_all(ad.hadamard(ad.linear(*p), ad.constant(_cmat(2))))),
-        "gate_mix": (mats((3, 2), (3, 4), (3, 4)),
-                     lambda p: ad.mean_all(ad.hadamard(
-                         ad.gate_mix(*p), ad.constant(_cmat(4))))),
-        "concat_cols": (mats((3, 2), (3, 1), (3, 2)),
-                        lambda p: ad.mean_all(ad.hadamard(
-                            ad.concat_cols(*p), ad.constant(_cmat(5))))),
-        "concat_rows": (mats((2, 3), (1, 3)),
-                        lambda p: ad.mean_all(ad.hadamard(
-                            ad.concat_rows(*p), ad.constant(_cmat(3, rows=3))))),
         "sigmoid": (mats((3, 2)), lambda p: ad.mean_all(ad.sigmoid(p[0]))),
-        "softmax_rows": (mats((3, 4)),
-                         lambda p: ad.mean_all(ad.hadamard(
-                             ad.softmax_rows(p[0]), ad.constant(_cmat(4))))),
         "gathered_linear": (mats((3, 1), (3, 1), (2, 4), (1, 4)),
                             lambda p: ad.mean_all(ad.hadamard(ad.gathered_linear(
                                 p[0], p[1], idx, p[2], p[3]), ad.constant(_cmat(4, rows=4))))),
         # user 0 with item 1, user 2 with items 0 and 3; user 1 and item 2 are not involved
-        "instant_update": (mats((3, 2), (4, 2), (2, 2), (2, 2), (2, 2), (2, 2)),
+        "instant_update": (mats((7, 2), (2, 2), (2, 2), (2, 2), (2, 2)),
                            lambda p: ad.mean_all(ad.hadamard(ad.instant_update(
-                               p[0], p[1], users, items, avg_u, avg_i, *p[2:]),
+                               p[0], 3, users, items, avg_u, avg_i, *p[1:]),
                                ad.constant(_cmat(2, rows=7))))),
         "info_nce": (mats((2, 2), (2, 2), (4, 2), (4, 2)), lambda p: ad.info_nce(*p)),
+        # a shared expert, then a gate and an expert for each of three tasks, per class
+        "gated_fusion": (mats((5, 3), (5, 3),
+                              *([(6, 3), (1, 3)] + [(6, 2), (1, 2), (6, 3), (1, 3)] * 3) * 2),
+                         _fusion_loss),
         "mean_all": (mats((3, 2)), lambda p: ad.mean_all(p[0])),
         "graph_flow": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
                        lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
                            *p, flow_n, 0.6, 3, 0.3), ad.constant(_cmat(2, rows=5))))),
-        "row_block": (mats((5, 2)),
-                      lambda p: ad.mean_all(ad.hadamard(
-                          ad.row_block(p[0], 1, 4), ad.constant(_cmat(2, rows=3))))),
         # order 1: one sparse product and one kept iterate per sub-step
         "graph_flow_order1": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
                               lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
@@ -81,6 +70,16 @@ def op_checks(seed=0):
     }
     for name, (params, f) in cases.items():
         yield name, ad.grad_check(f, params, h=1e-5)
+
+
+def _fusion_loss(p):
+    """Two 5 x 3 states with users in rows 0-1: the first and last of three tasks, weighted.
+    The second task's output is not read, so its layers get no gradient."""
+    layers = list(zip(p[2::2], p[3::2]))             # (w, b) pairs, 7 a class
+    first, _, last = ad.gated_fusion(p[:2], 2, (layers[:7], layers[7:]))
+    weight = _cmat(3, rows=5)
+    return ad.mean_all(ad.add(ad.hadamard(first, ad.constant(weight)),
+                              ad.hadamard(last, ad.constant(weight[::-1]))))
 
 
 def _cmat(cols, rows=3):

@@ -96,7 +96,6 @@ class CpmrModel:
         self.n_users = n_users
         self.n_items = n_items
         self.n_nodes = n_users + n_items
-        self._blocks = ((0, n_users), (n_users, self.n_nodes))   # user rows, item rows
         self.day_unit = float(day_unit)
         self.config = config
         self.params: dict[str, Var] = {}
@@ -152,8 +151,8 @@ class CpmrModel:
         for name, arr in values.items():          # all checked first: no half-loaded model
             self.params[name].value = arr.copy()
 
-    def _linear(self, x, prefix):
-        return ad.linear(x, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
+    def _layer(self, prefix):
+        return self.params[f"{prefix}.w"], self.params[f"{prefix}.b"]
 
     # -- recurrence pieces --------------------------------------------------
 
@@ -171,28 +170,23 @@ class CpmrModel:
     def fuse(self, parts, *, predict=True):
         """Gated mutual update of the states ``parts`` (scenario -> Var).
 
-        Returns (fused, z): ``fused`` maps each scenario to its fused (user
-        rows, item rows), and z is the n x d ``final`` task that feeds the
-        prediction head. Each entity class fuses its rows of all scenarios,
-        concatenated in scenario order. ``predict=False`` skips the ``final``
-        task (its gate, its expert and their mix) and returns z = None;
-        ``fused`` holds the same arrays either way.
+        Returns (fused, z): ``fused`` maps each scenario to its fused n x d
+        states, and z is the n x d ``final`` task that feeds the prediction
+        head. One ``ad.gated_fusion`` fuses each entity class's rows of all
+        scenarios, side by side in scenario order. ``predict=False`` skips the
+        ``final`` task (its gate, its expert and their mix) and returns
+        z = None; ``fused`` holds the same arrays either way.
         """
         scenarios = self.config.scenarios
-        results = {t: [] for t in scenarios + (["final"] if predict else [])}
-        for cls, (start, stop) in zip(("user", "item"), self._blocks):
-            slices = [ad.row_block(parts[sc], start, stop) for sc in scenarios]
-            x_in = slices[0] if len(slices) == 1 else ad.concat_cols(*slices)
-            shared = self._linear(x_in, f"fusion.{cls}.expert_shared")
-            for t, mixes in results.items():
-                w = ad.softmax_rows(self._linear(x_in, f"fusion.{cls}.gate_{t}"))
-                e = self._linear(x_in, f"fusion.{cls}.expert_{t}")
-                mixes.append(ad.gate_mix(w, e, shared))
-        z = ad.concat_rows(*results.pop("final")) if predict else None
-        return {sc: tuple(blocks) for sc, blocks in results.items()}, z
+        tasks = scenarios + (["final"] if predict else [])
+        names = ["expert_shared", *(f"{kind}_{t}" for t in tasks for kind in ("gate", "expert"))]
+        layers = [[self._layer(f"fusion.{cls}.{name}") for name in names]
+                  for cls in ("user", "item")]
+        outs = ad.gated_fusion([parts[sc] for sc in scenarios], self.n_users, layers)
+        return dict(zip(scenarios, outs)), outs[-1] if predict else None
 
-    def update_instant(self, x_u, x_i, ops, scenario):
-        """Discrete jump of one scenario's user and item states from the instant graph.
+    def update_instant(self, x, ops, scenario):
+        """Discrete jump of one scenario's n x d states from the instant graph.
 
         ``ops`` is ``averaging_operators(b_ins)`` of that day's instant
         biadjacency. One ``ad.instant_update`` computes only the rows it
@@ -200,7 +194,7 @@ class CpmrModel:
         m its items' mean, an item's likewise. Returns the n x d states.
         """
         (users, avg_u), (items, avg_i) = ops
-        return ad.instant_update(x_u, x_i, users, items, avg_u, avg_i,
+        return ad.instant_update(x, self.n_users, users, items, avg_u, avg_i,
                                  *(self.params[f"update.{scenario}.{k}"]
                                    for k in ("w_u2u", "w_i2u", "w_i2i", "w_u2i")))
 
@@ -241,24 +235,20 @@ class CpmrModel:
                      for sc, x, n in zip(cfg.scenarios, xs, nadj)}
             if cfg.variant == "wo_fusion":
                 z = functools.reduce(ad.add, minus.values())
-                # a pair per scenario: one shared pair would sum their gradients first
-                fused = {sc: tuple(ad.row_block(z, *rows) for rows in self._blocks)
-                         for sc in minus}
+                fused = dict.fromkeys(minus, z)
             else:
                 fused, z = self.fuse(minus, predict=predict)
-            return (z, *(self.update_instant(*blocks, ops, sc) for sc, blocks in fused.items()))
+            return (z, *(self.update_instant(x, ops, sc) for sc, x in fused.items()))
         return advance
 
     # -- prediction ---------------------------------------------------------
 
     def user_repr(self, z: Var, user_idx):
         """FC_U(E_u ++ Z_u) rows for the given user ids (duplicates allowed)."""
-        return ad.gathered_linear(self.params["embed"], z, user_idx, *self._layer("fc_user"))
+        return ad.gathered_linear(self.params["embed"], z, user_idx,
+                                  *self._layer("predict.fc_user"))
 
     def item_repr(self, z: Var, item_idx):
         """FC_I(E_i ++ Z_i) rows for the given item ids."""
         idx = np.asarray(item_idx, dtype=np.int64) + self.n_users
-        return ad.gathered_linear(self.params["embed"], z, idx, *self._layer("fc_item"))
-
-    def _layer(self, head):
-        return self.params[f"predict.{head}.w"], self.params[f"predict.{head}.b"]
+        return ad.gathered_linear(self.params["embed"], z, idx, *self._layer("predict.fc_item"))

@@ -144,9 +144,15 @@ def test_criterion_4_analytic_anchors():
 
     model = CpmrModel(4, 4, 0.1, ModelConfig(d=6, s_days=3, taylor_order=4),
                       rng=np.random.default_rng(0))
-    gates = ad.softmax_rows(model._linear(
-        ad.constant(rng.normal(size=(4, 12))), "fusion.user.gate_final"))
-    ok &= np.allclose(gates.value.sum(axis=1), 1.0, atol=1e-12)
+    # a task whose expert is the shared one gives back the shared expert's rows
+    # times its gate rows' sums, which must be one
+    p = {k: v.value for k, v in model.params.items()}
+    for k in ("w", "b"):
+        p[f"fusion.user.expert_final.{k}"][:] = p[f"fusion.user.expert_shared.{k}"]
+    parts = {sc: ad.constant(rng.normal(size=(8, 6))) for sc in ("his", "ctx")}
+    x_in = np.concatenate([parts["his"].value[:4], parts["ctx"].value[:4]], axis=1)
+    shared = x_in @ p["fusion.user.expert_shared.w"] + p["fusion.user.expert_shared.b"]
+    ok &= np.allclose(model.fuse(parts)[1].value[:4], shared, rtol=0, atol=1e-12)
 
     worst_rho = 0.0
     for trial in range(50):

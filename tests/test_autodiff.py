@@ -14,10 +14,10 @@ from cpmr.errors import CpmrError, DataFormatError, NumericalError, ShapeError
 from cpmr.graphs import averaging_operators, normalize_adjacency
 
 
-# The generic ops the fused ``gathered_linear``, ``info_nce`` and
-# ``instant_update`` replaced, with their rules as the engine had them: the
-# reference those three must equal byte for byte, and what ``sum_all`` is
-# built of.
+# The generic ops the fused ``gathered_linear``, ``info_nce``,
+# ``instant_update`` and ``gated_fusion`` replaced, with their rules as the
+# engine had them: the reference those four must equal byte for byte, and
+# what ``sum_all`` is built of.
 
 
 def matmul(a, b):
@@ -37,6 +37,49 @@ def spmm(s, x):
 def sub(a, b):
     out = ad.Var(a.value - b.value)
     ad._record(out, (a, b), lambda g: (g, -g))
+    return out
+
+
+def gate_mix(w, a, b):
+    """Row-wise two-way mix a * w[:, 0] + b * w[:, 1], with w of shape (n, 2)."""
+    out = ad.Var(a.value * w.value[:, 0:1] + b.value * w.value[:, 1:2])
+    def rule(g, w=w.value, a=a.value, b=b.value):
+        # + 0.0: a row sum of -0.0 reads +0.0, whichever zero numpy's sum gives
+        g_w = np.concatenate([np.sum(g * a, axis=1, keepdims=True),
+                              np.sum(g * b, axis=1, keepdims=True)], axis=1) + 0.0
+        return g_w, g * w[:, 0:1], g * w[:, 1:2]
+    ad._record(out, (w, a, b), rule)
+    return out
+
+
+def softmax_rows(x):
+    out = ad.Var(ad._softmax_rows(x.value))
+    ad._record(out, (x,), lambda g, s=out.value: (s * (g - np.sum(g * s, axis=1, keepdims=True)),))
+    return out
+
+
+def concat_cols(*parts):
+    out = ad.Var(np.concatenate([p.value for p in parts], axis=1))
+    cuts = np.cumsum([p.value.shape[1] for p in parts[:-1]])
+    ad._record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=1))
+    return out
+
+
+def concat_rows(*parts):
+    out = ad.Var(np.concatenate([p.value for p in parts], axis=0))
+    cuts = np.cumsum([p.value.shape[0] for p in parts[:-1]])
+    ad._record(out, parts, lambda g, cuts=cuts: np.split(g, cuts, axis=0))
+    return out
+
+
+def row_block(x, start, stop):
+    """Rows start:stop of x as a view; the gradient is g in those rows of zeros."""
+    out = ad.Var(x.value[start:stop])
+    def rule(g, shape=x.shape, start=start, stop=stop):
+        z = np.zeros(shape)
+        z[start:stop] += g          # 0 + g, as np.add.at gives, signed zeros included
+        return z,
+    ad._record(out, (x,), rule)
     return out
 
 
@@ -94,7 +137,7 @@ def logsumexp_rows(x):
 
 def gathered_linear_chain(e, z, idx, w, b):
     """``gathered_linear`` as two gathers, their concatenation and a ``linear``: 4 nodes."""
-    return ad.linear(ad.concat_cols(row_select(e, idx), row_select(z, idx)), w, b)
+    return ad.linear(concat_cols(row_select(e, idx), row_select(z, idx)), w, b)
 
 
 def info_nce_chain(p_pos, q_pos, p_neg, q_neg):
@@ -105,7 +148,7 @@ def info_nce_chain(p_pos, q_pos, p_neg, q_neg):
     lam_pos = sum_cols(ad.hadamard(p_pos, q_pos))
     lam_nu = reshape(sum_cols(ad.hadamard(p_neg, row_select(q_pos, rep))), (b, m))
     lam_ni = reshape(sum_cols(ad.hadamard(row_select(p_pos, rep), q_neg)), (b, m))
-    logits = ad.concat_cols(lam_pos, lam_nu, lam_ni)
+    logits = concat_cols(lam_pos, lam_nu, lam_ni)
     return ad.mean_all(sub(logsumexp_rows(logits), lam_pos))
 
 
@@ -115,9 +158,11 @@ def selection(ids, n):
     return sp.csr_matrix((np.ones(m), np.asarray(ids), np.arange(m + 1)), shape=(m, n))
 
 
-def instant_update_chain(x_u, x_i, users, items, avg_u, avg_i, w_u2u, w_i2u, w_i2i, w_u2i):
-    """``instant_update`` as the 19 generic nodes of the jump, in their order: the
-    rows taken by 0/1 selections, written back by ``row_replace``, then joined."""
+def instant_update_chain(x, n_users, users, items, avg_u, avg_i, w_u2u, w_i2u, w_i2i, w_u2i):
+    """``instant_update`` as the 21 generic nodes of the jump, in their order: the
+    user and item row blocks, their rows taken by 0/1 selections, written back
+    by ``row_replace``, then joined."""
+    x_u, x_i = row_block(x, 0, n_users), row_block(x, n_users, x.shape[0])
     rows_u, rows_i = spmm(selection(users, x_u.shape[0]), x_u), \
         spmm(selection(items, x_i.shape[0]), x_i)
     delta_u = relu(matmul(spmm(avg_u, rows_i), w_i2u))
@@ -125,7 +170,22 @@ def instant_update_chain(x_u, x_i, users, items, avg_u, avg_i, w_u2u, w_i2u, w_i
     self_u, self_i = matmul(rows_u, w_u2u), matmul(rows_i, w_i2i)
     new_u = row_replace(x_u, users, ad.add(rows_u, ad.add(sub(self_u, rows_u), delta_u)))
     new_i = row_replace(x_i, items, ad.add(rows_i, ad.add(sub(self_i, rows_i), delta_i)))
-    return ad.concat_rows(new_u, new_i)
+    return concat_rows(new_u, new_i)
+
+
+def gated_fusion_chain(parts, n_users, layers):
+    """``gated_fusion`` as the generic chain it replaced. Per class: a row block
+    of each part, their concatenation, the shared expert's ``linear``, and per
+    task its gate's ``linear``, ``softmax_rows``, its expert's ``linear`` and
+    ``gate_mix``; then each task's classes joined."""
+    n, mixes = parts[0].shape[0], []
+    for rows, ((w, b), *tasks) in zip(((0, n_users), (n_users, n)), layers):
+        slices = [row_block(p, *rows) for p in parts]
+        x = slices[0] if len(slices) == 1 else concat_cols(*slices)
+        shared = ad.linear(x, w, b)
+        mixes.append([gate_mix(softmax_rows(ad.linear(x, *gate)), ad.linear(x, *expert), shared)
+                      for gate, expert in zip(tasks[::2], tasks[1::2])])
+    return tuple(concat_rows(u, i) for u, i in zip(*mixes))
 
 
 def sum_all(x):
@@ -204,12 +264,12 @@ def test_tape_holds_handles_and_backward_pops_them():
     np.testing.assert_array_equal(g[x], [[2.0, 0.0]])
 
 
-def test_rules_keep_recipes_not_pure_copies(monkeypatch):
-    """Under a tape a ``checkpoint`` keeps its recipe, the function and its
-    input arrays, as one node: the gather, the concatenation of gathers, the
-    sparse product and the dense layer's output made inside it die once the
-    forward drops them, where a plain tape's rules keep them to read them.
-    Its replay gives the gradients of the plain tape byte for byte."""
+def test_a_checkpoint_keeps_its_function_and_inputs_not_what_it_makes(monkeypatch):
+    """Under a tape a ``checkpoint`` keeps the function and its input arrays,
+    as one node: the gather, the concatenation of gathers, the sparse product
+    and the dense layer's output made inside it die once the forward drops
+    them, where a plain tape's rules keep them to read them. Its replay gives
+    the gradients of the plain tape byte for byte."""
     rng = np.random.default_rng(0)
     x, w = ad.constant(rng.normal(size=(5, 3))), ad.constant(rng.normal(size=(6, 3)))
     bias, mix = ad.constant(rng.normal(size=(1, 3))), ad.constant(rng.normal(size=(4, 2)))
@@ -219,12 +279,12 @@ def test_rules_keep_recipes_not_pure_copies(monkeypatch):
 
     def fn(x, y):
         picked = row_select(x, [4, 0, 0, 2])
-        both = ad.concat_cols(picked, row_select(x, [1, 1, 3, 0]))
+        both = concat_cols(picked, row_select(x, [1, 1, 3, 0]))
         prod = spmm(s, y)
         layer = ad.linear(both, w, bias)
         refs.extend(weakref.ref(v.value) for v in (picked, both, prod, layer))
         return ad.add(sum_all(ad.hadamard(layer, prod)),
-                      sum_all(ad.gate_mix(mix, ad.hadamard(picked, prod), layer))),
+                      sum_all(gate_mix(mix, ad.hadamard(picked, prod), layer))),
 
     def run():
         refs.clear()
@@ -243,14 +303,14 @@ def test_rules_keep_recipes_not_pure_copies(monkeypatch):
     assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
 
 
-def test_ops_over_a_recipe_get_one(monkeypatch):
-    """Ops over a recipe get one: a checkpoint (a recipe) inside a
-    checkpoint's function is one node of the outer replay, and ``backward``
-    replays it in turn. The ``spmm``, ``matmul``, ``add``, ``sub``, ``relu``
-    and ``softmax_rows`` over the inner checkpoint's output (a layer's
-    output) die with the forward, as four of them do not on a plain tape;
-    the inner function runs three times (in the forward, in the outer replay
-    and in its own replay), and the gradients are the plain tape's bytes."""
+def test_a_checkpoint_inside_a_checkpoint_is_one_node_of_its_replay(monkeypatch):
+    """A checkpoint inside a checkpoint's function is one node of the outer
+    replay, and ``backward`` replays it in turn. The ``spmm``, ``matmul``,
+    ``add``, ``sub``, ``relu`` and ``softmax_rows`` over the inner
+    checkpoint's output (a layer's output) die with the forward, as four of
+    them do not on a plain tape; the inner function runs three times (in the
+    forward, in the outer replay and in its own replay), and the gradients
+    are the plain tape's bytes."""
     rng = np.random.default_rng(8)
     x, w, m, wg = (ad.constant(rng.normal(size=(k, j))) for k, j in ((5, 3), (3, 3), (3, 3),
                                                                    (3, 2)))
@@ -269,10 +329,10 @@ def test_ops_over_a_recipe_get_one(monkeypatch):
         diff = sub(prod, rows)
         total = ad.add(diff, rows)
         pos = relu(total)
-        weights = ad.softmax_rows(ad.linear(x, wg, bg))
+        weights = softmax_rows(ad.linear(x, wg, bg))
         refs.extend(weakref.ref(v.value) for v in (rows, prod, diff, total, pos, weights))
         return ad.add(sum_all(ad.hadamard(pos, prod)),
-                      sum_all(ad.hadamard(ad.gate_mix(weights, layer, x), layer))),
+                      sum_all(ad.hadamard(gate_mix(weights, layer, x), layer))),
 
     def run():
         refs.clear()
@@ -359,7 +419,7 @@ def test_gate_mix_is_the_column_select_scale_and_add_chain_byte_for_byte(
         # with -0.0, the exact identity, it stays -0.0 and the + 0.0 shows
         monkeypatch.setattr(np, "sum", lambda x, axis=None, keepdims=False:
                             np.add.reduce(x, axis=axis, keepdims=keepdims, initial=-0.0))
-    out, rule = _rule(ad.gate_mix, ad.Var(w), ad.Var(a), ad.Var(b))
+    out, rule = _rule(gate_mix, ad.Var(w), ad.Var(a), ad.Var(b))
     got, ga, gb = rule(g)
     c0, c1 = w[:, 0:1].copy(), w[:, 1:2].copy()
     assert out.tobytes() == (a * c0 + b * c1).tobytes()
@@ -375,14 +435,15 @@ def test_gate_mix_is_the_column_select_scale_and_add_chain_byte_for_byte(
 
 
 def test_every_op_has_a_gradient_check_case():
-    """Each ``-> Var`` op of the engine is probed by ``op_checks``, and each
-    case probes an op (``<op>`` or a variant ``<op>_<variant>``)."""
+    """Each op of the engine, a public function annotated ``-> Var`` or, with
+    several outputs, ``-> tuple[Var, ...]``, is probed by ``op_checks``, and
+    each case probes an op (``<op>`` or a variant ``<op>_<variant>``)."""
     import inspect
     from cpmr.gradcheck import TOLERANCE, op_checks
     ops = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
            if f.__module__ == ad.__name__ and not name.startswith("_")
-           and inspect.signature(f).return_annotation in ("Var", ad.Var)}
-    assert {"linear", "gate_mix", "graph_flow", "softmax_rows", "instant_update"} <= ops
+           and inspect.signature(f).return_annotation in ("Var", ad.Var, "tuple[Var, ...]")}
+    assert {"linear", "graph_flow", "instant_update", "gated_fusion"} <= ops
     checks = dict(op_checks())
     assert ops <= set(checks)
     for case in checks:
@@ -391,10 +452,12 @@ def test_every_op_has_a_gradient_check_case():
 
 
 def test_untaped_ops_make_no_handles():
-    one = ad.constant([[1.0]])
+    one, two = ad.constant([[1.0]]), ad.constant([[1.0], [2.0]])
     (users, avg_u), (items, avg_i) = averaging_operators(sp.csr_matrix([[1.0]]))
     for out in (ad.sigmoid(ad.scale(one, 2.0)),
-                ad.instant_update(one, one, users, items, avg_u, avg_i, one, one, one, one)):
+                ad.instant_update(two, 1, users, items, avg_u, avg_i, one, one, one, one),
+                *ad.gated_fusion([two], 1, [[(one, one), (ad.constant([[1.0, 2.0]]),) * 2,
+                                             (one, one)]] * 2)):
         with pytest.raises(AttributeError):
             out._node
 
@@ -533,7 +596,7 @@ def test_fused_head_ops_reject_bad_shapes():
 
 
 def _instant_day(case):
-    """(x_u, x_i, instant biadjacency, output gradient) of a day of ``case``."""
+    """(joined states, user count, instant biadjacency, output gradient) of a day of ``case``."""
     rng = np.random.default_rng(len(case))
     n_u, n_i, d = (40, 30, 32) if case == "burst" else (5, 6, 3)
     b = np.zeros((n_u, n_i))
@@ -552,32 +615,31 @@ def _instant_day(case):
     g[rng.random(g.shape) < 0.2] = -0.0
     if case == "infinite_gradient":               # in user 0's and item 0's rows, not partners
         g[0, 2], g[n_u, 0] = np.inf, -np.inf
-    return x_u, x_i, sp.csr_matrix(b), g
+    return np.concatenate([x_u, x_i]), n_u, sp.csr_matrix(b), g
 
 
 @pytest.mark.parametrize("checkpointed", [False, True])
 @pytest.mark.parametrize("case", ["one_interaction", "several_items", "infinite_gradient",
                                   "burst"])
 def test_instant_update_is_the_generic_op_chain_byte_for_byte(case, checkpointed):
-    """``instant_update`` gives the joined states of the 0/1 selections,
-    products, relus, differences, sums, ``row_replace`` and join it
-    replaces, and the gradients of both states and all four weights, byte
+    """``instant_update`` gives the joined states of the row blocks, 0/1
+    selections, products, relus, differences, sums, ``row_replace`` and join
+    it replaces, and the gradients of the states and all four weights, byte
     for byte: on a tape, and inside a ``checkpoint`` against the chain on a
     plain tape. State rows of -0.0, involved and not, and -0.0 entries in
     the incoming gradient keep the chain's signs, and an infinite entry
     there gives the chain's NaNs: its ``sub`` and ``add`` nodes make g + (-g).
-    It records 1 node, the chain 19."""
-    x_u, x_i, b, g = _instant_day(case)
+    It records 1 node, the chain 21."""
+    x, n_u, b, g = _instant_day(case)
     (users, avg_u), (items, avg_i) = averaging_operators(b)
     rng = np.random.default_rng(9)          # weights under which each relu passes a value
-    leaves = [ad.constant(x_u), ad.constant(x_i),
-              *(ad.constant(rng.normal(size=(x_u.shape[1],) * 2)) for _ in range(4))]
+    leaves = [ad.constant(x), *(ad.constant(rng.normal(size=(x.shape[1],) * 2)) for _ in range(4))]
 
     def run(op, wrap):
-        def day(x_u, x_i):
-            return op(x_u, x_i, users, items, avg_u, avg_i, *leaves[2:]),
+        def day(x):
+            return op(x, n_u, users, items, avg_u, avg_i, *leaves[1:]),
         with ad.Tape() as tape, np.errstate(invalid="ignore"):
-            (out,) = wrap(day, *leaves[:2])
+            (out,) = wrap(day, leaves[0])
             n_nodes = len(tape.nodes)
             loss = sum_all(ad.hadamard(out, ad.constant(g)))     # hands the op g * 1.0 = g
             grads = ad.backward(loss, tape, params=leaves)
@@ -586,10 +648,12 @@ def test_instant_update_is_the_generic_op_chain_byte_for_byte(case, checkpointed
     fused_nodes, got = run(ad.instant_update,
                            ad.checkpoint if checkpointed else lambda fn, *xs: fn(*xs))
     chain_nodes, want = run(instant_update_chain, lambda fn, *xs: fn(*xs))
-    assert (fused_nodes, chain_nodes) == (1, 19)
+    assert (fused_nodes, chain_nodes) == (1, 21)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert all((a != 0).any() for a in got)
-    assert np.isnan([got[1][0, 2], got[2][0, 0]]).all() == (case == "infinite_gradient")
+    assert np.isnan([got[1][0, 2], got[1][n_u, 0]]).all() == (case == "infinite_gradient")
+    # no -0.0 in the states' gradient, on which wo_fusion's summed states rely
+    assert not (np.signbit(got[1]) & (got[1] == 0)).any()
     for r in (1, 4):              # a -0.0 row keeps its bytes, or jumps from +0.0
         assert np.signbit(got[0][r]).all() if r not in users else not np.signbit(got[0][r]).any()
     assert (1 in users) == (case != "one_interaction")
@@ -597,13 +661,139 @@ def test_instant_update_is_the_generic_op_chain_byte_for_byte(case, checkpointed
 
 def test_instant_update_rejects_bad_shapes():
     (users, avg_u), (items, avg_i) = averaging_operators(sp.csr_matrix(np.eye(2)))
-    x, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 3)))
+    x, w = ad.constant(np.ones((4, 3))), ad.constant(np.ones((3, 3)))
+    assert ad.instant_update(x, 2, users, items, avg_u, avg_i, w, w, w, w).shape == (4, 3)
+    for n_users in (-1, 5):
+        with pytest.raises(ShapeError):
+            ad.instant_update(x, n_users, users, items, avg_u, avg_i, w, w, w, w)
     with pytest.raises(ShapeError):
-        ad.instant_update(x, ad.constant(np.ones((2, 2))), users, items, avg_u, avg_i, w, w, w, w)
+        ad.instant_update(x, 2, users, items[:1], avg_u, avg_i, w, w, w, w)
     with pytest.raises(ShapeError):
-        ad.instant_update(x, x, users, items[:1], avg_u, avg_i, w, w, w, w)
-    with pytest.raises(ShapeError):
-        ad.instant_update(x, x, users, items, avg_u, avg_i, w, w, w, ad.constant(np.ones((2, 3))))
+        ad.instant_update(x, 2, users, items, avg_u, avg_i, w, w, w, ad.constant(np.ones((2, 3))))
+
+
+# scenarios, tasks, the tasks whose outputs are read, users, items, d
+FUSION_CASES = {
+    "two_scenarios": (2, 3, (0, 1, 2), 5, 4, 3),
+    "one_scenario": (1, 2, (0, 1), 5, 4, 3),
+    "no_prediction": (2, 2, (0, 1), 5, 4, 3),
+    "one_scenario_no_prediction": (1, 1, (0,), 5, 4, 3),
+    "segment_last_day": (2, 3, (2,), 5, 4, 3),       # only the final task is read
+    "middle_task_unread": (2, 3, (0, 2), 5, 4, 3),
+    "burst_d32": (2, 3, (0, 1, 2), 800, 160, 32),
+}
+
+
+def _fusion_inputs(case):
+    """(parts, layers, a gradient per task, a gradient for the first part) of ``case``."""
+    n_parts, n_tasks, _, n_u, n_i, d = FUSION_CASES[case]
+    rng = np.random.default_rng(n_u + 10 * n_tasks + n_parts)
+    n = n_u + n_i
+
+    def signed():                  # normal entries, a fifth of them -0.0, and a user's
+        a = rng.normal(size=(n, d))    # and an item's row all -0.0
+        a[rng.random(a.shape) < 0.2] = a[1] = a[n_u + 2] = -0.0
+        return a
+    parts = [ad.constant(signed()) for _ in range(n_parts)]
+    layers = [[tuple(ad.constant(rng.normal(size=s)) for s in ((n_parts * d, m), (1, m)))
+               for m in [d] + [2, d] * n_tasks] for _ in range(2)]
+    return parts, layers, [signed() for _ in range(n_tasks)], signed()
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+@pytest.mark.parametrize("case", list(FUSION_CASES))
+def test_gated_fusion_is_the_generic_op_chain_byte_for_byte(case, checkpointed):
+    """``gated_fusion`` gives the outputs of the row blocks, concatenation,
+    ``linear`` layers, ``softmax_rows``, ``gate_mix`` mixes and joins it
+    replaces, and the gradients of the parts and of every layer, byte for
+    byte: on a tape, and inside a ``checkpoint`` against the chain on a plain
+    tape. States and incoming gradients hold -0.0 entries and rows, and the
+    first part also gets a gradient of its own, summed before fusion's. A
+    task whose output nothing reads gives its layers no gradient, as in the
+    chain. It records 1 node, the chain one per block, concatenation, layer,
+    softmax, mix and join."""
+    n_parts, n_tasks, read, n_u, _, _ = FUSION_CASES[case]
+    parts, layers, gs, g_part = _fusion_inputs(case)
+    leaves = [*parts, *(v for c in layers for layer in c for v in layer)]
+
+    def run(op, wrap):
+        with ad.Tape() as tape:
+            outs = wrap(lambda *xs: op(xs, n_u, layers), *parts)
+            n_nodes = len(tape.nodes)
+            # each hands its op g * 1.0 = g
+            terms = [sum_all(ad.hadamard(outs[t], ad.constant(gs[t]))) for t in read]
+            terms.append(sum_all(ad.hadamard(parts[0], ad.constant(g_part))))
+            loss = functools.reduce(ad.add, terms)
+        grads = ad.backward(loss, tape, params=leaves)
+        return n_nodes, [*(o.value for o in outs), loss.value, *(grads[v] for v in leaves)]
+
+    plain = lambda fn, *xs: fn(*xs)
+    fused_nodes, got = run(ad.gated_fusion, ad.checkpoint if checkpointed else plain)
+    chain_nodes, want = run(gated_fusion_chain, plain)
+    assert (fused_nodes, chain_nodes) == (1, 2 * (n_parts + (n_parts > 1) + 1 + 4 * n_tasks)
+                                          + n_tasks)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    layer_grads = got[n_tasks + 1 + n_parts:]
+    for c in range(2):             # per class the shared expert's, then a gate's and an expert's
+        grads = layer_grads[c * len(layer_grads) // 2:(c + 1) * len(layer_grads) // 2]
+        assert [bool(np.abs(g).max() > 0) for g in grads] == \
+            [True] * 2 + [t in read for t in range(n_tasks) for _ in range(4)]
+    assert all(np.abs(g).max() > 0 for g in got[n_tasks + 1:n_tasks + 1 + n_parts])
+
+
+@pytest.mark.parametrize("n_parts", [1, 2])
+def test_gated_fusion_rule_keeps_its_arrays_not_the_parts(n_parts):
+    """Under a tape the rule keeps, per class, its input rows and the shared
+    expert, and per task the gate weights and the expert: arrays, never a
+    part's ``Var``. Untaped, the op keeps nothing and records nothing. With
+    two parts the input rows are a concatenation, so the parts' arrays die
+    with their ``Var``s."""
+    parts, layers, _, _ = _fusion_inputs("one_scenario" if n_parts == 1 else "two_scenarios")
+    n_tasks = len(layers[0]) // 2
+    refs = [weakref.ref(p) for p in parts] + [weakref.ref(p.value) for p in parts]
+    weights = {id(v.value) for c in layers for layer in c for v in layer}
+    untaped = ad.gated_fusion(parts, 5, layers)
+    with ad.Tape() as tape:
+        outs = ad.gated_fusion(parts, 5, layers)
+        del parts
+        alive = [r() is not None for r in refs]
+    assert [o.value.tobytes() for o in untaped] == [o.value.tobytes() for o in outs]
+    for out in untaped:
+        with pytest.raises(AttributeError):
+            out._node
+    (nodes, (inputs, rule)), = tape.nodes
+    assert len(inputs) == len(weights) + n_parts and len(nodes) == n_tasks == len(outs)
+    assert alive == [False] * n_parts + [n_parts == 1] * n_parts
+
+    def walk(x):
+        if isinstance(x, (list, tuple)):
+            for y in x:
+                yield from walk(y)
+        else:
+            yield x
+    held = list(walk([c.cell_contents for c in rule.__closure__]))
+    assert not any(isinstance(x, ad.Var) for x in held)
+    kept = [x for x in held if isinstance(x, np.ndarray) and id(x) not in weights]
+    assert len(kept) == 2 * (2 + 2 * n_tasks)
+    # the input rows, 3 * n_parts wide, the shared experts and experts, 3, and the gates, 2
+    assert {x.shape[1] for x in kept} == {2, 3, 3 * n_parts}
+
+
+def test_gated_fusion_rejects_bad_shapes():
+    parts, layers, _, _ = _fusion_inputs("two_scenarios")       # 5 users, 4 items, d = 3
+    assert len(ad.gated_fusion(parts, 5, layers)) == 3
+    cases = [(parts[:1], 5, layers),                                # layers for two parts
+             ([parts[0], ad.constant(np.ones((9, 2)))], 5, layers),
+             (parts, 10, layers), (parts, -1, layers),
+             (parts, 5, layers[:1]),
+             (parts, 5, [layers[0], layers[1][:-2]]),               # a task fewer for items
+             (parts, 5, [layers[0][:1]] * 2),                       # no task
+             (parts, 5, [layers[0][:-1]] * 2),                      # a gate with no expert
+             (parts, 5, [layers[0][:1] + layers[0][2:4] + layers[0][5:]] * 2),   # gates swapped
+             ([], 5, layers)]
+    for args in cases:
+        with pytest.raises(ShapeError):
+            ad.gated_fusion(*args)
 
 
 def test_every_public_autodiff_function_has_a_caller_in_src():
@@ -661,7 +851,7 @@ def test_logsumexp_extreme_values_stable():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     x = ad.constant(rng.normal(0, 10, (20, 5)))
-    s = ad.softmax_rows(x).value
+    s = softmax_rows(x).value
     np.testing.assert_allclose(s.sum(axis=1), np.ones(20), atol=1e-12)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cpmr import autodiff as ad
 from cpmr.data import RawEvent, SECONDS_PER_DAY, canonicalize
 from cpmr.errors import ConfigError, DataError, NumericalError
 from cpmr.evaluation import (MetricsReport, RankRecord, incremental_eval,
@@ -124,25 +125,22 @@ def test_incremental_eval_matches_manual_replay():
 
 
 def test_incremental_eval_builds_the_prediction_task_on_scored_days_only(monkeypatch):
+    """Each replayed day fuses once; only a scored day's fusion has the
+    ``final`` task, a third output beside his and ctx."""
     ds = eval_dataset()
     model = fresh_model(ds)
-    calls = {}
-    linear = CpmrModel._linear
+    fusion, tasks = ad.gated_fusion, []
 
-    def counted(self, x, prefix):
-        calls[prefix] = calls.get(prefix, 0) + 1
-        return linear(self, x, prefix)
+    def counted(parts, n_users, layers):
+        outs = fusion(parts, n_users, layers)
+        tasks.append(len(outs))
+        return outs
 
-    monkeypatch.setattr(CpmrModel, "_linear", counted)
+    monkeypatch.setattr(ad, "gated_fusion", counted)
     incremental_eval(ds, model, split="test")
     scored = len(np.unique(ds.days[ds.split_slice("test")]))
-    for cls in ("user", "item"):
-        replayed = calls[f"fusion.{cls}.expert_shared"]
-        assert replayed > scored > 0
-        for layer in ("gate_his", "expert_his", "gate_ctx", "expert_ctx"):
-            assert calls[f"fusion.{cls}.{layer}"] == replayed
-        for layer in ("gate_final", "expert_final"):
-            assert calls[f"fusion.{cls}.{layer}"] == scored
+    assert len(tasks) > scored > 0
+    assert tasks.count(3) == scored and tasks.count(2) == len(tasks) - scored
 
 
 def test_incremental_eval_no_grad_and_frozen_params():
@@ -292,3 +290,13 @@ def test_synthetic_trend_dataset_structure():
 def test_synthetic_trend_dataset_validates():
     with pytest.raises(ConfigError):
         synthetic_trend_dataset(np.random.default_rng(0), n_days=0)
+
+
+@pytest.mark.parametrize("seed, n_days", [(3, 7), (3, 15), (0, 16)])
+def test_synthetic_trend_dataset_too_short_for_the_filter_names_n_days(seed, n_days):
+    """A log too short for any user and item to keep 5 interactions is a
+    config error naming ``n_days`` and the filter, not an empty-list error
+    from deep inside ``canonicalize``. At both seeds 17 days give a dataset."""
+    with pytest.raises(ConfigError, match=f"n_days={n_days} is too short: the 5-core filter"):
+        synthetic_trend_dataset(np.random.default_rng(seed), n_days=n_days)
+    assert len(synthetic_trend_dataset(np.random.default_rng(seed), n_days=17).days) > 0

@@ -6,7 +6,8 @@ from cpmr import autodiff as ad
 from cpmr.errors import ConfigError, SequencingError
 from cpmr.graphs import EdgeStore, averaging_operators, normalize_adjacency
 from cpmr.model import CpmrModel, ModelConfig, TemporalStates, evolve
-from test_autodiff import row_select
+import test_autodiff
+from test_autodiff import gated_fusion_chain, instant_update_chain, row_select
 
 
 def random_adjacency(rng, n):
@@ -136,9 +137,8 @@ def test_fuse_matches_hand_rolled_oracle():
     xc = ad.constant(rng.normal(size=(8, 5)))
     fused, got_z = model.fuse({"his": xh, "ctx": xc})
     assert list(fused) == ["his", "ctx"]
-    # each scenario's fused user rows and item rows, as two blocks
-    assert all([b.shape for b in fused[sc]] == [(4, 5), (4, 5)] for sc in fused)
-    got_h, got_c = (np.concatenate([b.value for b in fused[sc]]) for sc in ("his", "ctx"))
+    assert all(fused[sc].shape == (8, 5) for sc in fused)
+    got_h, got_c = (fused[sc].value for sc in ("his", "ctx"))
 
     p = {k: v.value for k, v in model.params.items()}
     outs = {"his": [], "ctx": [], "final": []}
@@ -159,11 +159,21 @@ def test_fuse_matches_hand_rolled_oracle():
 
 
 def test_fuse_gate_rows_sum_to_one():
+    """A task whose expert is the shared one mixes that expert with itself, so
+    its rows are the shared expert's times its gate rows' sums: those are one."""
     model = make_model(d=4)
     rng = np.random.default_rng(12)
-    x_in = ad.constant(rng.normal(size=(4, 8)))
-    w = ad.softmax_rows(model._linear(x_in, "fusion.user.gate_final"))
-    np.testing.assert_allclose(w.value.sum(axis=1), np.ones(4), atol=1e-12)
+    p = {k: v.value for k, v in model.params.items()}
+    for k in ("w", "b"):
+        p[f"fusion.user.expert_final.{k}"][:] = p[f"fusion.user.expert_shared.{k}"]
+    parts = {sc: ad.constant(rng.normal(size=(8, 4))) for sc in ("his", "ctx")}
+    _, z = model.fuse(parts)
+    x_in = np.concatenate([parts["his"].value[:4], parts["ctx"].value[:4]], axis=1)
+    shared = _np_linear(x_in, p["fusion.user.expert_shared.w"], p["fusion.user.expert_shared.b"])
+    np.testing.assert_allclose(z.value[:4], shared, rtol=0, atol=1e-12)
+    assert not np.allclose(z.value[4:], _np_linear(np.concatenate(
+        [parts["his"].value[4:], parts["ctx"].value[4:]], axis=1),
+        p["fusion.item.expert_shared.w"], p["fusion.item.expert_shared.b"]))
 
 
 UPDATE_WEIGHTS = ("w_i2u", "w_u2i", "w_u2u", "w_i2i")
@@ -207,13 +217,13 @@ def test_update_instant_rows_oracle():
         assert [len(ids) for ids, _ in ops] == \
             {"mixed": [2, 2], "one_user_one_item": [1, 1], "every_node": [4, 5],
              "duplicated_pair": [2, 2], "empty": [0, 0]}[name]
-        xu, xi = ad.Var(rng.normal(size=(4, 4))), ad.Var(rng.normal(size=(5, 4)))
-        out = model.update_instant(xu, xi, ops, "his").value
-        np.testing.assert_allclose(out, dense_instant_oracle(model, xu.value, xi.value,
+        x = ad.Var(rng.normal(size=(9, 4)))                     # 4 users, then 5 items
+        out = model.update_instant(x, ops, "his").value
+        np.testing.assert_allclose(out, dense_instant_oracle(model, x.value[:4], x.value[4:],
                                                              b.toarray()), atol=1e-12)
-        params = [xu, xi, *(model.params[f"update.his.{k}"] for k in UPDATE_WEIGHTS)]
+        params = [x, *(model.params[f"update.his.{k}"] for k in UPDATE_WEIGHTS)]
         err = ad.grad_check(lambda p: ad.mean_all(ad.hadamard(
-            model.update_instant(p[0], p[1], ops, "his"), weight)), params)
+            model.update_instant(p[0], ops, "his"), weight)), params)
         assert err < 1e-7, name
 
 
@@ -225,8 +235,7 @@ def test_update_instant_mixed_oracle_by_hand():
                                 [0.0, 0.0, 0.0],
                                 [0.0, 1.0, 0.0]]))
     xu, xi = x.value[:3], x.value[3:]
-    out = model.update_instant(ad.constant(xu), ad.constant(xi), averaging_operators(b),
-                               "his").value
+    out = model.update_instant(x, averaging_operators(b), "his").value
     p = {k: v.value for k, v in model.params.items()}
     db_u = np.array([[0.5, 0.5, 0.0], [0, 0, 0], [0, 1.0, 0]])
     db_i = np.array([[1.0, 0, 0], [0.5, 0, 0.5], [0, 0, 0]])
@@ -248,19 +257,18 @@ def test_update_instant_keeps_uninvolved_rows_and_empty_days_byte_for_byte():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(6, 4))
     x[1, 2] = x[5, 0] = -0.0                     # user 1 and item 2 are not involved
-    out = model.update_instant(ad.constant(x[:3]), ad.constant(x[3:]),
-                               averaging_operators(sp.csr_matrix((3, 3))), "his").value
+    out = model.update_instant(ad.constant(x), averaging_operators(sp.csr_matrix((3, 3))),
+                               "his").value
     assert out.tobytes() == x.tobytes()
     b = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    out = model.update_instant(ad.constant(x[:3]), ad.constant(x[3:]),
-                               averaging_operators(b), "his").value
+    out = model.update_instant(ad.constant(x), averaging_operators(b), "his").value
     for r in (1, 5):
         assert out[r].tobytes() == x[r].tobytes()
     assert np.signbit(out[[1, 5], [2, 0]]).all()
 
 
 def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
-    """After a taped ``step`` the his/ctx blocks that ``fuse`` hands to
+    """After a taped ``step`` the his/ctx states that ``fuse`` hands to
     ``update_instant`` are freed while the tape still holds the day: the
     instant update keeps copies of the involved rows and their means, and
     every matrix its rule keeps, apart from the weights, has the day's
@@ -275,17 +283,17 @@ def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
     _, states = model.step(model.init_states(), store, 1)
     update_instant, blocks, spans = model.update_instant, [], []
 
-    def watched(x_u, x_i, ops, scenario):
-        blocks.extend(weakref.ref(x.value) for x in (x_u, x_i))
+    def watched(x, ops, scenario):
+        blocks.append(weakref.ref(x.value))
         start = len(tape.nodes)
-        out = update_instant(x_u, x_i, ops, scenario)
+        out = update_instant(x, ops, scenario)
         spans.append((start, len(tape.nodes)))
         return out
 
     model.update_instant = watched
     with ad.Tape() as tape:
         z, new = model.step(states, store, 3)
-        assert len(blocks) == 4 and all(r() is None for r in blocks)
+        assert len(blocks) == 2 and all(r() is None for r in blocks)
         loss = ad.mean_all(ad.hadamard(ad.add(new.x["his"], new.x["ctx"]), z))
     params = {id(p.value) for p in model.params.values()}
     rows = set()
@@ -306,8 +314,10 @@ def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
 
 
 def test_row_blocks_give_the_row_select_gradients(monkeypatch):
-    """fuse and update_instant: the gradients through ``row_block`` equal,
-    bit for bit, those through ``row_select`` over an ``arange``."""
+    """fuse and update_instant: the gradients of the fused ops, which take
+    each class's rows as a block, equal bit for bit those of the generic
+    chains they replaced with ``row_select`` over an ``arange`` in place of
+    each ``row_block``."""
     model = make_model(n_users=3, n_items=5, d=4)
     rng = np.random.default_rng(17)
     xh, xc = ad.Var(rng.normal(size=(8, 4))), ad.Var(rng.normal(size=(8, 4)))
@@ -319,15 +329,17 @@ def test_row_blocks_give_the_row_select_gradients(monkeypatch):
         with ad.Tape() as tape:
             fused, z = model.fuse({"his": xh, "ctx": xc})
             ops = averaging_operators(b)
-            out = ad.add(ad.add(model.update_instant(*fused["his"], ops, "his"),
-                                model.update_instant(*fused["ctx"], ops, "ctx")), z)
+            out = ad.add(ad.add(model.update_instant(fused["his"], ops, "his"),
+                                model.update_instant(fused["ctx"], ops, "ctx")), z)
             loss = ad.mean_all(ad.hadamard(out, weight))
         grads = ad.backward(loss, tape, params=inputs)
         return [grads[v] for v in inputs]
 
     got = gradients()
-    monkeypatch.setattr(ad, "row_block",
+    monkeypatch.setattr(test_autodiff, "row_block",
                         lambda x, start, stop: row_select(x, np.arange(start, stop)))
+    monkeypatch.setattr(ad, "gated_fusion", gated_fusion_chain)
+    monkeypatch.setattr(ad, "instant_update", instant_update_chain)
     want = gradients()
     assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
     assert np.abs(got[0]).max() > 0 and np.abs(got[1]).max() > 0
@@ -367,7 +379,7 @@ def test_step_scripted_oracle():
     iu, ii = store.instant_edges(2)
     b = sp.coo_matrix((np.ones(len(iu)), (iu, ii)), shape=(4, 4)).tocsr()
     np.testing.assert_allclose(new.x["his"].value,
-                               model.update_instant(*fused["his"], averaging_operators(b),
+                               model.update_instant(fused["his"], averaging_operators(b),
                                                     "his").value,
                                atol=1e-12)
     assert new.day == 2
@@ -379,20 +391,21 @@ def _expm(a, dt):
 
 
 def test_step_splits_and_joins_each_scenario_once():
-    """Fusion hands the instant update each scenario's user and item rows, so
-    a full step takes one row-block pair per fused input and joins only z;
-    ``instant_update`` joins each scenario's new states itself, one node a
-    scenario. wo_fusion splits z once per scenario. Nodes are told apart by
-    their backward rule, which is defined inside the op."""
-    for variant, want in (("full", (4, 1, 2)), ("wo_fusion", (4, 0, 2))):
+    """A full step splits each scenario's states into user and item rows once
+    and joins each task's rows once, all inside its one ``gated_fusion``
+    node; each ``instant_update`` takes and gives a scenario's joined states.
+    wo_fusion hands its summed states to both instant updates as they are.
+    So a step is the evolutions' flows and gate sigmoids plus these nodes.
+    Nodes are told apart by their backward rule, which is defined inside the op."""
+    for variant, want, n_nodes in (("full", (1, 2), 7), ("wo_ctx", (1, 1), 4),
+                                   ("wo_his", (1, 1), 4), ("wo_fusion", (0, 2), 7)):
         model = make_model(variant=variant)
         states = model.init_states()
         with ad.Tape() as tape:
             model.step(states, toy_store(), 2)
         ops = [rule.__qualname__.split(".")[0] for _, (_, rule) in tape.nodes]
-        assert tuple(map(ops.count, ("row_block", "concat_rows", "instant_update"))) == want, \
-            variant
-        assert len(ops) == {"full": 39, "wo_fusion": 11}[variant]
+        assert tuple(map(ops.count, ("gated_fusion", "instant_update"))) == want, variant
+        assert len(ops) == n_nodes, variant
 
 
 def test_step_clock_enforced():
@@ -615,64 +628,45 @@ def taped(fn):
         return fn(), tape
 
 
-def test_fuse_intermediates_no_rule_reads_die_under_a_tape(monkeypatch):
+def test_fuse_intermediates_no_rule_reads_die_under_a_tape():
     """Under a tape, fusion inside a ``checkpoint`` keeps none of its
-    intermediates: every ``linear`` output (the gate logits and the
-    experts), the softmax gate weights and the ``final`` task's per-class
-    mixes, copied into z, are freed once the forward code drops them, and
-    the tape holds one node. On a plain tape the rules keep what they read,
-    the experts and the gate weights, while the gate logits (the softmax
-    reads its own output) and the final mixes die there too. The gradients
-    are the same bytes either way."""
-    import weakref
+    intermediates: the tape holds one node, which keeps the two input states'
+    arrays. On a plain tape the one ``gated_fusion`` node's rule keeps what
+    it reads, per class the input rows and the shared expert and per task
+    the gate weights and the expert, and neither the gate logits nor the
+    mixes, which are written into the outputs. The gradients are the same
+    bytes either way."""
     model = make_model(n_users=5, n_items=4, d=6)
     rng = np.random.default_rng(41)
     xh, xc = ad.Var(rng.normal(size=(9, 6))), ad.Var(rng.normal(size=(9, 6)))
-    refs = {"linear": [], "softmax_rows": [], "gate_mix": []}
-
-    def watched(name, op):
-        def run(*args):
-            out = op(*args)
-            refs[name].append(weakref.ref(out.value))
-            return out
-        return run
-
-    for name in refs:
-        monkeypatch.setattr(ad, name, watched(name, getattr(ad, name)))
+    weights = {id(p.value) for p in model.params.values()}
 
     def fuse(xh, xc):
         fused, z = model.fuse({"his": xh, "ctx": xc})
-        return (*fused["his"], *fused["ctx"], z)
+        return (*fused.values(), z)
 
-    def run():
-        for r in refs.values():
-            r.clear()
+    def run(wrap):
         with ad.Tape() as tape:
-            *blocks, z = ad.checkpoint(fuse, xh, xc)
-            # per entity class: 7 linear layers (shared, 3 gates, 3 experts), 3 mixes
-            assert len(refs["linear"]) == 2 * 7 and len(refs["gate_mix"]) == 2 * 3
-            # in each class the shared expert, then per task its gate and its expert
-            gates = [r for k in (0, 7) for r in refs["linear"][k + 1:k + 7:2]]
-            experts = [r for k in (0, 7) for r in refs["linear"][k:k + 7:2]]
-            # in each class the his, ctx and final mixes
-            finals = [refs["gate_mix"][k] for k in (2, 5)]
-            assert all(block.value is refs["gate_mix"][k]()
-                       for block, k in zip(blocks, (0, 3, 1, 4)))
-            alive = [r() is not None for r in gates + experts + finals + refs["softmax_rows"]]
-            n_nodes = len(tape.nodes)
-            h, c = ad.concat_rows(*blocks[:2]), ad.concat_rows(*blocks[2:])
+            h, c, z = wrap(fuse, xh, xc)
+            (_, (_, rule)), = tape.nodes
             loss = ad.mean_all(ad.add(ad.add(h, c), z))
+        kept, stack = [], list(rule.__defaults__ or ()) + [c.cell_contents
+                                                             for c in rule.__closure__ or ()]
+        while stack:                     # the arrays the rule holds, the weights left out
+            x = stack.pop()
+            if isinstance(x, (list, tuple)):
+                stack.extend(x)
+            elif isinstance(x, np.ndarray) and id(x) not in weights:
+                kept.append(x)
         grads = ad.backward(loss, tape, params=[xh, xc])
-        return alive, n_nodes, [grads[xh], grads[xc]]
+        return kept, [grads[xh], grads[xc]]
 
-    alive, n_nodes, grads = run()
-    assert alive == [False] * 22 and n_nodes == 1
-    monkeypatch.setattr(ad, "checkpoint", lambda fn, *inputs: fn(*inputs))
-    kept_alive, kept_nodes, kept = run()
-    # the gate logits and final mixes die; the experts and the gate weights are kept
-    assert kept_alive == [False] * 6 + [True] * 8 + [False] * 2 + [True] * 6
-    # per class: 2 row blocks, their concatenation, the shared expert and
-    # per task its gate linear, softmax, expert linear and mix; z's stack
-    assert kept_nodes == 2 * (2 + 1 + 1 + 3 * 4) + 1
-    assert [g.tobytes() for g in grads] == [k.tobytes() for k in kept]
+    kept, grads = run(ad.checkpoint)
+    assert sorted(map(id, kept)) == sorted(map(id, (xh.value, xc.value)))
+    kept, plain = run(lambda fn, *inputs: fn(*inputs))
+    # per class (5 users, 4 items): its input rows, the shared expert, and per
+    # task (his, ctx, final) the gate weights and the expert
+    assert sorted(a.shape for a in kept) == sorted(
+        [(n, 12) for n in (5, 4)] + [(n, 6) for n in (5, 4)] * 4 + [(n, 2) for n in (5, 4)] * 3)
+    assert [g.tobytes() for g in grads] == [k.tobytes() for k in plain]
     assert np.abs(grads[0]).max() > 0 and np.abs(grads[1]).max() > 0

@@ -369,11 +369,11 @@ def plain(fn, *inputs):
                                                ("wo_fusion", 1), ("full", 3), ("wo_fusion", 3)],
                          ids=["full", "wo_ctx", "wo_his", "wo_fusion", "full-3-substeps",
                               "wo_fusion-3-substeps"])
-def test_recipes_give_the_gradients_of_kept_copies(variant, substeps, monkeypatch):
-    """A training day's checkpoint, the day's recipe (its function and input
-    states), is one tape node, and replaying it in the backward gives every
-    gradient byte for byte as a plain tape that keeps each op's arrays does,
-    for every variant, also on a clock of 3 Taylor sub-steps a day."""
+def test_day_checkpoints_give_the_plain_tapes_gradients(variant, substeps, monkeypatch):
+    """A training day's checkpoint, its function and input states, is one
+    tape node, and replaying it in the backward gives every gradient byte for
+    byte as a plain tape that keeps each op's arrays does, for every variant,
+    also on a clock of 3 Taylor sub-steps a day."""
     ds, store, days = few_days()
     days = days[:5]
     assert 1 in [len(store.instant_edges(d)[0]) for d in days]   # a one-interaction day
@@ -394,7 +394,7 @@ def test_recipes_give_the_gradients_of_kept_copies(variant, substeps, monkeypatc
     plain_nodes, want = grads()
     # E's copies, each day's step and 5 head nodes, and the sum of the day
     # losses; the first day (dt = 0) has no flow, one node a scenario fewer
-    step = {"full": 39, "wo_ctx": 24, "wo_his": 24, "wo_fusion": 11}[variant]
+    step = {"full": 7, "wo_ctx": 4, "wo_his": 4, "wo_fusion": 7}[variant]
     assert plain_nodes == len(days) * (step + 5) + len(days) - 1
     assert got.keys() == want.keys()
     for name in want:
@@ -406,13 +406,13 @@ def closure(fn):
     return {name: c.cell_contents for name, c in zip(fn.__code__.co_freevars, fn.__closure__)}
 
 
-def test_the_instant_updates_rules_and_recipes_keep_no_float_array():
+def test_a_day_checkpoint_keeps_no_float_array_but_its_input_states():
     """A taped full-model training day is one node whose float arrays are
-    its input states. Its recipe holds the instant update's averaging
-    operators (index arrays and sparse means), the normalized
-    graph views and the day's interactions and negatives, and no float
-    array: the instant update's rows and the new states are rebuilt in the
-    backward, with the rest of the day."""
+    its input states. Its function holds the instant update's averaging
+    operators (index arrays and sparse means), the normalized graph views
+    and the day's interactions and negatives, and no float array: the
+    instant update's rows and the new states are rebuilt in the backward,
+    with the rest of the day."""
     ds, store, days = few_days()
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, ModelConfig(**SMALL_MODEL),
                       rng=np.random.default_rng(0))
@@ -442,34 +442,41 @@ def test_the_instant_updates_rules_and_recipes_keep_no_float_array():
 
 def test_backward_builds_each_shared_expert_once(monkeypatch):
     """In the backward of two checkpointed full-model days each class's
-    shared expert is computed by one layer a day, in the day's replay, not
-    once per task mix that reads it."""
+    shared expert is computed by one layer a day, in the day's one
+    ``gated_fusion``, which runs in the day's replay, not once per task mix
+    that reads it."""
     ds, store, days = few_days()
     model, loss, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
-    linear, built = ad.linear, []
-    monkeypatch.setattr(ad, "linear", lambda x, w, b: built.append(w) or linear(x, w, b))
+    fusion, built = ad.gated_fusion, []
+
+    def watched(parts, n_users, layers):
+        built.extend(w for (w, _), *_ in layers)       # each class's first layer: the shared one
+        return fusion(parts, n_users, layers)
+
+    monkeypatch.setattr(ad, "gated_fusion", watched)
     ad.backward(loss, tape, params=model.params.values())
     for cls in ("user", "item"):
         shared = model.params[f"fusion.{cls}.expert_shared.w"]
         assert sum(w is shared for w in built) == 2
+    assert len(built) == 2 * 2
 
 
-def test_no_recipe_holds_a_value_once_backward_returns(monkeypatch):
-    """A day's replay builds the day's arrays again (here its fusion mixes)
+def test_no_day_replay_holds_a_value_once_backward_returns(monkeypatch):
+    """A day's replay builds the day's arrays again (here its fused states)
     under a tape of its own, and none of them outlives ``backward``; the
     active tape is the caller's again."""
     ds, store, days = few_days()
     model, loss, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
-    gate_mix, built = ad.gate_mix, []
+    fusion, built = ad.gated_fusion, []
 
     def watched(*args):
-        out = gate_mix(*args)
-        built.append((ad._ACTIVE_TAPE, weakref.ref(out.value)))
-        return out
+        outs = fusion(*args)
+        built.extend((ad._ACTIVE_TAPE, weakref.ref(out.value)) for out in outs)
+        return outs
 
-    monkeypatch.setattr(ad, "gate_mix", watched)
+    monkeypatch.setattr(ad, "gated_fusion", watched)
     ad.backward(loss, tape, params=model.params.values())
-    assert len(built) == 2 * 2 * 3            # two days, two classes, three tasks
+    assert len(built) == 2 * 3                # two days, three tasks
     assert all(t is not None and t is not tape for t, _ in built)
     assert [r() for _, r in built] == [None] * len(built)
     assert ad._ACTIVE_TAPE is None
