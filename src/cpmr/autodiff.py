@@ -6,6 +6,12 @@ output, its inputs and one backward rule that maps the output's gradient to
 one gradient per input, in input order. With no active tape ops run as plain
 numpy forward computations, which is the no-grad path used during evaluation.
 
+The ops are the model's: ``add``, ``scale`` and ``sigmoid``, the evolution
+``graph_flow``, the fusion block ``gated_fusion``, the jump
+``instant_update``, and the head's ``gathered_linear`` and ``info_nce``.
+:func:`backward` runs a tape from a 1x1 loss; :func:`grad_check` runs it from
+fixed weights on each output of the function it checks.
+
 An op with several outputs (``gated_fusion``, one per task) records their
 handles as one :class:`_Outputs` node. Its rule takes one gradient per
 output, None for an output nothing read, and gives one per input, None where
@@ -194,23 +200,6 @@ def scale(a: Var, c: float) -> Var:
     c = float(c)
     out = Var(a.value * c)
     _record(out, (a,), lambda g, c=c: (g * c,))
-    return out
-
-
-def hadamard(a: Var, b: Var) -> Var:
-    _check(a.shape == b.shape, "hadamard", a.shape, b.shape)
-    out = Var(a.value * b.value)
-    _record(out, (a, b), lambda g, a=a.value, b=b.value: (g * b, g * a))
-    return out
-
-
-def linear(x: Var, w: Var, b: Var) -> Var:
-    """One dense layer: x @ w with the (1, m) row b added to every row."""
-    _check(x.value.shape[1] == w.value.shape[0] and b.value.shape == (1, w.value.shape[1]),
-           "linear", x.shape, w.shape, b.shape)
-    out = Var(_affine(x.value, w.value, b.value))
-    _record(out, (x, w, b), lambda g, x=x.value, w=w.value: (
-        g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)))
     return out
 
 
@@ -445,13 +434,6 @@ def instant_update(x: Var, n_users, users, items, avg_u, avg_i,
     return out
 
 
-def mean_all(x: Var) -> Var:
-    n = x.value.size
-    out = Var(np.array([[x.value.sum() / n]]))
-    _record(out, (x,), lambda g, shape=x.shape, n=n: (np.full(shape, g[0, 0] / n),))
-    return out
-
-
 def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     """Advance dX/dt = (N diag(gate) - I) X + E by ``dt`` in ceil(dt / tau_max) equal sub-steps.
 
@@ -562,10 +544,17 @@ def _product_into(n, x, out):
 
 
 def backward(loss: Var, tape: Tape, params=None):
-    """Run the tape in reverse from a 1x1 loss.
+    """Run the tape in reverse from a 1x1 loss; see :func:`_backward`."""
+    if loss.value.shape != (1, 1):
+        raise ShapeError(f"loss must be 1x1, got {loss.value.shape}")
+    return _backward([(loss, np.ones((1, 1)))], tape, params)
+
+
+def _backward(seeds, tape, params):
+    """Run the tape in reverse from ``seeds``, (Var, its gradient) pairs.
 
     Returns a dict mapping Var -> gradient array for the reached leaves that
-    are still alive. Parameters in ``params`` the loss does not reach get
+    are still alive. Parameters in ``params`` the seeds do not reach get
     explicit zero gradients. Each node is popped as it runs, so the tape ends
     empty and cannot be consumed again. A checkpoint's node is replaced by
     the nodes of its replay, which take its outputs' gradients.
@@ -574,10 +563,8 @@ def backward(loss: Var, tape: Tape, params=None):
         raise CpmrError("tape already consumed by a previous backward pass")
     if not tape.nodes:
         raise CpmrError("backward on an empty tape")
-    if loss.value.shape != (1, 1):
-        raise ShapeError(f"loss must be 1x1, got {loss.value.shape}")
     tape.consumed = True
-    grads = {_node(loss): np.ones((1, 1))}
+    grads = {_node(var): g for var, g in seeds}
     nodes = tape.nodes
     while nodes:
         out, (inputs, rule) = nodes.pop()
@@ -607,16 +594,29 @@ def backward(loss: Var, tape: Tape, params=None):
 def grad_check(f, params, h=1e-5, max_coords=40, rng=None):
     """Max relative error between analytic and central-difference gradients.
 
-    ``f(params) -> Var`` must be deterministic; it is re-run under fresh
-    tapes for the analytic pass and twice per probed coordinate.
+    ``f(params)`` returns a Var or a tuple of Vars and must be deterministic.
+    The function checked is the sum over the outputs of sum(w * out), with a
+    fixed weight w for each output drawn uniform in [0.5, 1.5], so no sum
+    hides an entry's error. ``f`` is re-run under a fresh tape for the
+    analytic pass and twice, with no tape, per probed coordinate.
     """
     if not 1e-7 <= h <= 1e-3:
         raise CpmrError(f"finite-difference step {h} outside [1e-7, 1e-3]")
     if rng is None:
         rng = np.random.default_rng(0)
+
+    def outputs():
+        out = f(params)
+        return out if isinstance(out, tuple) else (out,)
+
     with Tape() as tape:
-        loss = f(params)
-    grads = backward(loss, tape, params=params)
+        outs = outputs()
+    weights = [rng.uniform(0.5, 1.5, out.shape) for out in outs]
+    grads = _backward(list(zip(outs, weights)), tape, params)
+
+    def weighted():
+        return sum(float(np.sum(w * out.value)) for w, out in zip(weights, outputs()))
+
     worst = 0.0
     for p in params:
         g = grads[p]
@@ -627,9 +627,9 @@ def grad_check(f, params, h=1e-5, max_coords=40, rng=None):
         for c in coords:
             orig = flat[c]
             flat[c] = orig + h
-            hi = float(f(params).value[0, 0])
+            hi = weighted()
             flat[c] = orig - h
-            lo = float(f(params).value[0, 0])
+            lo = weighted()
             flat[c] = orig
             numeric = (hi - lo) / (2.0 * h)
             analytic = g.reshape(-1)[c]

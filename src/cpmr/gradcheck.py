@@ -1,9 +1,9 @@
 """Gradient verification harness: per-op checks plus one end-to-end loss.
 
-Every differentiable primitive is probed against central finite
-differences, then a full recurrence step with its InfoNCE loss on a tiny
-4-user/4-item log is checked the same way. Used by the tests and by the
-``gradcheck`` CLI command.
+Every op of the engine is probed against central finite differences on a
+fixed weighting of its outputs (``ad.grad_check``), then three checkpointed
+training days with their InfoNCE loss on a tiny 4-user/4-item log are
+checked the same way. Used by the tests and by the ``gradcheck`` CLI command.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ TOLERANCE = 1e-4
 
 
 def op_checks(seed=0):
-    """Yield (name, max relative error) for every primitive op."""
+    """Yield (name, max relative error) for every op."""
     rng = np.random.default_rng(seed)
 
     def mats(*shapes):
@@ -35,56 +35,33 @@ def op_checks(seed=0):
     flow_n = 0.4 * sp.random(5, 5, density=0.5, random_state=seed + 1, format="csr")
 
     cases = {
-        "add": (mats((3, 2), (3, 2)), lambda p: ad.mean_all(ad.add(p[0], p[1]))),
-        "scale": (mats((3, 2)), lambda p: ad.mean_all(ad.scale(p[0], -1.7))),
-        "hadamard": (mats((3, 2), (3, 2)),
-                     lambda p: ad.mean_all(ad.hadamard(p[0], p[1]))),
-        "linear": (mats((3, 4), (4, 2), (1, 2)),
-                   lambda p: ad.mean_all(ad.hadamard(ad.linear(*p), ad.constant(_cmat(2))))),
-        "sigmoid": (mats((3, 2)), lambda p: ad.mean_all(ad.sigmoid(p[0]))),
+        "add": (mats((3, 2), (3, 2)), lambda p: ad.add(p[0], p[1])),
+        "scale": (mats((3, 2)), lambda p: ad.scale(p[0], -1.7)),
+        "sigmoid": (mats((3, 2)), lambda p: ad.sigmoid(p[0])),
         "gathered_linear": (mats((3, 1), (3, 1), (2, 4), (1, 4)),
-                            lambda p: ad.mean_all(ad.hadamard(ad.gathered_linear(
-                                p[0], p[1], idx, p[2], p[3]), ad.constant(_cmat(4, rows=4))))),
+                            lambda p: ad.gathered_linear(p[0], p[1], idx, p[2], p[3])),
         # user 0 with item 1, user 2 with items 0 and 3; user 1 and item 2 are not involved
         "instant_update": (mats((7, 2), (2, 2), (2, 2), (2, 2), (2, 2)),
-                           lambda p: ad.mean_all(ad.hadamard(ad.instant_update(
-                               p[0], 3, users, items, avg_u, avg_i, *p[1:]),
-                               ad.constant(_cmat(2, rows=7))))),
+                           lambda p: ad.instant_update(p[0], 3, users, items, avg_u, avg_i,
+                                                       *p[1:])),
         "info_nce": (mats((2, 2), (2, 2), (4, 2), (4, 2)), lambda p: ad.info_nce(*p)),
-        # a shared expert, then a gate and an expert for each of three tasks, per class
+        # two 5 x 3 states, users in rows 0-1; per class a shared expert, then a
+        # gate and an expert for each of three tasks: 7 (w, b) pairs
         "gated_fusion": (mats((5, 3), (5, 3),
                               *([(6, 3), (1, 3)] + [(6, 2), (1, 2), (6, 3), (1, 3)] * 3) * 2),
-                         _fusion_loss),
-        "mean_all": (mats((3, 2)), lambda p: ad.mean_all(p[0])),
+                         lambda p: ad.gated_fusion(p[:2], 2, [list(zip(c[::2], c[1::2]))
+                                                              for c in (p[2:16], p[16:])])),
         "graph_flow": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
-                       lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
-                           *p, flow_n, 0.6, 3, 0.3), ad.constant(_cmat(2, rows=5))))),
+                       lambda p: ad.graph_flow(*p, flow_n, 0.6, 3, 0.3)),
         # order 1: one sparse product and one kept iterate per sub-step
         "graph_flow_order1": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
-                              lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
-                                  *p, flow_n, 0.9, 1, 0.3), ad.constant(_cmat(2, rows=5))))),
+                              lambda p: ad.graph_flow(*p, flow_n, 0.9, 1, 0.3)),
         # 3 sub-steps of odd order: the adjoint recomputes two, in buffers it reuses
         "graph_flow_substeps3": ([*mats((5, 2), (5, 2)), ad.Var(rng.uniform(0.2, 0.9, (5, 1)))],
-                                 lambda p: ad.mean_all(ad.hadamard(ad.graph_flow(
-                                     *p, flow_n, 0.8, 5, 0.3), ad.constant(_cmat(2, rows=5))))),
+                                 lambda p: ad.graph_flow(*p, flow_n, 0.8, 5, 0.3)),
     }
     for name, (params, f) in cases.items():
         yield name, ad.grad_check(f, params, h=1e-5)
-
-
-def _fusion_loss(p):
-    """Two 5 x 3 states with users in rows 0-1: the first and last of three tasks, weighted.
-    The second task's output is not read, so its layers get no gradient."""
-    layers = list(zip(p[2::2], p[3::2]))             # (w, b) pairs, 7 a class
-    first, _, last = ad.gated_fusion(p[:2], 2, (layers[:7], layers[7:]))
-    weight = _cmat(3, rows=5)
-    return ad.mean_all(ad.add(ad.hadamard(first, ad.constant(weight)),
-                              ad.hadamard(last, ad.constant(weight[::-1]))))
-
-
-def _cmat(cols, rows=3):
-    # fixed weighting matrix so reductions do not hide per-entry errors
-    return np.arange(1, rows * cols + 1, dtype=float).reshape(rows, cols) / (rows * cols)
 
 
 def _toy_log():

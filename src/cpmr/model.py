@@ -198,7 +198,7 @@ class CpmrModel:
                                  *(self.params[f"update.{scenario}.{k}"]
                                    for k in ("w_u2u", "w_i2u", "w_i2i", "w_u2i")))
 
-    def step(self, states: TemporalStates, store, day_k, *, predict=True):
+    def step(self, states: TemporalStates, store, day_k, *, predict=True, score=None):
         """One recurrence: evolve from ``states.day`` to day_k-, fuse, apply day_k's jumps.
 
         Each scenario in turn evolves its states on its normalized graph view
@@ -206,25 +206,21 @@ class CpmrModel:
         then each scenario's states jump on day_k's instant graph. Returns
         (z, new_states): z is the fused representation used for predictions
         at day_k, before the instant update. ``predict=False`` is for days
-        nothing is scored on: fusion skips the prediction task and z is None,
-        except under wo_fusion (there z is the sum of the evolved states,
-        which every scenario takes as its fused states, and costs nothing).
-        The new states do not depend on ``predict``.
-        """
-        z, *new = self._recurrence(store, states.day, day_k, predict=predict)(*states.x.values())
-        return z, TemporalStates(dict(zip(states.x, new)), day_k)
+        nothing is scored on, with no tape: fusion skips the prediction task
+        and z is None, except under wo_fusion (there z is the sum of the
+        evolved states, which every scenario takes as its fused states, and
+        costs nothing). The new states do not depend on ``predict``.
 
-    def _recurrence(self, store, day_from, day_k, *, predict=True):
-        """``step`` from ``day_from`` to ``day_k`` as a pure function of the states.
-
-        It builds the normalized graph views and the instant averaging operators
-        once; the function it returns maps the states, in scenario order, to
-        (z, *new states), so a ``checkpoint`` can replay it.
+        The views and the instant averaging operators are built first; the day
+        itself, a pure function of the states, runs through ``ad.checkpoint``,
+        one tape node under a tape and a plain call without one. Given
+        ``score``, the day returns ``score(z)``, computed after the jumps, in
+        place of z, so a training day's loss is part of its checkpoint.
         """
         cfg = self.config
-        if day_k < day_from:
-            raise SequencingError(f"cannot step backwards {day_from} -> {day_k}")
-        dt = (day_k - day_from) * self.day_unit * cfg.time_scale
+        if day_k < states.day:
+            raise SequencingError(f"cannot step backwards {states.day} -> {day_k}")
+        dt = (day_k - states.day) * self.day_unit * cfg.time_scale
         nadj = [normalize_adjacency(store.history_biadjacency(day_k) if sc == "his"
                                     else store.context_biadjacency(day_k, cfg.s_days), cfg.alpha0)
                 for sc in cfg.scenarios]
@@ -238,8 +234,12 @@ class CpmrModel:
                 fused = dict.fromkeys(minus, z)
             else:
                 fused, z = self.fuse(minus, predict=predict)
-            return (z, *(self.update_instant(x, ops, sc) for sc, x in fused.items()))
-        return advance
+            del minus                   # the evolved states are dead once fused
+            new = [self.update_instant(x, ops, sc) for sc, x in fused.items()]
+            del fused                   # and the fused states before the loss runs
+            return (z if score is None else score(z), *new)
+        z, *new = ad.checkpoint(advance, *states.x.values())
+        return z, TemporalStates(dict(zip(states.x, new)), day_k)
 
     # -- prediction ---------------------------------------------------------
 

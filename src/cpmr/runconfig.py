@@ -64,7 +64,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        raw = {}
+        raw, first_line = {}, {}
         with open(path, "rb") as fh:
             lines = fh.read().splitlines()      # at \n, \r\n and \r, as text mode splits
         for lineno, line in enumerate(lines, start=1):
@@ -78,7 +78,11 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is set again (first on line "
+                                  f"{first_line[key]})")
+            raw[key], first_line[key] = value.strip(), lineno
         return cls(raw)
 
     def echo(self):

@@ -113,9 +113,10 @@ def batch_loss(model: CpmrModel, z, users, items, neg_u, neg_i):
 def _train_day(model, store, states, day, history, n_neg, rng):
     """(loss, new states) of one training day, recorded as one checkpoint.
 
-    The day's negatives are drawn first, so the checkpointed function, the
-    recurrence step plus its ``batch_loss``, draws nothing; ``backward``
-    replays it from the day's input states. Then ``history`` takes the day.
+    The day's negatives are drawn first, so the day that ``model.step``
+    checkpoints, the recurrence plus its ``batch_loss``, draws nothing;
+    ``backward`` replays it from the day's input states. Then ``history``
+    takes the day.
     """
     users, items = store.instant_edges(day)
     neg_u = np.empty((len(users), n_neg), dtype=np.int64)
@@ -123,14 +124,10 @@ def _train_day(model, store, states, day, history, n_neg, rng):
     for j, (u, i) in enumerate(zip(users, items)):
         neg_u[j], neg_i[j] = sample_negatives(int(u), int(i), history, model.n_users,
                                               model.n_items, n_neg, rng)
-    advance = model._recurrence(store, states.day, day)
-
-    def scored_day(*xs):
-        z, *new = advance(*xs)
-        return (batch_loss(model, z, users, items, neg_u, neg_i), *new)
-    loss, *new = ad.checkpoint(scored_day, *states.x.values())
+    loss, states = model.step(states, store, day,
+                              score=lambda z: batch_loss(model, z, users, items, neg_u, neg_i))
     history.add_day(users, items)
-    return loss, TemporalStates(dict(zip(states.x, new)), day)
+    return loss, states
 
 
 def _detach(states: TemporalStates):

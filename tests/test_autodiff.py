@@ -20,6 +20,30 @@ from cpmr.graphs import averaging_operators, normalize_adjacency
 # what ``sum_all`` is built of.
 
 
+def hadamard(a, b):
+    ad._check(a.shape == b.shape, "hadamard", a.shape, b.shape)
+    out = ad.Var(a.value * b.value)
+    ad._record(out, (a, b), lambda g, a=a.value, b=b.value: (g * b, g * a))
+    return out
+
+
+def linear(x, w, b):
+    """One dense layer: x @ w with the (1, m) row b added to every row."""
+    ad._check(x.value.shape[1] == w.value.shape[0] and b.value.shape == (1, w.value.shape[1]),
+              "linear", x.shape, w.shape, b.shape)
+    out = ad.Var(ad._affine(x.value, w.value, b.value))
+    ad._record(out, (x, w, b), lambda g, x=x.value, w=w.value: (
+        g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)))
+    return out
+
+
+def mean_all(x):
+    n = x.value.size
+    out = ad.Var(np.array([[x.value.sum() / n]]))
+    ad._record(out, (x,), lambda g, shape=x.shape, n=n: (np.full(shape, g[0, 0] / n),))
+    return out
+
+
 def matmul(a, b):
     out = ad.Var(a.value @ b.value)
     # a C-ordered b.T: OpenBLAS rounds a few-row g times a transposed b unlike a taller g
@@ -137,7 +161,7 @@ def logsumexp_rows(x):
 
 def gathered_linear_chain(e, z, idx, w, b):
     """``gathered_linear`` as two gathers, their concatenation and a ``linear``: 4 nodes."""
-    return ad.linear(concat_cols(row_select(e, idx), row_select(z, idx)), w, b)
+    return linear(concat_cols(row_select(e, idx), row_select(z, idx)), w, b)
 
 
 def info_nce_chain(p_pos, q_pos, p_neg, q_neg):
@@ -145,11 +169,11 @@ def info_nce_chain(p_pos, q_pos, p_neg, q_neg):
     b = p_pos.shape[0]
     m = p_neg.shape[0] // b
     rep = np.repeat(np.arange(b), m)
-    lam_pos = sum_cols(ad.hadamard(p_pos, q_pos))
-    lam_nu = reshape(sum_cols(ad.hadamard(p_neg, row_select(q_pos, rep))), (b, m))
-    lam_ni = reshape(sum_cols(ad.hadamard(row_select(p_pos, rep), q_neg)), (b, m))
+    lam_pos = sum_cols(hadamard(p_pos, q_pos))
+    lam_nu = reshape(sum_cols(hadamard(p_neg, row_select(q_pos, rep))), (b, m))
+    lam_ni = reshape(sum_cols(hadamard(row_select(p_pos, rep), q_neg)), (b, m))
     logits = concat_cols(lam_pos, lam_nu, lam_ni)
-    return ad.mean_all(sub(logsumexp_rows(logits), lam_pos))
+    return mean_all(sub(logsumexp_rows(logits), lam_pos))
 
 
 def selection(ids, n):
@@ -182,8 +206,8 @@ def gated_fusion_chain(parts, n_users, layers):
     for rows, ((w, b), *tasks) in zip(((0, n_users), (n_users, n)), layers):
         slices = [row_block(p, *rows) for p in parts]
         x = slices[0] if len(slices) == 1 else concat_cols(*slices)
-        shared = ad.linear(x, w, b)
-        mixes.append([gate_mix(softmax_rows(ad.linear(x, *gate)), ad.linear(x, *expert), shared)
+        shared = linear(x, w, b)
+        mixes.append([gate_mix(softmax_rows(linear(x, *gate)), linear(x, *expert), shared)
                       for gate, expert in zip(tasks[::2], tasks[1::2])])
     return tuple(concat_rows(u, i) for u, i in zip(*mixes))
 
@@ -203,7 +227,7 @@ def test_var_requires_2d():
 def test_ops_run_without_tape():
     # no-grad path: plain forward, nothing recorded anywhere
     a = ad.constant([[1.0, 2.0]])
-    out = ad.hadamard(ad.add(ad.scale(a, 2.0), ad.constant([[-3.0, 1.0]])), a)
+    out = hadamard(ad.add(ad.scale(a, 2.0), ad.constant([[-3.0, 1.0]])), a)
     np.testing.assert_array_equal(out.value, [[-1.0, 10.0]])
 
 
@@ -281,10 +305,10 @@ def test_a_checkpoint_keeps_its_function_and_inputs_not_what_it_makes(monkeypatc
         picked = row_select(x, [4, 0, 0, 2])
         both = concat_cols(picked, row_select(x, [1, 1, 3, 0]))
         prod = spmm(s, y)
-        layer = ad.linear(both, w, bias)
+        layer = linear(both, w, bias)
         refs.extend(weakref.ref(v.value) for v in (picked, both, prod, layer))
-        return ad.add(sum_all(ad.hadamard(layer, prod)),
-                      sum_all(gate_mix(mix, ad.hadamard(picked, prod), layer))),
+        return ad.add(sum_all(hadamard(layer, prod)),
+                      sum_all(gate_mix(mix, hadamard(picked, prod), layer))),
 
     def run():
         refs.clear()
@@ -320,7 +344,7 @@ def test_a_checkpoint_inside_a_checkpoint_is_one_node_of_its_replay(monkeypatch)
 
     def inner(x):
         inner_runs.append(ad._ACTIVE_TAPE)
-        return ad.linear(x, w, bias),
+        return linear(x, w, bias),
 
     def outer(x):
         (layer,) = ad.checkpoint(inner, x)
@@ -329,10 +353,10 @@ def test_a_checkpoint_inside_a_checkpoint_is_one_node_of_its_replay(monkeypatch)
         diff = sub(prod, rows)
         total = ad.add(diff, rows)
         pos = relu(total)
-        weights = softmax_rows(ad.linear(x, wg, bg))
+        weights = softmax_rows(linear(x, wg, bg))
         refs.extend(weakref.ref(v.value) for v in (rows, prod, diff, total, pos, weights))
-        return ad.add(sum_all(ad.hadamard(pos, prod)),
-                      sum_all(ad.hadamard(gate_mix(weights, layer, x), layer))),
+        return ad.add(sum_all(hadamard(pos, prod)),
+                      sum_all(hadamard(gate_mix(weights, layer, x), layer))),
 
     def run():
         refs.clear()
@@ -399,7 +423,7 @@ def _rule(op, *args):
 def test_linear_is_the_matmul_and_bias_chain_byte_for_byte():
     rng = np.random.default_rng(3)
     x, w, b, g = (rng.normal(size=s) for s in ((7, 5), (5, 3), (1, 3), (7, 3)))
-    out, rule = _rule(ad.linear, ad.Var(x), ad.Var(w), ad.Var(b))
+    out, rule = _rule(linear, ad.Var(x), ad.Var(w), ad.Var(b))
     gx, gw, gb = rule(g)
     mm = x @ w
     assert out.tobytes() == (mm + b).tobytes()
@@ -443,7 +467,8 @@ def test_every_op_has_a_gradient_check_case():
     ops = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
            if f.__module__ == ad.__name__ and not name.startswith("_")
            and inspect.signature(f).return_annotation in ("Var", ad.Var, "tuple[Var, ...]")}
-    assert {"linear", "graph_flow", "instant_update", "gated_fusion"} <= ops
+    assert ops == {"add", "scale", "sigmoid", "gated_fusion", "gathered_linear", "info_nce",
+                   "instant_update", "graph_flow"}
     checks = dict(op_checks())
     assert ops <= set(checks)
     for case in checks:
@@ -641,7 +666,7 @@ def test_instant_update_is_the_generic_op_chain_byte_for_byte(case, checkpointed
         with ad.Tape() as tape, np.errstate(invalid="ignore"):
             (out,) = wrap(day, leaves[0])
             n_nodes = len(tape.nodes)
-            loss = sum_all(ad.hadamard(out, ad.constant(g)))     # hands the op g * 1.0 = g
+            loss = sum_all(hadamard(out, ad.constant(g)))     # hands the op g * 1.0 = g
             grads = ad.backward(loss, tape, params=leaves)
         return n_nodes, [out.value, *(grads[v] for v in leaves)]
 
@@ -721,8 +746,8 @@ def test_gated_fusion_is_the_generic_op_chain_byte_for_byte(case, checkpointed):
             outs = wrap(lambda *xs: op(xs, n_u, layers), *parts)
             n_nodes = len(tape.nodes)
             # each hands its op g * 1.0 = g
-            terms = [sum_all(ad.hadamard(outs[t], ad.constant(gs[t]))) for t in read]
-            terms.append(sum_all(ad.hadamard(parts[0], ad.constant(g_part))))
+            terms = [sum_all(hadamard(outs[t], ad.constant(gs[t]))) for t in read]
+            terms.append(sum_all(hadamard(parts[0], ad.constant(g_part))))
             loss = functools.reduce(ad.add, terms)
         grads = ad.backward(loss, tape, params=leaves)
         return n_nodes, [*(o.value for o in outs), loss.value, *(grads[v] for v in leaves)]
@@ -800,35 +825,44 @@ def test_every_public_autodiff_function_has_a_caller_in_src():
     """No public function of ``cpmr.autodiff`` that nothing uses: each is
     named by another module of ``src/cpmr``, through ``ad.<name>``-style
     attributes of the module or ``from .autodiff import <name>``. Tests do
-    not count, so an op that only a test calls fails here."""
+    not count, so an op that only a test calls fails here. Nor does the
+    gradient harness for an op, a function annotated ``-> Var`` or
+    ``-> tuple[Var, ...]``: an op that only its own check calls fails too."""
     import ast
     import pathlib
     src = pathlib.Path(ad.__file__).parent
-    public = {node.name for node in ast.parse((src / "autodiff.py").read_text()).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    used = set()
+    defs = [node for node in ast.parse((src / "autodiff.py").read_text()).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    public = {node.name for node in defs}
+    ops = {node.name for node in defs
+           if node.returns is not None and ast.unparse(node.returns) in ("Var", "tuple[Var, ...]")}
+    used, used_by_model = set(), set()
     for path in src.glob("*.py"):
         if path.name == "autodiff.py":
             continue
         tree = ast.parse(path.read_text())
-        aliases = set()
+        aliases, names = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 if node.module == "autodiff":
-                    used.update(a.name for a in node.names)
+                    names.update(a.name for a in node.names)
                 elif node.module is None:
                     aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
-        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
-    assert {"graph_flow", "backward"} <= public
+        names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id in aliases)
+        used |= names
+        if path.name != "gradcheck.py":
+            used_by_model |= names
+    assert {"graph_flow", "backward"} <= public and {"add", "graph_flow"} <= ops
     assert sorted(public - used) == []
+    assert sorted(ops - used_by_model) == []
 
 
 def test_fanout_gradients_sum():
     # x used twice: d/dx (x*x + 3x) = 2x + 3
     x = ad.constant([[4.0]])
     with ad.Tape() as tape:
-        loss = sum_all(ad.add(ad.hadamard(x, x), ad.scale(x, 3.0)))
+        loss = sum_all(ad.add(hadamard(x, x), ad.scale(x, 3.0)))
     g = ad.backward(loss, tape)
     assert g[x][0, 0] == pytest.approx(11.0)
 
@@ -864,7 +898,7 @@ def test_sigmoid_extreme_no_overflow():
 def test_grad_check_known_quadratic():
     # f(p) = sum(p * p), exact gradient 2p -> FD error ~ h^2
     p = ad.constant(np.arange(1.0, 7.0).reshape(2, 3))
-    err = ad.grad_check(lambda ps: sum_all(ad.hadamard(ps[0], ps[0])), [p])
+    err = ad.grad_check(lambda ps: sum_all(hadamard(ps[0], ps[0])), [p])
     assert err < 1e-8
 
 
@@ -1025,7 +1059,7 @@ def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, step
     assert flow().value.tobytes() == want.tobytes()
     with ad.Tape() as tape:
         out = flow()
-        loss = sum_all(ad.hadamard(out, ad.constant(g)))   # hands the flow g * 1.0 = g
+        loss = sum_all(hadamard(out, ad.constant(g)))   # hands the flow g * 1.0 = g
     assert out.value.tobytes() == want.tobytes()
     grads = ad.backward(loss, tape, params=[xv, ev, sv])
     assert [grads[v].tobytes() for v in (xv, ev, sv)] == [a.tobytes() for a in want_grads]
@@ -1105,7 +1139,7 @@ def test_graph_flow_backward_recomputes_k_minus_1_products_per_earlier_substep(
     with ad.Tape() as tape:
         # 0.6 over at most 0.25: 3 sub-steps
         out = ad.graph_flow(xv, ev, sv, n, 0.6, order, 0.25)
-        loss = sum_all(ad.hadamard(out, ad.constant(g)))
+        loss = sum_all(hadamard(out, ad.constant(g)))
     assert counts == {"csr": steps * order, "csc": 0}
     ad.backward(loss, tape, params=[xv, ev, sv])
     assert counts == {"csr": steps * order + (steps - 1) * (order - 1), "csc": steps * order}

@@ -78,3 +78,23 @@ def test_traced_run_reaches_every_graph_layer(tracer, monkeypatch):
     substeps = tr.counts["run", "model.evolve_substeps"]
     assert substeps == forward[0] > tr.calls["run", "model.evolve"]
     assert recomputed[0] > 0 and 3 * recomputed[0] == 2 * taped[0]     # S = 3 every day
+
+
+def test_traced_training_sees_every_training_and_validation_day(tracer):
+    """Each training day and each validation day of each epoch is one
+    ``CpmrModel.step``, so the tracer's ``model.step`` span covers them all;
+    a day's replay in the backward runs the day inside the step, not a step."""
+    rng = np.random.default_rng(5)
+    ds = canonicalize([RawEvent(f"u{rng.integers(6)}", f"i{rng.integers(6)}",
+                                day * SECONDS_PER_DAY)
+                       for day in range(12) for _ in range(3)])
+    i_val, i_test = ds.split
+    n_train, n_val = (len(np.unique(ds.days[sl])) for sl in (slice(0, i_val),
+                                                              slice(i_val, i_test)))
+    epochs = 2
+    tr = tracer.Tracer()
+    with tracer.patched(tr), tr.in_phase("train"):
+        train(ds, ModelConfig(d=4, s_days=3, taylor_order=3),
+              TrainConfig(lr=1e-2, n_tbptt=4, n_neg=2, max_epochs=epochs, patience=epochs))
+    assert n_train > 0 and n_val > 0
+    assert tr.calls["train", "model.step"] == (n_train + n_val) * epochs

@@ -36,12 +36,15 @@ def write_raw_log(path, seed=0, n_users=7, n_items=7, n_days=14, per_day=5):
 
 
 def write_config(path, data_path, out_dir, extra=()):
+    """A small run config; each line of ``extra`` comes last, in place of its key's default."""
     lines = [f"data.path={data_path}",
              f"output.dir={out_dir}",
              "model.d=4", "model.s_days=3", "model.taylor_order=3",
              "train.lr=0.01", "train.n_tbptt=4", "train.n_neg=2",
-             "train.max_epochs=2", "train.patience=5",
-             *extra]
+             "train.max_epochs=2", "train.patience=5"]
+    for line in extra:
+        key = line.partition("=")[0].strip()
+        lines = [kept for kept in lines if kept.partition("=")[0] != key] + [line]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -350,6 +353,18 @@ def test_bad_config_value_exit_code(workspace, capsys):
     rc = main(["train", "--config", str(bad)])
     assert rc == 2
     assert "'abc'" in capsys.readouterr().err
+
+
+def test_config_key_set_twice_exit_code(workspace, capsys):
+    """A run config that set a key twice used to keep the last value and exit 0."""
+    tmp_path, out, _ = workspace
+    bad = tmp_path / "bad.cfg"
+    write_config(bad, out / "dataset.bin", out)              # model.d=4 on line 3 of 10
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write("model.d=16\n model.d = 32\n")
+    rc = main(["train", "--config", str(bad)])
+    assert rc == 2
+    assert f"{bad}:11: 'model.d' is set again (first on line 3)" in capsys.readouterr().err
 
 
 def test_non_utf8_config_exit_code(tmp_path, capsys):

@@ -7,7 +7,8 @@ from cpmr.errors import ConfigError, SequencingError
 from cpmr.graphs import EdgeStore, averaging_operators, normalize_adjacency
 from cpmr.model import CpmrModel, ModelConfig, TemporalStates, evolve
 import test_autodiff
-from test_autodiff import gated_fusion_chain, instant_update_chain, row_select
+from test_autodiff import (gated_fusion_chain, hadamard, instant_update_chain, mean_all,
+                           row_select)
 
 
 def random_adjacency(rng, n):
@@ -222,7 +223,7 @@ def test_update_instant_rows_oracle():
         np.testing.assert_allclose(out, dense_instant_oracle(model, x.value[:4], x.value[4:],
                                                              b.toarray()), atol=1e-12)
         params = [x, *(model.params[f"update.his.{k}"] for k in UPDATE_WEIGHTS)]
-        err = ad.grad_check(lambda p: ad.mean_all(ad.hadamard(
+        err = ad.grad_check(lambda p: mean_all(hadamard(
             model.update_instant(p[0], ops, "his"), weight)), params)
         assert err < 1e-7, name
 
@@ -268,11 +269,12 @@ def test_update_instant_keeps_uninvolved_rows_and_empty_days_byte_for_byte():
 
 
 def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
-    """After a taped ``step`` the his/ctx states that ``fuse`` hands to
-    ``update_instant`` are freed while the tape still holds the day: the
-    instant update keeps copies of the involved rows and their means, and
-    every matrix its rule keeps, apart from the weights, has the day's
-    involved user or item count of rows."""
+    """A taped ``step`` is one checkpoint node. In its forward and in its
+    replay, the his/ctx states that ``fuse`` hands to ``update_instant`` are
+    freed while the replay's nodes still hold the day: the instant update
+    keeps copies of the involved rows and their means, and every matrix its
+    rule keeps, apart from the weights, has the day's involved user or item
+    count of rows."""
     import weakref
     users = np.array([0, 3, 3, 5, 1, 2, 7, 4, 2, 6])
     items = np.array([0, 1, 4, 2, 3, 5, 6, 2, 5, 5])
@@ -285,20 +287,25 @@ def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
 
     def watched(x, ops, scenario):
         blocks.append(weakref.ref(x.value))
-        start = len(tape.nodes)
+        nodes = ad._ACTIVE_TAPE.nodes if ad._ACTIVE_TAPE is not None else []
+        start = len(nodes)
         out = update_instant(x, ops, scenario)
-        spans.append((start, len(tape.nodes)))
+        spans.append((start, len(nodes)))
         return out
 
     model.update_instant = watched
     with ad.Tape() as tape:
         z, new = model.step(states, store, 3)
         assert len(blocks) == 2 and all(r() is None for r in blocks)
-        loss = ad.mean_all(ad.hadamard(ad.add(new.x["his"], new.x["ctx"]), z))
+        loss = mean_all(hadamard(ad.add(new.x["his"], new.x["ctx"]), z))
+    (_, (inputs, replay)) = tape.nodes[0]
+    replayed = []
+    again = replay(inputs, replayed)     # the day once more, recorded onto a list of its own
+    assert len(blocks) == 4 and all(r() is None for r in blocks)
     params = {id(p.value) for p in model.params.values()}
     rows = set()
     for start, stop in spans:
-        for _, (_, rule) in tape.nodes[start:stop]:
+        for _, (_, rule) in replayed[start:stop]:
             kept = list(rule.__defaults__ or ()) + [c.cell_contents
                                                     for c in rule.__closure__ or ()]
             for obj in kept:
@@ -308,6 +315,7 @@ def test_taped_step_frees_the_fused_blocks_and_keeps_only_involved_rows():
                 if sp.issparse(value) or getattr(value, "ndim", 0) == 2:
                     rows.add(value.shape[0])
     assert rows == set(involved)
+    del again, replayed
     grads = ad.backward(loss, tape, params=model.params.values())
     assert all(np.isfinite(g).all() for g in grads.values())
     assert np.abs(grads[model.params["update.ctx.w_u2u"]]).max() > 0
@@ -331,7 +339,7 @@ def test_row_blocks_give_the_row_select_gradients(monkeypatch):
             ops = averaging_operators(b)
             out = ad.add(ad.add(model.update_instant(fused["his"], ops, "his"),
                                 model.update_instant(fused["ctx"], ops, "ctx")), z)
-            loss = ad.mean_all(ad.hadamard(out, weight))
+            loss = mean_all(hadamard(out, weight))
         grads = ad.backward(loss, tape, params=inputs)
         return [grads[v] for v in inputs]
 
@@ -391,19 +399,23 @@ def _expm(a, dt):
 
 
 def test_step_splits_and_joins_each_scenario_once():
-    """A full step splits each scenario's states into user and item rows once
-    and joins each task's rows once, all inside its one ``gated_fusion``
-    node; each ``instant_update`` takes and gives a scenario's joined states.
-    wo_fusion hands its summed states to both instant updates as they are.
-    So a step is the evolutions' flows and gate sigmoids plus these nodes.
-    Nodes are told apart by their backward rule, which is defined inside the op."""
+    """A taped step is one checkpoint node. Its replay splits each scenario's
+    states into user and item rows once and joins each task's rows once, all
+    inside its one ``gated_fusion`` node; each ``instant_update`` takes and
+    gives a scenario's joined states. wo_fusion hands its summed states to
+    both instant updates as they are. So a replayed step is the evolutions'
+    flows and gate sigmoids plus these nodes. Nodes are told apart by their
+    backward rule, which is defined inside the op."""
     for variant, want, n_nodes in (("full", (1, 2), 7), ("wo_ctx", (1, 1), 4),
                                    ("wo_his", (1, 1), 4), ("wo_fusion", (0, 2), 7)):
         model = make_model(variant=variant)
         states = model.init_states()
         with ad.Tape() as tape:
             model.step(states, toy_store(), 2)
-        ops = [rule.__qualname__.split(".")[0] for _, (_, rule) in tape.nodes]
+        (_, (inputs, replay)), = tape.nodes
+        replayed = []
+        replay(inputs, replayed)
+        ops = [rule.__qualname__.split(".")[0] for _, (_, rule) in replayed]
         assert tuple(map(ops.count, ("gated_fusion", "instant_update"))) == want, variant
         assert len(ops) == n_nodes, variant
 
@@ -606,7 +618,7 @@ def test_evolve_states_without_tape_keeps_no_iterates():
             out = checkpointed()
             kept_taped, peak_taped = tracemalloc.get_traced_memory()
             assert len(tape.nodes) == 1
-            loss = ad.mean_all(out)
+            loss = mean_all(out)
             del out
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -649,7 +661,7 @@ def test_fuse_intermediates_no_rule_reads_die_under_a_tape():
         with ad.Tape() as tape:
             h, c, z = wrap(fuse, xh, xc)
             (_, (_, rule)), = tape.nodes
-            loss = ad.mean_all(ad.add(ad.add(h, c), z))
+            loss = mean_all(ad.add(ad.add(h, c), z))
         kept, stack = [], list(rule.__defaults__ or ()) + [c.cell_contents
                                                              for c in rule.__closure__ or ()]
         while stack:                     # the arrays the rule holds, the weights left out

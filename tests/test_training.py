@@ -290,10 +290,10 @@ def test_non_finite_state_with_finite_loss_raises(monkeypatch):
     ds = canonicalize(events)
 
     class NanGate(tr.CpmrModel):
-        def _recurrence(self, store, day_from, day_k, **kw):
+        def step(self, states, store, day_k, **kw):
             if day_k == 4:
                 self.params["alpha_ctx"].value[0, 0] = np.nan
-            return super()._recurrence(store, day_from, day_k, **kw)
+            return super().step(states, store, day_k, **kw)
 
     losses = []
     def recorded(*args):
@@ -408,11 +408,11 @@ def closure(fn):
 
 def test_a_day_checkpoint_keeps_no_float_array_but_its_input_states():
     """A taped full-model training day is one node whose float arrays are
-    its input states. Its function holds the instant update's averaging
-    operators (index arrays and sparse means), the normalized graph views
-    and the day's interactions and negatives, and no float array: the
-    instant update's rows and the new states are rebuilt in the backward,
-    with the rest of the day."""
+    its input states. Its function, ``step``'s day, holds the instant
+    update's averaging operators (index arrays and sparse means) and the
+    normalized graph views, and its ``score`` the day's interactions and
+    negatives, and no float array: the instant update's rows and the new
+    states are rebuilt in the backward, with the rest of the day."""
     ds, store, days = few_days()
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, ModelConfig(**SMALL_MODEL),
                       rng=np.random.default_rng(0))
@@ -423,8 +423,8 @@ def test_a_day_checkpoint_keeps_no_float_array_but_its_input_states():
     (_, (_, replay)), = tape.nodes[len(states.x):]
     (arrays,) = replay.__defaults__              # the checkpoint's input arrays
     assert [a is x.value for a, x in zip(arrays, states.x.values())] == [True, True]
-    day = closure(closure(replay)["fn"])         # the day's recurrence and the loss's data
-    cells = closure(day.pop("advance"))
+    cells = closure(closure(replay)["fn"])       # the day's recurrence
+    loss = closure(cells.pop("score"))           # the loss's data
 
     def walk(x):
         if isinstance(x, (list, tuple)):
@@ -433,7 +433,7 @@ def test_a_day_checkpoint_keeps_no_float_array_but_its_input_states():
         else:
             yield x
 
-    held = list(walk([list(day.values()), list(cells.values())]))
+    held = list(walk([list(loss.values()), list(cells.values())]))
     assert not any(isinstance(x, ad.Var) for x in held)
     assert all(x.dtype.kind in "iu" for x in held if isinstance(x, np.ndarray))
     ops = list(walk(cells["ops"]))
@@ -494,10 +494,10 @@ def test_a_segments_gradients_are_freed_before_the_next_segment(monkeypatch):
         return out
 
     class Watched(tr.CpmrModel):
-        def _recurrence(self, *args, **kw):
+        def step(self, *args, **kw):
             if grads:
                 live.append(sum(r() is not None for r in grads))
-            return super()._recurrence(*args, **kw)
+            return super().step(*args, **kw)
 
     monkeypatch.setattr(ad, "backward", watched)
     monkeypatch.setattr(tr, "CpmrModel", Watched)
