@@ -164,10 +164,15 @@ def checkpoint(fn, *inputs: Var):
 
     ``fn`` must be pure: on the same input values it runs the same ops to the
     same bytes. The node keeps only the inputs' arrays, which must not be
-    mutated before ``backward`` replays ``fn`` on them.
+    mutated before ``backward`` replays ``fn`` on them. Under a tape, an
+    output that is not a Var raises ``CpmrError``: it could take no gradient.
     """
     outs = _run(None, fn, *inputs)
     if _ACTIVE_TAPE is not None:
+        bad = next((j for j, out in enumerate(outs) if not isinstance(out, Var)), None)
+        if bad is not None:
+            raise CpmrError(f"checkpoint: output {bad} of {len(outs)} is "
+                            f"{type(outs[bad]).__name__}, not a Var")
         def replay(in_nodes, nodes, arrays=tuple(x.value for x in inputs)):
             # on Vars of the arrays with the inputs' handles, recording onto nodes
             again = [Var(a) for a in arrays]
@@ -216,18 +221,38 @@ def sigmoid(x: Var) -> Var:
 
 
 def _sigmoid(a):
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + e^-a) where a >= 0, else e^a / (1 + e^a): exp never overflows.
+
+    min(a, -a) is -|a| but keeps a NaN's own bits, as e^a on a NaN does."""
+    t = np.exp(np.minimum(a, -a))
+    return np.where(a >= 0, 1.0, t) / (1.0 + t)
 
 
 def _softmax_rows(a):
     m = a.max(axis=1, keepdims=True)
     e = np.exp(a - m)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_pairs(a):
+    """``_softmax_rows`` of an n x 2 ``a``, its max, exp, sum and divisions column by column."""
+    a0, a1 = a[:, :1], a[:, 1:]
+    m = np.maximum(a0, a1)
+    e0, e1 = np.exp(a0 - m), np.exp(a1 - m)
+    t = e0 + e1
+    s = np.empty(a.shape)
+    np.divide(e0, t, out=s[:, :1])
+    np.divide(e1, t, out=s[:, 1:])
+    return s
+
+
+def _softmax_pairs_rule(s, g):
+    """Softmax's rule s * (g - sum(g * s)) on n x 2 rows, each row sum one add.
+
+    + 0.0: a sum of two -0.0 reads +0.0, as numpy's row sum gives it. The outer
+    product stays one n x 2 broadcast: where two NaNs meet, numpy's column-wise
+    loops propagate another one than the row-wise rule did."""
+    return s * (g - ((g[:, :1] * s[:, :1] + g[:, 1:] * s[:, 1:]) + 0.0))
 
 
 def gated_fusion(parts, n_users, layers) -> tuple[Var, ...]:
@@ -264,7 +289,7 @@ def gated_fusion(parts, n_users, layers) -> tuple[Var, ...]:
         x = parts[0].value[rows] if k == 1 else np.concatenate([p.value[rows] for p in parts], 1)
         shared, mixes = _affine(x, w.value, b.value), []
         for out, gate, expert in zip(outs, tasks[::2], tasks[1::2]):
-            s = _softmax_rows(_affine(x, *(v.value for v in gate)))
+            s = _softmax_pairs(_affine(x, *(v.value for v in gate)))
             e = _affine(x, *(v.value for v in expert))
             mix = out[rows]
             np.multiply(e, s[:, :1], out=mix)
@@ -299,7 +324,7 @@ def gated_fusion(parts, n_users, layers) -> tuple[Var, ...]:
                 yield x.T @ g_e
                 yield g_e.sum(axis=0, keepdims=True)
                 del g_e
-                g_l = s * (g_s - np.sum(g_s * s, axis=1, keepdims=True))
+                g_l = _softmax_pairs_rule(s, g_s)
                 g_x += g_l @ ws[c][1 + 2 * t].T
                 yield x.T @ g_l
                 yield g_l.sum(axis=0, keepdims=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigError
 
@@ -136,17 +137,23 @@ def normalize_adjacency(biadj, alpha0=ALPHA0):
     n_u, n_i = b.shape
     n = n_u + n_i
     nnz = b.nnz
+    # B^T's CSR arrays from scipy's transpose kernel, with each entry's position in B as
+    # its value: the item row pointers, and B's entries item by item, users ascending
+    item_ptr, item_users = np.empty(n_i + 1, b.indices.dtype), np.empty(nnz, b.indices.dtype)
+    by_item = np.empty(nnz, np.int64)
+    _sparsetools.csr_tocsc(n_u, n_i, b.indptr, b.indices, np.arange(nnz), item_ptr,
+                           item_users, by_item)
     user = _rows(b.indptr)
     item = b.indices.astype(np.int64)
-    deg = np.concatenate([np.diff(b.indptr), np.bincount(item, minlength=n_i)])
+    item_ptr = item_ptr.astype(np.int64)             # positions below can pass 2**31
+    deg = np.concatenate([np.diff(b.indptr), np.diff(item_ptr)])
     dinv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1))   # read only where deg > 0
 
     half = alpha0 / 2.0
     vals = half * (dinv_sqrt[user] * dinv_sqrt[item + n_u])
-    by_item = np.argsort(item, kind="stable")        # users ascending within an item
     # every user row gains its diagonal before its items, every item row after its users
     indptr = np.concatenate([b.indptr[:n_u] + np.arange(n_u),
-                             nnz + n_u + _indptr(item, n_i) + np.arange(n_i + 1)])
+                             nnz + n_u + item_ptr + np.arange(n_i + 1)])
     indices = np.empty(2 * nnz + n, dtype=np.int64)
     data = np.empty(2 * nnz + n)
     diag = np.concatenate([indptr[:n_u], indptr[n_u + 1:] - 1])
@@ -157,7 +164,7 @@ def normalize_adjacency(biadj, alpha0=ALPHA0):
     indices[user_pos] = item + n_u
     data[user_pos] = vals
     item_pos = nnz + n_u + pos + item[by_item]
-    indices[item_pos] = user[by_item]
+    indices[item_pos] = item_users
     data[item_pos] = vals[by_item]
     return _csr(data, indices, indptr, (n, n))
 

@@ -209,7 +209,8 @@ class CpmrModel:
         nothing is scored on, with no tape: fusion skips the prediction task
         and z is None, except under wo_fusion (there z is the sum of the
         evolved states, which every scenario takes as its fused states, and
-        costs nothing). The new states do not depend on ``predict``.
+        costs nothing); under a tape, a None z raises ``CpmrError``. The new
+        states do not depend on ``predict``.
 
         The views and the instant averaging operators are built first; the day
         itself, a pure function of the states, runs through ``ad.checkpoint``,

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import weakref
 
@@ -76,9 +77,31 @@ def gate_mix(w, a, b):
     return out
 
 
+def softmax_rows_reference(a):
+    """A row-wise softmax as the gates ran it: row max, exp, row sum, division."""
+    m = a.max(axis=1, keepdims=True)
+    e = np.exp(a - m)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_rows_rule_reference(s, g):
+    """Its rule, each row's sum of g * s a numpy row sum."""
+    return s * (g - np.sum(g * s, axis=1, keepdims=True))
+
+
+def sigmoid_masked(a):
+    """The sigmoid as the engine had it: boolean-mask gathers and scatters."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    e = np.exp(a[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def softmax_rows(x):
-    out = ad.Var(ad._softmax_rows(x.value))
-    ad._record(out, (x,), lambda g, s=out.value: (s * (g - np.sum(g * s, axis=1, keepdims=True)),))
+    out = ad.Var(softmax_rows_reference(x.value))
+    ad._record(out, (x,), lambda g, s=out.value: (softmax_rows_rule_reference(s, g),))
     return out
 
 
@@ -458,6 +481,48 @@ def test_gate_mix_is_the_column_select_scale_and_add_chain_byte_for_byte(
     assert not np.signbit(got[2]).any()
 
 
+# Gate logits at the edges of float64: signed zeros, a tie on the diagonal of
+# their pairs, gaps beyond 745 where exp underflows to exactly 0, +-709.8
+# where it nearly overflows, subnormals, huge values, +-inf and NaN
+GATE_EDGES = [0.0, -0.0, 1.0, -1.0, 2.5, 709.8, -709.8, 745.5, -745.5, 800.0, -800.0,
+              5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, np.inf, -np.inf, np.nan]
+NEG_NAN = np.copysign(np.nan, -1.0)
+
+
+def _one_by_one(f, *arrays):
+    """``f`` row by row, so numpy runs its one-element loops, not its vector ones."""
+    return np.concatenate([f(*(a[j:j + 1] for a in arrays)) for j in range(len(arrays[0]))])
+
+
+@pytest.mark.parametrize("rows", ["all_at_once", "one_by_one"])
+def test_gate_softmax_and_sigmoid_are_the_row_wise_and_masked_forms_byte_for_byte(rows):
+    """The column-by-column 2-wide softmax and its rule, and the sigmoid
+    without masks, give the reference's bytes on every pair of edge logits,
+    and the rule on every pair of edge gradients against every softmax row
+    the edges give. A NaN whose sign bit is set, in a logit's first column,
+    is the one exception: numpy's row max gives a +NaN of its own there, so
+    the NaN's sign may differ, and every entry stays NaN where the
+    reference's is and keeps its bytes elsewhere."""
+    run = (lambda f, *a: f(*a)) if rows == "all_at_once" else _one_by_one
+    pairs = np.array(list(itertools.product(GATE_EDGES, repeat=2)))
+    with np.errstate(all="ignore"):
+        s = softmax_rows_reference(pairs)
+        assert run(ad._softmax_pairs, pairs).tobytes() == s.tobytes()
+        assert {0.0, 0.5, 1.0} <= set(s.ravel()) and np.isnan(s).any()
+        # the rule against every softmax row, at once: 400 x 400 rows
+        s_all = np.repeat(s, len(pairs), axis=0) if rows == "all_at_once" else s
+        g_all = np.tile(pairs, (len(pairs), 1)) if rows == "all_at_once" else pairs[::-1]
+        assert run(ad._softmax_pairs_rule, s_all, g_all).tobytes() == \
+            softmax_rows_rule_reference(s_all, g_all).tobytes()
+        column = np.array(GATE_EDGES + [-v for v in GATE_EDGES] + [NEG_NAN])[:, None]
+        assert run(ad._sigmoid, column).tobytes() == sigmoid_masked(column).tobytes()
+
+        signed = np.array([[NEG_NAN, v] for v in GATE_EDGES] + [[v, NEG_NAN] for v in GATE_EDGES])
+        got, want = run(ad._softmax_pairs, signed), softmax_rows_reference(signed)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_every_op_has_a_gradient_check_case():
     """Each op of the engine, a public function annotated ``-> Var`` or, with
     several outputs, ``-> tuple[Var, ...]``, is probed by ``op_checks``, and
@@ -706,6 +771,8 @@ FUSION_CASES = {
     "segment_last_day": (2, 3, (2,), 5, 4, 3),       # only the final task is read
     "middle_task_unread": (2, 3, (0, 2), 5, 4, 3),
     "burst_d32": (2, 3, (0, 1, 2), 800, 160, 32),
+    "tied_logits": (2, 3, (0, 1, 2), 5, 4, 3),       # each gate's two columns alike
+    "gap_beyond_745": (2, 3, (0, 1, 2), 5, 4, 3),    # gate biases 800 apart
 }
 
 
@@ -722,6 +789,12 @@ def _fusion_inputs(case):
     parts = [ad.constant(signed()) for _ in range(n_parts)]
     layers = [[tuple(ad.constant(rng.normal(size=s)) for s in ((n_parts * d, m), (1, m)))
                for m in [d] + [2, d] * n_tasks] for _ in range(2)]
+    for c in layers:
+        for t, (w, b) in enumerate(c[1::2]):
+            if case == "tied_logits":          # every row's two logits equal: s = (0.5, 0.5)
+                w.value[:, 1], b.value[:, 1] = w.value[:, 0], b.value[:, 0]
+            elif case == "gap_beyond_745":     # exp of the lower logit minus the higher is 0
+                b.value[:] = [[400.0, -400.0]] if t % 2 else [[-400.0, 400.0]]
     return parts, layers, [signed() for _ in range(n_tasks)], signed()
 
 
@@ -735,8 +808,9 @@ def test_gated_fusion_is_the_generic_op_chain_byte_for_byte(case, checkpointed):
     tape. States and incoming gradients hold -0.0 entries and rows, and the
     first part also gets a gradient of its own, summed before fusion's. A
     task whose output nothing reads gives its layers no gradient, as in the
-    chain. It records 1 node, the chain one per block, concatenation, layer,
-    softmax, mix and join."""
+    chain. Two cases tie each gate's logits or set them 800 apart, so every
+    s is exactly (0.5, 0.5), or (1, 0) and (0, 1). It records 1 node, the
+    chain one per block, concatenation, layer, softmax, mix and join."""
     n_parts, n_tasks, read, n_u, _, _ = FUSION_CASES[case]
     parts, layers, gs, g_part = _fusion_inputs(case)
     leaves = [*parts, *(v for c in layers for layer in c for v in layer)]
@@ -759,10 +833,17 @@ def test_gated_fusion_is_the_generic_op_chain_byte_for_byte(case, checkpointed):
                                           + n_tasks)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     layer_grads = got[n_tasks + 1 + n_parts:]
+
+    def live(t, k):                # whether task t's gate (k < 2) or expert (k >= 2) gets one
+        if case != "gap_beyond_745":
+            return t in read
+        # s is (1, 0) on odd tasks, (0, 1) on even ones: no gate gradient, and an
+        # expert's only where its weight is 1
+        return t in read and k >= 2 and t % 2 == 1
     for c in range(2):             # per class the shared expert's, then a gate's and an expert's
         grads = layer_grads[c * len(layer_grads) // 2:(c + 1) * len(layer_grads) // 2]
         assert [bool(np.abs(g).max() > 0) for g in grads] == \
-            [True] * 2 + [t in read for t in range(n_tasks) for _ in range(4)]
+            [True] * 2 + [live(t, k) for t in range(n_tasks) for k in range(4)]
     assert all(np.abs(g).max() > 0 for g in got[n_tasks + 1:n_tasks + 1 + n_parts])
 
 

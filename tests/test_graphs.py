@@ -290,6 +290,25 @@ def test_views_are_the_coo_constructions_byte_for_byte(seed):
                 csr_bytes(reference_context(store, day, s))
 
 
+def edge_views():
+    """Views at the edges of the item order the normalization takes from
+    scipy's transpose kernel, each with int32 and with int64 index arrays: an
+    empty one; users without items interleaved with items without users; one
+    user with every item and one item with every user; a random history view."""
+    views = [((), (), (6, 5)),
+             ((0, 0, 2, 4, 4, 2), (1, 5, 3, 3, 1, 5), (6, 6)),
+             ((2, 2, 2, 2, 0, 1, 2, 3, 4), (0, 1, 2, 3, 1, 1, 1, 1, 1), (5, 4))]
+    history = random_log(7).history_biadjacency(40)
+    out = [reference_biadjacency(np.array(u, dtype=np.int64), np.array(i, dtype=np.int64), *shape)
+           for u, i, shape in views] + [history]
+    for b in list(out):
+        wide = b.copy()
+        wide.indices, wide.indptr = b.indices.astype(np.int64), b.indptr.astype(np.int64)
+        assert wide.has_canonical_format and wide.indices.dtype == np.int64
+        out.append(wide)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_operators_are_the_coo_constructions_byte_for_byte(seed):
     store = random_log(seed)
@@ -298,7 +317,7 @@ def test_operators_are_the_coo_constructions_byte_for_byte(seed):
     mats = [store.history_biadjacency(day) for day in range(0, 44, 5)]
     mats += [store.instant_biadjacency(day) for day in range(0, 44, 3)]
     mats += [sp.csr_matrix((0, 0)), sp.csr_matrix((3, 0)), sp.csr_matrix((0, 4)),
-             sp.csr_matrix((5, 4))]
+             sp.csr_matrix((5, 4)), *edge_views()]
     for b in mats:
         assert csr_bytes(normalize_adjacency(b, alpha0)) == \
             csr_bytes(reference_normalize(b, alpha0))

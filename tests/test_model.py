@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from cpmr import autodiff as ad
-from cpmr.errors import ConfigError, SequencingError
+from cpmr.errors import ConfigError, CpmrError, SequencingError
 from cpmr.graphs import EdgeStore, averaging_operators, normalize_adjacency
 from cpmr.model import CpmrModel, ModelConfig, TemporalStates, evolve
 import test_autodiff
@@ -465,6 +465,26 @@ def test_step_without_prediction_gives_the_same_states_byte_for_byte():
                 assert z_skip.value.tobytes() == z.value.tobytes()
             else:
                 assert z_skip is None
+
+
+def test_a_taped_step_without_prediction_raises_a_cpmr_error():
+    """Under a tape, ``predict=False`` leaves z None, which could take no
+    gradient: the day's checkpoint raises CpmrError naming that output and
+    records nothing, where it used to fail inside the tape with a TypeError.
+    Untaped, the same call runs; under wo_fusion z is a Var and the taped
+    call runs too."""
+    model, store = make_model(), toy_store()
+    states = model.init_states()
+    with ad.Tape() as tape:
+        with pytest.raises(CpmrError, match="output 0 of 3 is NoneType, not a Var"):
+            model.step(states, store, 2, predict=False)
+    assert tape.nodes == []
+    z, new = model.step(states, store, 2, predict=False)
+    assert z is None and new.day == 2
+    model = make_model(variant="wo_fusion")
+    with ad.Tape() as tape:
+        z, _ = model.step(model.init_states(), store, 2, predict=False)
+    assert isinstance(z, ad.Var) and len(tape.nodes) == 3
 
 
 def test_unknown_variant_rejected():
