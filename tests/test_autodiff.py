@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import os
+import sys
 import weakref
 
 import numpy as np
@@ -12,7 +14,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from cpmr import autodiff as ad
 from cpmr.errors import CpmrError, DataFormatError, NumericalError, ShapeError
-from cpmr.graphs import averaging_operators, normalize_adjacency
+from cpmr.data import canonicalize, k_core_filter, parse_interactions
+from cpmr.graphs import EdgeStore, averaging_operators, normalize_adjacency
 
 
 # The generic ops the fused ``gathered_linear``, ``info_nce``,
@@ -499,10 +502,7 @@ def test_gate_softmax_and_sigmoid_are_the_row_wise_and_masked_forms_byte_for_byt
     """The column-by-column 2-wide softmax and its rule, and the sigmoid
     without masks, give the reference's bytes on every pair of edge logits,
     and the rule on every pair of edge gradients against every softmax row
-    the edges give. A NaN whose sign bit is set, in a logit's first column,
-    is the one exception: numpy's row max gives a +NaN of its own there, so
-    the NaN's sign may differ, and every entry stays NaN where the
-    reference's is and keeps its bytes elsewhere."""
+    the edges give, NaNs whose sign bit is set included."""
     run = (lambda f, *a: f(*a)) if rows == "all_at_once" else _one_by_one
     pairs = np.array(list(itertools.product(GATE_EDGES, repeat=2)))
     with np.errstate(all="ignore"):
@@ -518,9 +518,7 @@ def test_gate_softmax_and_sigmoid_are_the_row_wise_and_masked_forms_byte_for_byt
         assert run(ad._sigmoid, column).tobytes() == sigmoid_masked(column).tobytes()
 
         signed = np.array([[NEG_NAN, v] for v in GATE_EDGES] + [[v, NEG_NAN] for v in GATE_EDGES])
-        got, want = run(ad._softmax_pairs, signed), softmax_rows_reference(signed)
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+        assert run(ad._softmax_pairs, signed).tobytes() == softmax_rows_reference(signed).tobytes()
 
 
 def test_every_op_has_a_gradient_check_case():
@@ -1077,7 +1075,8 @@ def test_spmm_matches_dense():
 
 
 # ---------------------------------------------------------------------------
-# graph_flow against the plain expressions it was first written as
+# graph_flow against the plain expressions it was first written as, and
+# against the step-matrix form it runs now
 
 
 def _reference_flow(x, e, s, n, tau, steps, order):
@@ -1110,6 +1109,31 @@ def _reference_flow_adjoint(g, e, s, n, tau, steps, order, kept):
     return g, g_e, g_s
 
 
+def _reference_step_flow(x, e, s, n, tau, steps, order):
+    """The forward of ``graph_flow`` as it runs: each iterate the affine term,
+    then the step matrix M = tau (N diag(s) - I), its columns sorted, times y
+    accumulated into it by scipy's kernel. (output, iterates)."""
+    inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
+    m = sp.csr_matrix(tau * (n @ sp.diags(s[:, 0])) - tau * sp.identity(n.shape[0]))
+    m.sort_indices()
+    cur, kept = x, []
+    for _ in range(steps):
+        y = cur * inv_fact[order]
+        for k in range(order - 1, -1, -1):
+            kept.append(y)
+            t = cur * inv_fact[k] + e * (tau * inv_fact[k + 1])
+            _sparsetools.csr_matvecs(*m.shape, y.shape[1], m.indptr, m.indices, m.data,
+                                     y.ravel(), t.ravel())
+            y = t
+        cur = y
+    return cur, kept
+
+
+def _normwise(got, want):
+    """max |got - want| / max |want|."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 def _flow_inputs(graph, seed):
     rng = np.random.default_rng(seed)
     if graph == "random":
@@ -1129,11 +1153,16 @@ def _flow_inputs(graph, seed):
 @pytest.mark.parametrize("order", [1, 3, 6])
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, steps):
+    """The forward is the step-matrix reference's bytes, untaped and taped,
+    and within 1e-13 normwise of the gate-then-subtract form it replaced; the
+    gradients are that form's transposed recurrence run on the step-matrix
+    iterates, byte for byte."""
     n, x, e, gate, g = _flow_inputs(graph, 100 * order + steps)
     assert graph == "normalized" or (n != n.T).nnz > 0
     tau = 0.37 / steps                   # graph_flow's dt / ceil(dt / tau_max)
-    want, kept = _reference_flow(x, e, gate, n, tau, steps, order)
+    want, kept = _reference_step_flow(x, e, gate, n, tau, steps, order)
     want_grads = _reference_flow_adjoint(g, e, gate, n, tau, steps, order, kept)
+    assert _normwise(want, _reference_flow(x, e, gate, n, tau, steps, order)[0]) <= 1e-13
 
     xv, ev, sv = ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(gate.copy())
     flow = functools.partial(ad.graph_flow, xv, ev, sv, n, 0.37, order, 0.4 / steps)
@@ -1149,18 +1178,17 @@ def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, step
 
 @pytest.mark.parametrize("order, steps", [(1, 1), (4, 1), (6, 3)])
 def test_graph_flow_forward_with_signed_zeros_inf_and_nan_is_the_reference(order, steps):
-    """The forward's gate product is an ``einsum``, which writes a -0.0
-    product as +0.0 and allocates no ufunc buffer. The product feeds only the
-    sparse kernel, which sums from +0.0, so the output keeps the reference's
-    bytes, untaped and taped, with -0.0, infinities and NaNs in the states
-    and the embeddings."""
+    """With -0.0, infinities and NaNs in the states and the embeddings the
+    forward keeps the step-matrix reference's bytes, untaped and taped, and
+    its infinities and NaNs are where the gate-then-subtract form has them."""
     n, x, e, gate, _ = _flow_inputs("random", 10 * order + steps)
     n = sp.csr_matrix(n.multiply(sp.random(12, 12, density=0.4, random_state=order)
                                  .astype(bool)))          # sparser: the NaNs reach few rows
     x[0, 0], x[1, 1], e[2, 2], x[3], e[3, 1] = np.inf, -np.inf, np.nan, -0.0, -0.0
     tau = 0.37 / steps
     with np.errstate(invalid="ignore", over="ignore"):
-        want, _ = _reference_flow(x, e, gate, n, tau, steps, order)
+        want, _ = _reference_step_flow(x, e, gate, n, tau, steps, order)
+        old, _ = _reference_flow(x, e, gate, n, tau, steps, order)
         args = (ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(gate.copy()), n, 0.37, order,
                 0.4 / steps)
         got = ad.graph_flow(*args).value
@@ -1168,6 +1196,97 @@ def test_graph_flow_forward_with_signed_zeros_inf_and_nan_is_the_reference(order
             taped = ad.graph_flow(*args).value
     assert got.tobytes() == want.tobytes() and taped.tobytes() == want.tobytes()
     assert np.isnan(want).any() and np.isfinite(want).any()      # inf - inf is NaN
+    assert np.array_equal(np.isnan(want), np.isnan(old))
+    assert np.array_equal(np.isinf(want), np.isinf(old))
+
+
+def _awkward_operator(case, index_dtype):
+    """A 12 x 12 operator as ``normalize_adjacency`` never makes one."""
+    rng = np.random.default_rng(list(AWKWARD).index(case))
+    dense = rng.normal(scale=0.3, size=(12, 12)) * (rng.random((12, 12)) < 0.4)
+    np.fill_diagonal(dense, rng.normal(scale=0.3, size=12))
+    if case == "missing_diagonal":
+        dense[[0, 3, 4, 11], [0, 3, 4, 11]] = 0.0
+    n = sp.csr_matrix(dense)
+    if case == "stored_zeros":                 # a stored 0.0 off and on the diagonal
+        n.data[::3] = 0.0
+        n.data[n.indptr[5]] = 0.0
+    elif case in ("duplicates", "unsorted"):
+        rows = np.repeat(np.arange(12), np.diff(n.indptr))
+        if case == "duplicates":               # every entry stored twice, its parts adding up
+            part = n.data * rng.uniform(0.2, 0.8, n.nnz)
+            coo = (np.concatenate([part, n.data - part]),
+                   (np.tile(rows, 2), np.tile(n.indices, 2)))
+        else:                                  # each row's columns descending
+            coo = (n.data[::-1], (rows[::-1], n.indices[::-1]))
+        order = np.argsort(coo[1][0], kind="stable")
+        n = sp.csr_matrix((coo[0][order], coo[1][1][order],
+                           np.concatenate([[0], np.cumsum(np.bincount(coo[1][0], minlength=12))])),
+                          shape=(12, 12))
+    elif case == "csc":
+        n = n.tocsc()
+    n.indptr, n.indices = n.indptr.astype(index_dtype), n.indices.astype(index_dtype)
+    return n
+
+
+AWKWARD = {"missing_diagonal": "csr", "stored_zeros": "csr", "duplicates": "csr",
+           "unsorted": "csr", "csc": "csc"}
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("case", list(AWKWARD))
+def test_graph_flow_on_awkward_operators_is_within_the_tolerance_and_leaves_n_alone(
+        case, index_dtype):
+    """Rows without a stored diagonal, stored zeros, duplicates, unsorted
+    columns, either index dtype and a CSC operand: the step matrix is built
+    from a canonical copy, so the forward is within 1e-13 normwise of the
+    gate-then-subtract form and the operator's arrays keep their bytes
+    through a taped forward and its backward."""
+    n = _awkward_operator(case, index_dtype)
+    assert n.format == AWKWARD[case] and n.indices.dtype == index_dtype
+    if case in ("duplicates", "unsorted"):
+        assert not n.has_canonical_format
+    elif case == "missing_diagonal":
+        assert np.count_nonzero(n.diagonal()) == 8
+    elif case == "stored_zeros":
+        assert np.count_nonzero(n.data == 0.0) > 1
+    arrays = [a.copy() for a in (n.data, n.indices, n.indptr)]
+    _, x, e, gate, g = _flow_inputs("random", 7)
+    want, _ = _reference_flow(x, e, gate, n, 0.37 / 3, 3, 6)
+    xv, ev, sv = ad.Var(x), ad.Var(e), ad.Var(gate)
+    with ad.Tape() as tape:
+        out = ad.graph_flow(xv, ev, sv, n, 0.37, 6, 0.125)
+        loss = sum_all(hadamard(out, ad.constant(g)))
+    assert _normwise(out.value, want) <= 1e-13
+    ad.backward(loss, tape, params=[xv, ev, sv])
+    for old, now in zip(arrays, (n.data, n.indices, n.indptr)):
+        assert now.dtype == old.dtype and now.tobytes() == old.tobytes()
+
+
+def test_graph_flow_at_the_benchmark_shapes_is_within_the_tolerance():
+    """On the last history view of each benchmark workload's log, at its d,
+    its one-day gap and order 6, the forward is the step-matrix reference's
+    bytes and within 1e-13 normwise of the gate-then-subtract form."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "benchmarks"))
+    try:
+        from workloads import WORKLOADS, generate
+    finally:
+        sys.path.remove(os.path.join(root, "benchmarks"))
+    for w in WORKLOADS.values():
+        raw, _ = generate(w, 0)
+        ds = canonicalize(k_core_filter(parse_interactions(raw, "amazon_csv"), 5))
+        n = normalize_adjacency(EdgeStore.from_dataset(ds).history_biadjacency(ds.days.max()))
+        rng = np.random.default_rng(w.salt)
+        x, e = rng.normal(size=(n.shape[0], w.d)), rng.normal(size=(n.shape[0], w.d))
+        gate = ad._sigmoid(rng.normal(scale=1.5, size=(n.shape[0], 1)))
+        dt = w.time_scale / (w.n_days - 1)                    # a one-day gap
+        steps = math.ceil(dt / 0.125)
+        assert steps == max(1, w.substeps)
+        got = ad.graph_flow(ad.Var(x), ad.Var(e), ad.Var(gate), n, dt, 6, 0.125).value
+        want, _ = _reference_step_flow(x, e, gate, n, dt / steps, steps, 6)
+        assert got.tobytes() == want.tobytes()
+        assert _normwise(got, _reference_flow(x, e, gate, n, dt / steps, steps, 6)[0]) <= 1e-13
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])

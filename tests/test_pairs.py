@@ -4,6 +4,7 @@ canned result lines and run no benchmark."""
 import json
 import os
 import sys
+import types
 
 import pytest
 
@@ -88,3 +89,44 @@ def test_summary_of_canned_runs(pairs):
     assert out[9:] == ["== longtail-d32: 1 pairs; base attempted 90, failed 0; "
                        "change attempted 0, failed 0; change run 0: no result"] + \
         [f"   {m['name']}: no complete pair" for m in SPEC["end_to_end"]]
+
+
+def test_json_record_of_canned_runs_is_appended(pairs, tmp_path, monkeypatch):
+    """``--json`` appends one record: revs, host, settings and, per workload
+    and metric, both medians and quartiles, every pair, pairs won and the
+    verdict, the numbers the report's lines print."""
+    base = [json.loads(line(0.2 + 0.001 * (i % 3))) for i in range(10)]
+    change = [json.loads(line(0.18 + 0.001 * (i % 3), rss=88.6 * 1.1)) for i in range(10)]
+    runs = {"burst-d32": list(zip(base, change))}
+    record = pairs.compare(SPEC, runs)["burst-d32"]
+    assert record["pairs"] == 10 and record["change"] == {
+        "attempted": 900, "failed": 0, "no_result": [], "not_correct": []}
+    replay = record["metrics"]["test_replay_s"]
+    assert replay["base_median"] == pytest.approx(0.201)
+    assert replay["change_quartiles"] == pytest.approx([0.18, 0.18175])
+    assert replay["pairs"][1] == [0.201, 0.181] and replay["won"] == 10
+    assert replay["verdict"] == "gain" and record["metrics"]["peak_rss_mb"]["verdict"] == "worse"
+
+    def bench(tree, name, seconds, seed):
+        return (base if tree != pairs.ROOT else change)[0]
+
+    def git(*args, cwd=None):                 # no worktree: HEAD is the base, tree unchanged
+        return "ab" * 20 + "\n" if args[0] == "rev-parse" else ""
+    monkeypatch.setattr(pairs, "bench", bench)
+    monkeypatch.setattr(pairs, "harness_differs", lambda rev: False)
+    monkeypatch.setattr(pairs, "git", git)
+    monkeypatch.setattr(pairs, "subprocess", types.SimpleNamespace(run=lambda *a, **k: None,
+                                                                   DEVNULL=None))
+    monkeypatch.setattr(pairs.signal, "signal", lambda *a: None)
+    path = tmp_path / "BENCH.json"
+    path.write_text("[]")
+    for _ in range(2):
+        assert pairs.main(["--base", "HEAD", "--pairs", "2", "--workload", "burst-d32",
+                           "--seconds", "5", "--json", str(path)]) == 0
+    records = json.loads(path.read_text())
+    assert len(records) == 2
+    rec = records[0]
+    assert rec["base"] == rec["change"] == "ab" * 20
+    assert rec["host"]["nproc"] >= 1 and (rec["seed"], rec["seconds"], rec["pairs"]) == (0, 5, 2)
+    metric = rec["workloads"]["burst-d32"]["metrics"]["test_replay_s"]
+    assert metric["pairs"] == [[0.2, 0.18], [0.2, 0.18]] and metric["won"] == 2

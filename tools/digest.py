@@ -1,6 +1,6 @@
 """One sha1 per training run: the bit-identity check of a change that must not move numbers.
 
-    python3 tools/digest.py
+    python3 tools/digest.py [--save DIR] [--against DIR]
 
 Run from the root of a source checkout: ``cpmr`` is imported from its ``src/``
 and the workload shapes from ``benchmarks/workloads.py``, which this script
@@ -12,19 +12,30 @@ prints one line: the workload, the variant and the sha1 of every parameter
 tensor, segment loss, validation MRR and test MRR and Recall@10. Two trees
 give the same lines if and only if (up to sha1 collisions) those bytes agree.
 BLAS runs on one thread, as in the benchmark.
+
+For a change that moves the last bits on purpose, ``--save DIR`` writes each
+run's arrays to ``DIR/<workload>-<variant>.npz``, and ``--against DIR``
+prints after each sha1 line how far the run is from the one saved there: the
+largest per-tensor parameter drift, max|new - ref| / max|ref|; the largest
+relative segment-loss difference; and whether every validation MRR, test MRR
+and Recall@10 is bit-equal.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PARAM = "param."     # the prefix of a parameter's array name
 
 
 def run(w, variant, seed=0):
-    """The sha1 of one run, plus its test MRRs unfiltered and filtered."""
+    """One run's arrays: each parameter as ``param.<name>``, in name order;
+    ``segment_losses``; ``val_mrrs``; and ``test``, the test MRR and Recall@10
+    with the filter off, then on."""
     import numpy as np
     from cpmr import data
     from cpmr.evaluation import incremental_eval
@@ -38,20 +49,66 @@ def run(w, variant, seed=0):
     tcfg = TrainConfig(lr=w.lr, n_tbptt=w.n_tbptt, n_neg=N_NEG, max_epochs=EPOCHS,
                        patience=EPOCHS, seed=seed)
     model, hist = train(ds, mcfg, tcfg)
+    arrays = {PARAM + name: p.value for name, p in sorted(model.params.items())}
+    arrays["segment_losses"] = np.array([s.mean_loss for s in hist["segments"]])
+    arrays["val_mrrs"] = np.array([e["val_mrr"] for e in hist["epochs"]])
+    reports = [incremental_eval(ds, model, split="test", seed=seed, filter_interacted=filtered)
+               for filtered in (False, True)]
+    arrays["test"] = np.array([[r.mrr, r.recall_at_10] for r in reports])
+    return arrays
+
+
+def digest(arrays):
+    """The sha1 of a run's arrays: each parameter's name and bytes, then the
+    segment losses, the validation MRRs and the test metrics."""
     h = hashlib.sha1()
-    for name, p in sorted(model.params.items()):
-        h.update(name.encode() + p.value.tobytes())
-    h.update(np.array([s.mean_loss for s in hist["segments"]]).tobytes())
-    h.update(np.array([e["val_mrr"] for e in hist["epochs"]]).tobytes())
-    mrrs = []
-    for filtered in (False, True):
-        report = incremental_eval(ds, model, split="test", seed=seed, filter_interacted=filtered)
-        h.update(np.array([report.mrr, report.recall_at_10]).tobytes())
-        mrrs.append(report.mrr)
-    return h.hexdigest(), mrrs
+    for key, value in arrays.items():
+        if key.startswith(PARAM):
+            h.update(key[len(PARAM):].encode() + value.tobytes())
+    for key in ("segment_losses", "val_mrrs", "test"):
+        h.update(arrays[key].tobytes())
+    return h.hexdigest()
 
 
-def main():
+def drift(ref, new):
+    """(largest per-tensor parameter drift, largest relative segment-loss
+    difference, whether every MRR and Recall is bit-equal) of ``new`` against
+    ``ref``. Runs with other parameter names or shapes raise ``ValueError``."""
+    import numpy as np
+    names = sorted(k for k in ref if k.startswith(PARAM))
+    if names != sorted(k for k in new if k.startswith(PARAM)) or any(
+            ref[k].shape != new[k].shape for k in (*names, "segment_losses", "val_mrrs", "test")):
+        raise ValueError("the runs hold other parameters or other numbers of metrics")
+
+    def relative(a, b, scale):
+        gap = np.abs(b - a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.max(np.where(gap == 0, 0.0, gap / scale), initial=0.0))
+    params = max((relative(ref[k], new[k], np.abs(ref[k]).max(initial=0.0)) for k in names),
+                 default=0.0)
+    losses = relative(ref["segment_losses"], new["segment_losses"],
+                      np.abs(ref["segment_losses"]))
+    equal = all(ref[k].tobytes() == new[k].tobytes() for k in ("val_mrrs", "test"))
+    return params, losses, equal
+
+
+def save(directory, name, arrays):
+    import numpy as np
+    os.makedirs(directory, exist_ok=True)
+    np.savez(os.path.join(directory, name + ".npz"), **arrays)
+
+
+def load(directory, name):
+    import numpy as np
+    with np.load(os.path.join(directory, name + ".npz")) as f:
+        return {k: f[k] for k in f.files}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--save", metavar="DIR", help="write each run's arrays to DIR")
+    p.add_argument("--against", metavar="DIR", help="compare each run with the one saved in DIR")
+    args = p.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"          # before numpy loads
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
@@ -61,9 +118,16 @@ def main():
     runs = [(name, "full") for name in WORKLOADS]
     runs += [("longtail-d32", v) for v in VARIANTS if v != "full"]
     for name, variant in runs:
-        digest, (mrr, mrr_filtered) = run(WORKLOADS[name], variant)
-        print(f"{name:14s} {variant:10s} {digest}  test MRR {mrr:.6f}, filtered "
+        arrays = run(WORKLOADS[name], variant)
+        (mrr, _), (mrr_filtered, _) = arrays["test"]
+        print(f"{name:14s} {variant:10s} {digest(arrays)}  test MRR {mrr:.6f}, filtered "
               f"{mrr_filtered:.6f}", flush=True)
+        if args.save:
+            save(args.save, f"{name}-{variant}", arrays)
+        if args.against:
+            params, losses, equal = drift(load(args.against, f"{name}-{variant}"), arrays)
+            print(f"{'':25s} parameter drift {params:.2e}, segment losses {losses:.2e}, "
+                  f"MRR and Recall {'bit-equal' if equal else 'DIFFER'}", flush=True)
     return 0
 
 
