@@ -9,8 +9,8 @@ numpy forward computations, which is the no-grad path used during evaluation.
 The ops are the model's: ``add``, ``scale`` and ``sigmoid``, the evolution
 ``graph_flow``, the fusion block ``gated_fusion``, the jump
 ``instant_update``, and the head's ``gathered_linear`` and ``info_nce``.
-:func:`backward` runs a tape from a 1x1 loss; :func:`grad_check` runs it from
-fixed weights on each output of the function it checks.
+:func:`backward` runs a tape from a 1x1 loss or the mean of several;
+:func:`grad_check` runs it from fixed weights on each output it checks.
 
 An op with several outputs (``gated_fusion``, one per task) records their
 handles as one :class:`_Outputs` node. Its rule takes one gradient per
@@ -160,16 +160,21 @@ def _run(tape, fn, *args):
         _ACTIVE_TAPE = outer
 
 
-def checkpoint(fn, *inputs: Var):
+def checkpoint(fn, *inputs: Var, forward=None):
     """``fn(*inputs)``, a tuple of Vars, run with no tape; under a tape, one node.
 
     ``fn`` must be pure: on the same input values it runs the same ops to the
     same bytes. The node keeps only the inputs' arrays, which must not be
     mutated before ``backward`` replays ``fn`` on them. Under a tape, an
     output that is not a Var raises ``CpmrError``: it could take no gradient.
+    Under a tape ``forward``, if given, runs in ``fn``'s place and gives None
+    for an output only the backward needs, such as a loss: a 1 x 1 Var, NaN
+    until the replay fills in its value.
     """
-    outs = _run(None, fn, *inputs)
+    outs = _run(None, forward if forward and _ACTIVE_TAPE is not None else fn, *inputs)
     if _ACTIVE_TAPE is not None:
+        holes = {j: Var([[np.nan]]) for j, o in enumerate(outs) if forward and o is None}
+        outs = tuple(holes.get(j, out) for j, out in enumerate(outs))
         bad = next((j for j, out in enumerate(outs) if not isinstance(out, Var)), None)
         if bad is not None:
             raise CpmrError(f"checkpoint: output {bad} of {len(outs)} is "
@@ -181,7 +186,10 @@ def checkpoint(fn, *inputs: Var):
                 var._node = node
             tape = Tape()
             tape.nodes = nodes
-            return _run(tape, fn, *again)
+            again = _run(tape, fn, *again)
+            for j, hole in holes.items():
+                hole.value = again[j].value
+            return again
         _ACTIVE_TAPE.nodes.append((_Replay(map(_node, outs)), (tuple(map(_node, inputs)), replay)))
     return outs
 
@@ -601,11 +609,15 @@ def _product_into(n, x, out):
 # backward pass
 
 
-def backward(loss: Var, tape: Tape, params=None):
-    """Run the tape in reverse from a 1x1 loss; see :func:`_backward`."""
-    if loss.value.shape != (1, 1):
-        raise ShapeError(f"loss must be 1x1, got {loss.value.shape}")
-    return _backward([(loss, np.ones((1, 1)))], tape, params)
+def backward(loss, tape: Tape, params=None):
+    """Run the tape in reverse from a 1x1 loss, or from the mean of a list of them.
+
+    Each of L losses is seeded with 1/L, the gradient ``scale(add(...), 1/L)`` gives it.
+    """
+    losses = loss if isinstance(loss, list) else [loss]
+    if any(v.value.shape != (1, 1) for v in losses):
+        raise ShapeError(f"loss must be 1x1, got {[v.value.shape for v in losses]}")
+    return _backward([(v, np.full((1, 1), 1.0 / len(losses))) for v in losses], tape, params)
 
 
 def _backward(seeds, tape, params):

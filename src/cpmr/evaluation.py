@@ -1,10 +1,10 @@
 """Frozen-parameter incremental evaluation and sweeps.
 
 Evaluation replays the recurrence over the full timeline with gradients
-off: states are advanced through every pre-split day, then each split day
-is scored with the fused representation computed before that day's
-interactions are applied (no leakage of the instant graph into its own
-predictions).
+off: states are advanced through every pre-split day, then all events of
+a split day are ranked in one pass, from the fused representation computed
+before that day's interactions are applied (no leakage of the instant
+graph into its own predictions).
 """
 
 from __future__ import annotations
@@ -44,17 +44,19 @@ class MetricsReport:
 def rank_from_scores(scores, target):
     """Rank of ``target`` among all scores: average-tie rank, rounded up.
 
-    A NaN or +inf score raises ``NumericalError``: every comparison with NaN
-    is False, so a NaN target would rank first. -inf is legal; it marks an
-    item left out of the ranking.
+    ``scores`` is one row and ``target`` an item, or (b, n) and b targets for
+    b ranks. A NaN or +inf score raises ``NumericalError`` naming its row:
+    every comparison with NaN is False, so a NaN target would rank first.
+    -inf is legal; it marks an item left out of the ranking.
     """
-    if not (scores < np.inf).all():
-        raise NumericalError("non-finite item scores; the parameters or states "
-                             "have diverged")
-    s = scores[target]
-    higher = int(np.sum(scores > s))
-    ties = int(np.sum(scores == s)) - 1     # other items with the exact score
-    return 1 + higher + (ties + 1) // 2
+    rows = np.atleast_2d(scores)
+    bad = ~(rows < np.inf).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"non-finite item scores in row {int(bad.argmax())}; the "
+                             "parameters or states have diverged")
+    s = rows[np.arange(len(rows)), np.atleast_1d(target)][:, None]
+    ranks = 1 + np.sum(rows > s, axis=1) + np.sum(rows == s, axis=1) // 2   # == has the target
+    return ranks if np.ndim(scores) == 2 else int(ranks[0])
 
 
 def mrr(records):
@@ -73,8 +75,9 @@ def _replay_days(model, states, store, days, collect=False, history=None):
     """Advance states over ``days``; optionally rank every event.
 
     Without ``collect`` nothing is scored, so the steps skip the prediction
-    task of fusion. With a ``history``, each user's past items other than
-    the target are left out of the ranking, and each scored day is added.
+    task of fusion. A scored day's b events are ranked in one (b x n_items)
+    score product. With a ``history``, each user's past items other than the
+    target are left out of its row, and each scored day is added.
     """
     records = []
     for day in days:
@@ -82,18 +85,18 @@ def _replay_days(model, states, store, days, collect=False, history=None):
         z, states = model.step(states, store, day, predict=collect)
         if collect:
             users, items = store.instant_edges(day)
-            q_all = model.item_repr(z, np.arange(model.n_items)).value
-            for u, i in zip(users, items):
-                p = model.user_repr(z, [int(u)]).value[0]
-                scores = q_all @ p
-                if history is not None:
-                    seen = [j for j in history.by_user[u] if j != i]
-                    scores[seen] = -np.inf
-                try:
-                    rank = rank_from_scores(scores, int(i))
-                except NumericalError as err:
-                    raise NumericalError(f"day {day}, user {int(u)}: {err}") from None
-                records.append(RankRecord(int(u), day, int(i), rank))
+            scores = (model.user_repr(z, users).value
+                      @ model.item_repr(z, np.arange(model.n_items)).value.T)
+            if history is not None:
+                for row, (u, i) in enumerate(zip(users, items)):
+                    scores[row, [j for j in history.by_user[u] if j != i]] = -np.inf
+            try:
+                ranks = rank_from_scores(scores, items)
+            except NumericalError as err:
+                row = int(np.argmin((scores < np.inf).all(axis=1)))
+                raise NumericalError(f"day {day}, user {int(users[row])}: {err}") from None
+            records += map(RankRecord, users.tolist(), [day] * len(users), items.tolist(),
+                           ranks.tolist())
             if history is not None:
                 history.add_day(users, items)
     return states, records

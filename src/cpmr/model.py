@@ -216,7 +216,9 @@ class CpmrModel:
         itself, a pure function of the states, runs through ``ad.checkpoint``,
         one tape node under a tape and a plain call without one. Given
         ``score``, the day returns ``score(z)``, computed after the jumps, in
-        place of z, so a training day's loss is part of its checkpoint.
+        place of z, so a training day's loss is part of its checkpoint. Under
+        a tape the forward runs as a ``predict=False`` day, and the loss is a
+        1 x 1 NaN until the day's replay in ``backward`` computes it.
         """
         cfg = self.config
         if day_k < states.day:
@@ -227,19 +229,20 @@ class CpmrModel:
                 for sc in cfg.scenarios]
         ops = averaging_operators(store.instant_biadjacency(day_k))
 
-        def advance(*xs):
+        def advance(*xs, loss=True):
             minus = {sc: self.evolve_states(x, n, sc, dt)
                      for sc, x, n in zip(cfg.scenarios, xs, nadj)}
             if cfg.variant == "wo_fusion":
                 z = functools.reduce(ad.add, minus.values())
                 fused = dict.fromkeys(minus, z)
             else:
-                fused, z = self.fuse(minus, predict=predict)
+                fused, z = self.fuse(minus, predict=predict and loss)
             del minus                   # the evolved states are dead once fused
             new = [self.update_instant(x, ops, sc) for sc, x in fused.items()]
             del fused                   # and the fused states before the loss runs
-            return (z if score is None else score(z), *new)
-        z, *new = ad.checkpoint(advance, *states.x.values())
+            return (z if score is None else score(z) if loss else None, *new)
+        forward = None if score is None else functools.partial(advance, loss=False)
+        z, *new = ad.checkpoint(advance, *states.x.values(), forward=forward)
         return z, TemporalStates(dict(zip(states.x, new)), day_k)
 
     # -- prediction ---------------------------------------------------------

@@ -3,7 +3,8 @@
 Each epoch resets the temporal states to the static embeddings and walks
 the training days in order. Day losses accumulate for ``n_tbptt``
 interaction days, then their mean is backpropagated, Adam applied, and the
-states detached so gradients never cross segment boundaries.
+states detached so gradients never cross segment boundaries. A day's head
+and loss run once, in its replay inside ``backward``.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def _train_day(model, store, states, day, history, n_neg, rng):
 
     The day's negatives are drawn first, so the day that ``model.step``
     checkpoints, the recurrence plus its ``batch_loss``, draws nothing;
-    ``backward`` replays it from the day's input states. Then ``history``
-    takes the day.
+    ``backward`` replays it from the day's input states, and fills in the
+    loss, NaN until then. Then ``history`` takes the day.
     """
     users, items = store.instant_edges(day)
     neg_u = np.empty((len(users), n_neg), dtype=np.int64)
@@ -223,23 +224,24 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
             seg_losses = []
             for day in seg_days:
                 loss, states = _train_day(model, store, states, day, history, cfg.n_neg, rng)
-                if not np.isfinite(loss.value[0, 0]):
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch} day {day} (segment days "
-                        f"{seg_days[:len(seg_losses) + 1]}, lr {lr})")
                 for sc, x in states.x.items():
                     if not np.isfinite(x.value).all():
                         raise NumericalError(f"non-finite {sc} states at epoch {epoch} day "
-                                             f"{day} (loss {loss.value[0, 0]:.6g}, lr {lr})")
+                                             f"{day} (lr {lr})")
                 seg_losses.append(loss)
-                day_losses.append(float(loss.value[0, 0]))
-            total = ad.scale(functools.reduce(ad.add, seg_losses), 1.0 / len(seg_losses))
-            grads = ad.backward(total, tape, params=model.params.values())
+            grads = ad.backward(seg_losses, tape, params=model.params.values())
+            values = [float(loss.value[0, 0]) for loss in seg_losses]    # filled in by the replays
+            bad = next((j for j, v in enumerate(values) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise NumericalError(f"non-finite loss at epoch {epoch} day {seg_days[bad]} "
+                                     f"(segment days {seg_days[:bad + 1]}, lr {lr})")
             named = {name: grads[var] for name, var in model.params.items()}
             ad.adam_step(model.params, named, lr, cfg.weight_decay, opt)
             del grads, named      # parameter-sized: free them before the next segment
+        day_losses += values
         rec = SegmentRecord(epoch, seg_days[0], seg_days[-1], len(seg_days),
-                            float(total.value[0, 0]), lr, time.monotonic() - t0)
+                            functools.reduce(lambda a, b: a + b, values) * (1.0 / len(values)), lr,
+                            time.monotonic() - t0)
         segments.append(rec)
         if log_fh:
             log_fh.write(json.dumps(asdict(rec)) + "\n")

@@ -42,8 +42,10 @@ def test_criterion_1_garden_reproduction():
     if not path:
         LINES.append(
             "ACCEPTANCE CRITERION 1 SKIP: end-to-end reproduction needs the "
-            "raw Lawn-and-Garden review CSV (set CPMR_GARDEN_CSV) and "
-            "~2h/seed of CPU; not available in this environment")
+            "raw Lawn-and-Garden review CSV (set CPMR_GARDEN_CSV) and hours of "
+            "CPU per seed (projected from about 3 min per epoch with validation "
+            "at the criterion-1 shape: about 46 min at 15 epochs, about 2.5 h "
+            "at the 50-epoch cap); not available in this environment")
         pytest.skip("CPMR_GARDEN_CSV not set: raw public dataset unavailable "
                     "in this sandbox and the 3-seed d=128 run needs hours of CPU")
     with open(path, "rb") as fh:

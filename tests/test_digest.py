@@ -4,6 +4,7 @@ canned arrays and train nothing."""
 import hashlib
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -76,3 +77,55 @@ def test_drift_refuses_runs_of_other_shapes(digest):
     new["val_mrrs"] = np.array([0.1])
     with pytest.raises(ValueError):
         digest.drift(ref, new)
+
+
+RUNS = ["burst-d32-full", "longtail-d32-full", "stretch-d128-full", "longtail-d32-wo_ctx",
+        "longtail-d32-wo_his", "longtail-d32-wo_fusion"]
+
+
+def test_base_saves_revs_runs_in_a_worktree_and_prints_the_drift_against_them(
+        digest, monkeypatch, capsys):
+    """``--base REV`` runs a copy of the script with ``--save`` in a temporary
+    ``git worktree`` of REV, removes the worktree, and prints each run's line
+    with its drift against REV's run. Stubbed: no git, no training."""
+    calls, runs = [], []
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        calls.append(cmd)
+        if cmd[:3] == ["git", "worktree", "add"]:
+            os.makedirs(os.path.join(cmd[-2], "tools"))
+        elif cmd[0] == sys.executable:                   # REV's runs, the same arrays
+            assert os.path.isfile(cmd[1]) and cmd[2] == "--save"
+            for name in RUNS:
+                digest.save(cmd[3], name, canned())
+
+    def trained(w, variant):
+        runs.append(variant)
+        arrays = canned()
+        if variant == "wo_his":
+            arrays["test"][0, 0] += 0.01
+        return arrays
+
+    monkeypatch.setattr(digest, "subprocess", types.SimpleNamespace(run=fake_run, DEVNULL=None))
+    monkeypatch.setattr(digest, "run", trained)
+    monkeypatch.setattr(digest.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert digest.main(["--base", "abc123"]) == 0
+    add, script, remove, prune = calls
+    tree = add[-2]
+    assert add[-1] == "abc123" and script[1] == os.path.join(tree, "tools", "digest.py")
+    assert remove[:4] == ["git", "worktree", "remove", "--force"] and remove[-1] == tree
+    assert prune == ["git", "worktree", "prune"] and not os.path.exists(tree)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 * len(runs) == 12
+    assert out[0].startswith("burst-d32      full       " + digest.digest(canned()))
+    drifts = out[1::2]
+    assert drifts.count(" " * 26 + "parameter drift 0.00e+00, segment losses 0.00e+00, "
+                        "MRR and Recall bit-equal") == 5
+    assert drifts[runs.index("wo_his")].endswith("MRR and Recall DIFFER")
+
+
+def test_base_and_against_exclude_each_other(digest, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        digest.main(["--base", "HEAD", "--against", "somewhere"])
+    assert exit_info.value.code == 2

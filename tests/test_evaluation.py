@@ -43,6 +43,25 @@ def test_rank_rejects_nan_and_plus_inf_but_not_minus_inf():
     assert rank_from_scores(np.array([-np.inf, 1.0, 3.0]), 1) == 2   # a left-out item
 
 
+def test_batched_ranks_equal_the_ranks_of_each_row():
+    """A (b x n) matrix and b targets give the b ranks that b calls on its
+    rows give, with exact ties and -inf left-out items; a row with NaN or
+    +inf raises, naming the first such row."""
+    rng = np.random.default_rng(7)
+    scores = rng.integers(0, 4, size=(40, 9)).astype(float)     # many exact ties
+    scores[rng.random(scores.shape) < 0.2] = -np.inf
+    targets = rng.integers(0, 9, size=40)
+    scores[np.arange(40), targets] = rng.integers(0, 4, size=40)
+    got = rank_from_scores(scores, targets)
+    assert got.tolist() == [rank_from_scores(row, int(t)) for row, t in zip(scores, targets)]
+    assert rank_from_scores(scores[:1], targets[:1]).tolist() == [got[0]]
+    for bad in (np.nan, np.inf):
+        poisoned = scores.copy()
+        poisoned[[3, 17], [5, 0]] = bad
+        with pytest.raises(NumericalError, match="non-finite item scores in row 3;"):
+            rank_from_scores(poisoned, targets)
+
+
 def recs(ranks):
     return [RankRecord(0, 0, 0, r) for r in ranks]
 
@@ -122,6 +141,41 @@ def test_incremental_eval_matches_manual_replay():
         assert report.mrr == pytest.approx(np.mean([1 / r for r in records]), abs=1e-12)
         assert report.recall_at_10 == pytest.approx(
             np.mean([r <= 10 for r in records]), abs=1e-12)
+
+
+def test_incremental_eval_ranks_items_of_identical_representation_as_the_manual_replay():
+    """Item "twin" meets the same users on the same days as item "i0" and
+    starts from the same embedding, so the two have one representation and
+    tie exactly in every score. A scored day ranks its events in one score
+    product; its ranks, ties included, are the per-event ranks of
+    ``_manual_ranks``, with the filter off and on."""
+    rng = np.random.default_rng(6)
+    events = [RawEvent("u0", "i0", 0), RawEvent("u0", "twin", 0)]    # item ids 0 and 1
+    for day in range(1, 30):
+        for _ in range(4):
+            u, i = f"u{rng.integers(6)}", f"i{rng.integers(6)}"
+            events.append(RawEvent(u, i, day * SECONDS_PER_DAY))
+            if i == "i0":
+                events.append(RawEvent(u, "twin", day * SECONDS_PER_DAY))
+    ds = canonicalize(events)
+    model = fresh_model(ds)
+    i0, twin = 0, 1
+    embed = model.params["embed"].value
+    embed[ds.n_users + twin] = embed[ds.n_users + i0]
+    test_items = ds.item_ids[ds.split_slice("test")]
+    assert {i0, twin} <= set(test_items.tolist())
+    store, states = EdgeStore.from_dataset(ds), model.init_states()
+    for day in np.unique(ds.days[:ds.split[1]]).tolist():
+        _, states = model.step(states, store, int(day), predict=False)
+    z, _ = model.step(states, store, int(ds.days[ds.split[1]]))
+    q = model.item_repr(z, [i0, twin]).value
+    assert q[0].tobytes() == q[1].tobytes()
+    for flag in (False, True):
+        want = _manual_ranks(ds, model, flag)
+        report = incremental_eval(ds, model, split="test", filter_interacted=flag)
+        assert report.n_events == len(want)
+        assert report.mrr == np.mean([1 / r for r in want])
+        assert report.recall_at_10 == np.mean([r <= 10 for r in want])
 
 
 def test_incremental_eval_builds_the_prediction_task_on_scored_days_only(monkeypatch):

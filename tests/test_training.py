@@ -303,8 +303,31 @@ def test_non_finite_state_with_finite_loss_raises(monkeypatch):
     monkeypatch.setattr(tr, "batch_loss", recorded)
     with pytest.raises(NumericalError, match="non-finite his states at epoch 0 day 4"):
         train(ds, ModelConfig(**{**SMALL_MODEL, "s_days": 1}), quick_cfg(max_epochs=1))
-    # days 0-4, then days 0-3 again in the replays of their segment's backward
-    assert len(losses) == 5 + 4 and all(np.isfinite(l.value[0, 0]) for l in losses)
+    # days 0-3 in the replays of their segment's backward; a taped forward scores nothing
+    assert len(losses) == 4 and all(np.isfinite(l.value[0, 0]) for l in losses)
+
+
+def test_a_nan_replayed_loss_raises_before_any_adam_step(monkeypatch):
+    """A NaN head bias leaves the states finite and makes every loss NaN.
+    The losses are known only once ``backward`` has replayed the segment's
+    days; the first NaN one raises, naming its day, before Adam moves a
+    parameter."""
+    import cpmr.training as tr
+    models, before = [], []
+
+    class NanHead(tr.CpmrModel):
+        def _init_params(self, rng):
+            super()._init_params(rng)
+            self.params["predict.fc_item.b"].value[0, 0] = np.nan
+            models.append(self)
+            before.append({k: v.value.tobytes() for k, v in self.params.items()})
+
+    monkeypatch.setattr(tr, "CpmrModel", NanHead)
+    with pytest.raises(NumericalError,
+                       match=r"non-finite loss at epoch 0 day 0 \(segment days \[0\], lr"):
+        train(tiny_dataset(), ModelConfig(**SMALL_MODEL), quick_cfg(max_epochs=1))
+    (model,), (want,) = models, before
+    assert {k: v.value.tobytes() for k, v in model.params.items()} == want
 
 
 def test_train_log_file_written(tmp_path):
@@ -349,18 +372,20 @@ def few_days():
 
 
 def taped_days(ds, store, days, config):
-    """(model, loss, tape): the training days ``days``, each a checkpoint, under a tape."""
+    """(model, losses, tape): the training days ``days``, each a checkpoint,
+    under a tape. The losses hold their values once ``backward`` has
+    replayed their days."""
     model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, config, rng=np.random.default_rng(0))
     history, draws = InteractionHistory(ds.n_users, ds.n_items), np.random.default_rng(1)
     with ad.Tape() as tape:
-        states, total = model.init_states(), None
+        states, losses = model.init_states(), []
         for day in days:
             loss, states = _train_day(model, store, states, day, history, 3, draws)
-            total = loss if total is None else ad.add(total, loss)
-    return model, total, tape
+            losses.append(loss)
+    return model, losses, tape
 
 
-def plain(fn, *inputs):
+def plain(fn, *inputs, forward=None):
     """``fn(*inputs)`` on the active tape: ``ad.checkpoint`` taken out."""
     return fn(*inputs)
 
@@ -382,23 +407,56 @@ def test_day_checkpoints_give_the_plain_tapes_gradients(variant, substeps, monke
     assert math.ceil(ds.day_unit * time_scale / config.tau_max) == substeps
 
     def grads():
-        model, total, tape = taped_days(ds, store, days, config)
+        model, losses, tape = taped_days(ds, store, days, config)
         n_nodes = len(tape.nodes)
-        g = ad.backward(total, tape, params=model.params.values())
-        return n_nodes, {name: g[v] for name, v in model.params.items()}
+        g = ad.backward(losses, tape, params=model.params.values())
+        return n_nodes, {"losses": np.concatenate([l.value for l in losses]),
+                         **{name: g[v] for name, v in model.params.items()}}
 
     n_nodes, got = grads()
-    # E's copies, one checkpoint a day and the sum of the day losses
-    assert n_nodes == len(config.scenarios) + 2 * len(days) - 1
+    # E's copies and one checkpoint a day
+    assert n_nodes == len(config.scenarios) + len(days)
     monkeypatch.setattr(ad, "checkpoint", plain)
     plain_nodes, want = grads()
-    # E's copies, each day's step and 5 head nodes, and the sum of the day
-    # losses; the first day (dt = 0) has no flow, one node a scenario fewer
+    # E's copies, each day's step and 5 head nodes; the first day (dt = 0)
+    # has no flow, one node a scenario fewer
     step = {"full": 7, "wo_ctx": 4, "wo_his": 4, "wo_fusion": 7}[variant]
-    assert plain_nodes == len(days) * (step + 5) + len(days) - 1
+    assert plain_nodes == len(days) * (step + 5)
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_a_taped_days_forward_runs_no_head_and_its_replay_runs_it_once(monkeypatch):
+    """Under a tape a training day's forward is a ``predict=False`` day: it
+    fuses his and ctx without the ``final`` task and calls no ``batch_loss``,
+    ``user_repr`` or ``item_repr``, and its loss is NaN. Each day's replay in
+    ``backward`` fuses with ``final``, runs ``batch_loss`` once and fills in
+    the loss."""
+    import cpmr.training as tr
+    calls = []
+
+    def watched(name, fn):
+        def call(*args, **kw):
+            out = fn(*args, **kw)
+            taped = ad._ACTIVE_TAPE is not None
+            calls.append((taped, f"fusion/{len(out)}" if name == "fusion" else name))
+            return out
+        return call
+
+    monkeypatch.setattr(tr, "batch_loss", watched("batch_loss", tr.batch_loss))
+    monkeypatch.setattr(ad, "gated_fusion", watched("fusion", ad.gated_fusion))
+    for name in ("user_repr", "item_repr"):
+        monkeypatch.setattr(CpmrModel, name, watched(name, getattr(CpmrModel, name)))
+    ds, store, days = few_days()
+    model, losses, tape = taped_days(ds, store, days[:4], ModelConfig(**SMALL_MODEL))
+    assert calls == [(False, "fusion/2")] * 4
+    assert all(l.value.shape == (1, 1) and np.isnan(l.value).all() for l in losses)
+    calls.clear()
+    ad.backward(losses, tape, params=model.params.values())
+    head = ["user_repr", "item_repr"] * 2 + ["batch_loss"]
+    assert calls == [(True, name) for name in ["fusion/3", *head]] * 4
+    assert all(np.isfinite(l.value).all() for l in losses)
 
 
 def closure(fn):
@@ -446,7 +504,7 @@ def test_backward_builds_each_shared_expert_once(monkeypatch):
     ``gated_fusion``, which runs in the day's replay, not once per task mix
     that reads it."""
     ds, store, days = few_days()
-    model, loss, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
+    model, losses, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
     fusion, built = ad.gated_fusion, []
 
     def watched(parts, n_users, layers):
@@ -454,7 +512,7 @@ def test_backward_builds_each_shared_expert_once(monkeypatch):
         return fusion(parts, n_users, layers)
 
     monkeypatch.setattr(ad, "gated_fusion", watched)
-    ad.backward(loss, tape, params=model.params.values())
+    ad.backward(losses, tape, params=model.params.values())
     for cls in ("user", "item"):
         shared = model.params[f"fusion.{cls}.expert_shared.w"]
         assert sum(w is shared for w in built) == 2
@@ -466,7 +524,7 @@ def test_no_day_replay_holds_a_value_once_backward_returns(monkeypatch):
     under a tape of its own, and none of them outlives ``backward``; the
     active tape is the caller's again."""
     ds, store, days = few_days()
-    model, loss, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
+    model, losses, tape = taped_days(ds, store, days[1:3], ModelConfig(**SMALL_MODEL))
     fusion, built = ad.gated_fusion, []
 
     def watched(*args):
@@ -475,7 +533,7 @@ def test_no_day_replay_holds_a_value_once_backward_returns(monkeypatch):
         return outs
 
     monkeypatch.setattr(ad, "gated_fusion", watched)
-    ad.backward(loss, tape, params=model.params.values())
+    ad.backward(losses, tape, params=model.params.values())
     assert len(built) == 2 * 3                # two days, three tasks
     assert all(t is not None and t is not tape for t, _ in built)
     assert [r() for _, r in built] == [None] * len(built)
@@ -527,9 +585,9 @@ def test_batch_loss_is_five_nodes_and_the_generic_op_chain_byte_for_byte(variant
         return loss
 
     def run():
-        model, total, tape = taped_days(ds, store, days[:4], config)
-        grads = ad.backward(total, tape, params=model.params.values())
-        return [total.value] + [grads[v] for v in model.params.values()]
+        model, losses, tape = taped_days(ds, store, days[:4], config)
+        grads = ad.backward(losses, tape, params=model.params.values())
+        return [l.value for l in losses] + [grads[v] for v in model.params.values()]
 
     monkeypatch.setattr(tr, "batch_loss", counted)
     fused = run()              # the replays count: one batch_loss a day
@@ -537,6 +595,7 @@ def test_batch_loss_is_five_nodes_and_the_generic_op_chain_byte_for_byte(variant
     monkeypatch.setattr(ad, "info_nce", info_nce_chain)
     chain = run()
     assert counts == [5] * 4 + [30] * 4
+    assert all(np.isfinite(a).all() for a in fused)
     assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
 
 
@@ -584,10 +643,10 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
     try:
         with ad.Tape() as tape:
             states = model.init_states()      # the first day's input states
-            total = None
+            losses = []
             for day in seg_days:
                 loss, states = _train_day(model, store, states, day, history, 8, draws)
-                total = loss if total is None else ad.add(total, loss)
+                losses.append(loss)
             kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -595,4 +654,4 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
     # (here 2.1 in all) of graph views, averaging operators and negatives
     states_kept = 2 * (len(seg_days) + 1)
     assert states_kept * state_bytes < kept < (states_kept + 0.75 * len(seg_days)) * state_bytes
-    ad.backward(total, tape, params=model.params.values())
+    ad.backward(losses, tape, params=model.params.values())

@@ -1,6 +1,6 @@
 """One sha1 per training run: the bit-identity check of a change that must not move numbers.
 
-    python3 tools/digest.py [--save DIR] [--against DIR]
+    python3 tools/digest.py [--save DIR] [--against DIR | --base REV]
 
 Run from the root of a source checkout: ``cpmr`` is imported from its ``src/``
 and the workload shapes from ``benchmarks/workloads.py``, which this script
@@ -18,7 +18,10 @@ run's arrays to ``DIR/<workload>-<variant>.npz``, and ``--against DIR``
 prints after each sha1 line how far the run is from the one saved there: the
 largest per-tensor parameter drift, max|new - ref| / max|ref|; the largest
 relative segment-loss difference; and whether every validation MRR, test MRR
-and Recall@10 is bit-equal.
+and Recall@10 is bit-equal. ``--base REV`` compares with REV's runs in
+the same way: this script runs with ``--save`` in a temporary ``git
+worktree`` of REV, so REV's ``src/`` trains them, and the worktree is
+removed on every exit. The drift then adds up every change since REV.
 """
 
 from __future__ import annotations
@@ -26,7 +29,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
+import signal
+import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARAM = "param."     # the prefix of a parameter's array name
@@ -104,11 +111,45 @@ def load(directory, name):
         return {k: f[k] for k in f.files}
 
 
+def save_base(rev, directory):
+    """Save REV's runs to ``directory``: this script with ``--save``, run in a
+    temporary ``git worktree`` of REV, so that REV's ``src/`` and
+    ``benchmarks/`` make them. REV's lines go to stderr."""
+    tmp = tempfile.mkdtemp(prefix="cpmr-digest-")
+    tree = os.path.join(tmp, "base")
+    try:
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", tree, rev], cwd=ROOT,
+                       check=True)
+        script = os.path.join(tree, "tools", "digest.py")
+        shutil.copyfile(os.path.abspath(__file__), script)
+        subprocess.run([sys.executable, script, "--save", directory], cwd=tree, check=True,
+                       stdout=sys.stderr)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--save", metavar="DIR", help="write each run's arrays to DIR")
-    p.add_argument("--against", metavar="DIR", help="compare each run with the one saved in DIR")
+    ref = p.add_mutually_exclusive_group()
+    ref.add_argument("--against", metavar="DIR", help="compare each run with the one saved in DIR")
+    ref.add_argument("--base", metavar="REV",
+                     help="compare each run with REV's, made in a temporary git worktree")
     args = p.parse_args(argv)
+    if args.base:
+        signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))    # so the worktree goes too
+        with tempfile.TemporaryDirectory(prefix="cpmr-digest-base-") as saved:
+            save_base(args.base, saved)
+            return digest_runs(args.save, saved)
+    return digest_runs(args.save, args.against)
+
+
+def digest_runs(save_dir, against):
+    """Print every run's line, saving its arrays to ``save_dir`` and its drift
+    from the run saved in ``against`` when they are given."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"          # before numpy loads
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
@@ -122,10 +163,10 @@ def main(argv=None):
         (mrr, _), (mrr_filtered, _) = arrays["test"]
         print(f"{name:14s} {variant:10s} {digest(arrays)}  test MRR {mrr:.6f}, filtered "
               f"{mrr_filtered:.6f}", flush=True)
-        if args.save:
-            save(args.save, f"{name}-{variant}", arrays)
-        if args.against:
-            params, losses, equal = drift(load(args.against, f"{name}-{variant}"), arrays)
+        if save_dir:
+            save(save_dir, f"{name}-{variant}", arrays)
+        if against:
+            params, losses, equal = drift(load(against, f"{name}-{variant}"), arrays)
             print(f"{'':25s} parameter drift {params:.2e}, segment losses {losses:.2e}, "
                   f"MRR and Recall {'bit-equal' if equal else 'DIFFER'}", flush=True)
     return 0
