@@ -6,8 +6,8 @@ output, its inputs and one backward rule that maps the output's gradient to
 one gradient per input, in input order. With no active tape ops run as plain
 numpy forward computations, which is the no-grad path used during evaluation.
 
-The ops are the model's: ``add``, ``scale`` and ``sigmoid``, the evolution
-``graph_flow``, the fusion block ``gated_fusion``, the jump
+The ops are the model's: ``add``, the evolution ``graph_flow`` with its
+gate's sigmoid, the fusion block ``gated_fusion``, the jump
 ``instant_update``, and the head's ``gathered_linear`` and ``info_nce``.
 :func:`backward` runs a tape from a 1x1 loss or the mean of several;
 :func:`grad_check` runs it from fixed weights on each output it checks.
@@ -210,23 +210,10 @@ def add(a: Var, b: Var) -> Var:
     return out
 
 
-def scale(a: Var, c: float) -> Var:
-    c = float(c)
-    out = Var(a.value * c)
-    _record(out, (a,), lambda g, c=c: (g * c,))
-    return out
-
-
 def _affine(x, w, b):
     y = x @ w
     y += b
     return y
-
-
-def sigmoid(x: Var) -> Var:
-    out = Var(_sigmoid(x.value))
-    _record(out, (x,), lambda g, s=out.value: (g * s * (1.0 - s),))
-    return out
 
 
 def _sigmoid(a):
@@ -283,7 +270,7 @@ def gated_fusion(parts, n_users, layers) -> tuple[Var, ...]:
     order: items, then users; per class the tasks last to first, each expert
     then its gate, then the shared expert. A task whose output nothing read is
     skipped and gets no gradient. Each weight's gradient is handed out as it
-    is made, the parts' last.
+    is made, then the parts' gradients, last part first.
     """
     parts, layers = tuple(parts), [tuple(c) for c in layers]
     n_tasks = (len(layers[0]) - 1) // 2 if layers else 0
@@ -350,9 +337,9 @@ def gated_fusion(parts, n_users, layers) -> tuple[Var, ...]:
             for j, g_p in enumerate(g_parts):
                 g_p[rows] += g_x[:, j * d:(j + 1) * d]
             del g_x
-        yield from g_parts
-    # the weights in the order the rule hands out their gradients, then the parts
-    inputs = [v for c in reversed(layers) for layer in reversed(c) for v in layer] + list(parts)
+        yield from reversed(g_parts)
+    # the inputs in the order the rule hands out their gradients
+    inputs = [*(v for c in reversed(layers) for layer in reversed(c) for v in layer), *parts[::-1]]
     _ACTIVE_TAPE.nodes.append((_Outputs(map(_node, outs)), (tuple(map(_node, inputs)), rule)))
     return outs
 
@@ -472,25 +459,28 @@ def instant_update(x: Var, n_users, users, items, avg_u, avg_i,
     return out
 
 
-def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
-    """Advance dX/dt = (N diag(gate) - I) X + E by ``dt`` in ceil(dt / tau_max) equal sub-steps.
+def graph_flow(x: Var, e: Var, alpha: Var, n, dt, order, tau_max) -> Var:
+    """Advance dX/dt = (N diag(s) - I) X + E by ``dt`` in ceil(dt / tau_max) equal sub-steps.
 
-    Each sub-step of length tau is one truncated Taylor series of order K in
-    Horner form: y = X / K!, then y <- (X / k! + E tau / (k+1)!) + M y for
-    k = K-1 ... 0, with the step matrix M = tau (N diag(gate) - I) built once
-    per call (:func:`_step_matrix`). Each term is the affine part first, then
-    scipy's ``csr_matvecs`` adds M y into it; this rounds otherwise than
-    tau (N (gate * y) - y) + affine, within 1e-13 normwise of that form (a test
-    states it). ``n`` is scipy CSR or CSC and is never mutated; ``dt = 0``
-    returns ``x``. Under a tape the forward keeps each sub-step's input (the
-    first is ``x``'s own array) and the last one's y_{K-1} ... y_1; the adjoint
-    rebuilds y_K = input / K!, recomputes each earlier sub-step's y_{K-1} ... y_1
-    into those K-1 arrays (K-1 products) and runs the transposed recurrence,
-    with N^T, the gate and tau as before, in four owned buffers. A
-    ``checkpoint`` around the flow keeps all this only while its replay runs.
+    The gate s = sigmoid(alpha) on each message source comes from the n x 1
+    logits ``alpha`` (+inf gives exactly 1), and alpha's gradient is
+    sigmoid's rule, g_s * s * (1 - s), of the gate's. Each sub-step of length
+    tau is one truncated Taylor series of order K in Horner form: y = X / K!,
+    then y <- (X / k! + E tau / (k+1)!) + M y for k = K-1 ... 0, with the step
+    matrix M = tau (N diag(s) - I) built once per call (:func:`_step_matrix`).
+    Each term is the affine part first, then scipy's ``csr_matvecs`` adds M y
+    into it; this rounds otherwise than tau (N (s * y) - y) + affine, within
+    1e-13 normwise of that form (a test states it). ``n`` is scipy CSR or CSC
+    and is never mutated; ``dt = 0`` returns ``x``. Under a tape the forward
+    keeps each sub-step's input (the first is ``x``'s own array) and the last
+    one's y_{K-1} ... y_1; the adjoint rebuilds y_K = input / K!, recomputes
+    each earlier sub-step's y_{K-1} ... y_1 into those K-1 arrays (K-1
+    products) and runs the transposed recurrence, with N^T, s and tau as
+    before, in four owned buffers. A ``checkpoint`` around the flow keeps all
+    this only while its replay runs.
     """
-    _check(x.shape == e.shape and gate.shape == (x.shape[0], 1)
-           and n.shape == (x.shape[0],) * 2, "graph_flow", x.shape, e.shape, gate.shape, n.shape)
+    _check(x.shape == e.shape and alpha.shape == (x.shape[0], 1)
+           and n.shape == (x.shape[0],) * 2, "graph_flow", x.shape, e.shape, alpha.shape, n.shape)
     if getattr(n, "format", None) not in ("csr", "csc"):    # what _step_matrix and n.T take
         raise ConfigError(f"graph_flow needs a CSR or CSC matrix, got {type(n).__name__}")
     if not 1 <= order <= MAX_ORDER:
@@ -506,7 +496,7 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
     steps = max(1, math.ceil(dt / tau_max))
     tau = dt / steps
     inv_fact = [1.0 / math.factorial(k) for k in range(order + 1)]
-    s, ev, cur, shape = gate.value, e.value, x.value, x.shape
+    s, ev, cur, shape = _sigmoid(alpha.value), e.value, x.value, x.shape
     m = _step_matrix(n, s, tau)
     scratch, inputs = (np.empty(shape), np.empty(shape)), []
     for i in range(steps):
@@ -536,15 +526,15 @@ def graph_flow(x: Var, e: Var, gate: Var, n, dt, order, tau_max) -> Var:
                     g_cur += buf
                 np.multiply(g, tau * inv_fact[k + 1], out=buf)
                 g_e += buf
-                h *= s                           # G <- tau (gate * N^T G - G)
+                h *= s                           # G <- tau (s * N^T G - G)
                 h -= g
                 h *= tau
                 g = h
             np.multiply(g, inv_fact[order], out=buf)
             g_cur += buf                         # the adjoint of the sub-step's input
             g = g_cur
-        return g, g_e, g_s
-    _record(out, (x, e, gate), adjoint)
+        return g, g_e, g_s * s * (1.0 - s)
+    _record(out, (x, e, alpha), adjoint)
     return out
 
 
@@ -610,10 +600,8 @@ def _product_into(n, x, out):
 
 
 def backward(loss, tape: Tape, params=None):
-    """Run the tape in reverse from a 1x1 loss, or from the mean of a list of them.
-
-    Each of L losses is seeded with 1/L, the gradient ``scale(add(...), 1/L)`` gives it.
-    """
+    """Run the tape in reverse from a 1x1 loss, or from the mean of a list of them:
+    each of L losses is seeded with 1/L."""
     losses = loss if isinstance(loss, list) else [loss]
     if any(v.value.shape != (1, 1) for v in losses):
         raise ShapeError(f"loss must be 1x1, got {[v.value.shape for v in losses]}")

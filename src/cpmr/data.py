@@ -187,6 +187,7 @@ def load_dataset(path) -> Dataset:
     if not (isinstance(split, list) and [type(v) for v in (n_users, n_items, day_unit, *split)]
             == [int, int, float, int, int]):
         raise DataFormatError(f"{path}: dataset metadata of the wrong types: {meta}")
+    span = round(1 / day_unit) if day_unit > 1e-300 else None     # canonicalize's last day
     wrong = [why for why, bad in (
         (f"split {split} outside [0, {n}]", not 0 <= split[0] <= split[1] <= n),
         (f"day unit {day_unit} not finite and in (0, 1]", not 0 < day_unit <= 1),
@@ -194,6 +195,7 @@ def load_dataset(path) -> Dataset:
         (f"user ids outside [0, {n_users})", np.any((u < 0) | (u >= n_users))),
         (f"item ids outside [0, {n_items})", np.any((i < 0) | (i >= n_items))),
         ("days unsorted or negative", np.any(days[:1] < 0) or np.any(days[1:] < days[:-1])),
+        ("days not from 0 to 1 / day unit", n > 0 and (days[0] != 0 or days[-1] != span)),
         *((f"split index {k} inside day {days[k]}", True) for k in split
           if 0 < k < n and days[k] == days[k - 1]),     # a day's edges train together
     ) if bad]

@@ -76,8 +76,10 @@ def _replay_days(model, states, store, days, collect=False, history=None):
 
     Without ``collect`` nothing is scored, so the steps skip the prediction
     task of fusion. A scored day's b events are ranked in one (b x n_items)
-    score product. With a ``history``, each user's past items other than the
-    target are left out of its row, and each scored day is added.
+    score product; a non-finite score in it raises ``NumericalError`` naming
+    the day and the row's user. With a ``history``, each user's past items
+    other than the target are then left out of its row as -inf, and each
+    scored day is added.
     """
     records = []
     for day in days:
@@ -87,14 +89,14 @@ def _replay_days(model, states, store, days, collect=False, history=None):
             users, items = store.instant_edges(day)
             scores = (model.user_repr(z, users).value
                       @ model.item_repr(z, np.arange(model.n_items)).value.T)
+            bad = ~np.isfinite(scores).all(axis=1)     # before -inf marks the left-out items
+            if bad.any():
+                raise NumericalError(f"day {day}, user {int(users[bad.argmax()])}: non-finite "
+                                     "item scores; the parameters or states have diverged")
             if history is not None:
                 for row, (u, i) in enumerate(zip(users, items)):
                     scores[row, [j for j in history.by_user[u] if j != i]] = -np.inf
-            try:
-                ranks = rank_from_scores(scores, items)
-            except NumericalError as err:
-                row = int(np.argmin((scores < np.inf).all(axis=1)))
-                raise NumericalError(f"day {day}, user {int(users[row])}: {err}") from None
+            ranks = rank_from_scores(scores, items)
             records += map(RankRecord, users.tolist(), [day] * len(users), items.tolist(),
                            ranks.tolist())
             if history is not None:

@@ -70,7 +70,8 @@ class TemporalStates:
     """Evolving per-node state matrices plus the recurrence clock.
 
     ``x`` maps each scenario of ``ModelConfig.scenarios`` (his, then ctx) to
-    its (n_nodes, d) state; a scenario the variant drops has no entry.
+    its (n_nodes, d) state; a scenario the variant drops has no entry. Both
+    scenarios start as E itself, which no op mutates.
     """
 
     x: dict[str, Var]
@@ -85,8 +86,8 @@ def evolve(x, e, adj, dt, order, tau_max=0.125):
     P = (A-I)^-1 (Q - I) is evaluated inverse-free as one truncated Taylor
     series in Horner form over sub-intervals of length <= tau_max.
     """
-    gate = ad.constant(np.ones((np.shape(x)[0], 1)))
-    return ad.graph_flow(ad.constant(x), ad.constant(e), gate, adj, dt, order, tau_max).value
+    alpha = ad.constant(np.full((np.shape(x)[0], 1), np.inf))    # gates of exactly 1
+    return ad.graph_flow(ad.constant(x), ad.constant(e), alpha, adj, dt, order, tau_max).value
 
 
 class CpmrModel:
@@ -157,14 +158,16 @@ class CpmrModel:
     # -- recurrence pieces --------------------------------------------------
 
     def init_states(self) -> TemporalStates:
-        # value copies of E; recorded as pass-throughs when a tape is active
-        # so the t=0 initial condition stays differentiable w.r.t. E
-        e = self.params["embed"]
-        return TemporalStates({sc: ad.scale(e, 1.0) for sc in self.config.scenarios}, day=0)
+        """The t = 0 states: E itself for every scenario. A segment from day 0
+        sums E's gradient as one copy of E per scenario would: at dt = 0 the
+        flows return E, and the day's ``gated_fusion`` (or wo_fusion's
+        ``add``), the one node that reads the states, hands out the ctx part's
+        gradient before the his part's, as the copies' nodes, run last to first, would."""
+        return TemporalStates(dict.fromkeys(self.config.scenarios, self.params["embed"]), day=0)
 
     def evolve_states(self, x, nadj, scenario, dt):
         """Evolve by ``dt`` on A = N diag(sigmoid(alpha)): gates on message sources."""
-        return ad.graph_flow(x, self.params["embed"], ad.sigmoid(self.params[f"alpha_{scenario}"]),
+        return ad.graph_flow(x, self.params["embed"], self.params[f"alpha_{scenario}"],
                              nadj, dt, self.config.taylor_order, self.config.tau_max)
 
     def fuse(self, parts, *, predict=True):

@@ -213,14 +213,11 @@ def _train_epoch(model, store, train_days, cfg, lr, opt, epoch, segments, log_fh
     rng = np.random.default_rng([cfg.seed, epoch])
     history = InteractionHistory(model.n_users, model.n_items)
     day_losses = []
-    states = None
+    states = model.init_states()
     for start in range(0, len(train_days), cfg.n_tbptt):
         seg_days = [int(d) for d in train_days[start:start + cfg.n_tbptt]]
         t0 = time.monotonic()
         with ad.Tape() as tape:
-            if states is None:
-                # inside the tape: E's t=0 copy is differentiable
-                states = model.init_states()
             seg_losses = []
             for day in seg_days:
                 loss, states = _train_day(model, store, states, day, history, cfg.n_neg, rng)

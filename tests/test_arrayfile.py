@@ -65,6 +65,27 @@ def test_load_dataset_rejects_invalid_content(tmp_path, corrupt):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("days, day_unit", [([5, 6, 7, 8, 9], 0.25),
+                                             ([0, 100, 200, 300, 400], 1.0)],
+                         ids=["days-5-to-9", "days-0-to-400"])
+def test_load_dataset_rejects_days_off_the_unit_span(tmp_path, days, day_unit):
+    """``canonicalize`` writes days from 0 to 1 / day_unit, so that days *
+    day_unit spans [0, 1]; a file whose days start elsewhere or run past
+    that is rejected, and the same file with its days put back loads."""
+    p = tmp_path / "dataset.bin"
+
+    def save(days):
+        arrays = {"user_ids": np.arange(5) % 2, "item_ids": np.arange(5) % 3,
+                  "days": np.asarray(days, dtype="<i8")}
+        arrayfile.save(p, "dataset", arrays,
+                       {"n_users": 2, "n_items": 3, "day_unit": day_unit, "split": [3, 3]})
+    save(days)
+    with pytest.raises(DataFormatError, match="days not from 0 to 1 / day unit"):
+        load_dataset(p)
+    save(np.arange(5) if day_unit == 0.25 else [0, 0, 0, 1, 1])
+    assert load_dataset(p).day_unit == day_unit
+
+
 def _saved_bytes(tmp_path):
     ds_path, ck_path = tmp_path / "dataset.bin", tmp_path / "checkpoint.bin"
     save_dataset(ds_path, small_dataset())

@@ -21,7 +21,21 @@ from cpmr.graphs import EdgeStore, averaging_operators, normalize_adjacency
 # The generic ops the fused ``gathered_linear``, ``info_nce``,
 # ``instant_update`` and ``gated_fusion`` replaced, with their rules as the
 # engine had them: the reference those four must equal byte for byte, and
-# what ``sum_all`` is built of.
+# what ``sum_all`` is built of. ``sigmoid`` is the reference of the gate that
+# ``graph_flow`` computes from its logits, and ``scale(E, 1.0)`` of a
+# differentiable copy of E as a scenario's initial states.
+
+
+def scale(a, c):
+    out = ad.Var(a.value * c)
+    ad._record(out, (a,), lambda g, c=c: (g * c,))
+    return out
+
+
+def sigmoid(x):
+    out = ad.Var(ad._sigmoid(x.value))
+    ad._record(out, (x,), lambda g, s=out.value: (g * s * (1.0 - s),))
+    return out
 
 
 def hadamard(a, b):
@@ -253,7 +267,7 @@ def test_var_requires_2d():
 def test_ops_run_without_tape():
     # no-grad path: plain forward, nothing recorded anywhere
     a = ad.constant([[1.0, 2.0]])
-    out = hadamard(ad.add(ad.scale(a, 2.0), ad.constant([[-3.0, 1.0]])), a)
+    out = hadamard(ad.add(scale(a, 2.0), ad.constant([[-3.0, 1.0]])), a)
     np.testing.assert_array_equal(out.value, [[-1.0, 10.0]])
 
 
@@ -267,7 +281,7 @@ def test_nested_tapes_rejected():
 def test_backward_consumes_tape_once():
     x = ad.constant([[2.0]])
     with ad.Tape() as tape:
-        loss = ad.scale(x, 3.0)
+        loss = scale(x, 3.0)
     g = ad.backward(loss, tape)
     assert g[x][0, 0] == 3.0
     with pytest.raises(CpmrError):
@@ -284,7 +298,7 @@ def test_backward_empty_tape():
 def test_backward_rejects_nonscalar_loss():
     x = ad.constant([[1.0, 2.0]])
     with ad.Tape() as tape:
-        y = ad.scale(x, 1.0)
+        y = scale(x, 1.0)
     with pytest.raises(ShapeError):
         ad.backward(y, tape)
 
@@ -293,7 +307,7 @@ def test_unreachable_param_gets_zero_grad():
     x = ad.constant([[1.0]])
     orphan = ad.constant([[5.0, 5.0]])
     with ad.Tape() as tape:
-        loss = sum_all(ad.scale(x, 2.0))
+        loss = sum_all(scale(x, 2.0))
     g = ad.backward(loss, tape, params=[x, orphan])
     np.testing.assert_array_equal(g[orphan], np.zeros((1, 2)))
 
@@ -301,7 +315,7 @@ def test_unreachable_param_gets_zero_grad():
 def test_tape_holds_handles_and_backward_pops_them():
     x = ad.constant([[1.0, -2.0]])
     with ad.Tape() as tape:
-        h = ad.scale(x, 2.0)
+        h = scale(x, 2.0)
         loss = sum_all(relu(h))
         h_node = tape.nodes[0][0]
         assert h_node.shape == (1, 2) and h_node.value is h.value
@@ -530,8 +544,8 @@ def test_every_op_has_a_gradient_check_case():
     ops = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
            if f.__module__ == ad.__name__ and not name.startswith("_")
            and inspect.signature(f).return_annotation in ("Var", ad.Var, "tuple[Var, ...]")}
-    assert ops == {"add", "scale", "sigmoid", "gated_fusion", "gathered_linear", "info_nce",
-                   "instant_update", "graph_flow"}
+    assert ops == {"add", "gated_fusion", "gathered_linear", "info_nce", "instant_update",
+                   "graph_flow"}
     checks = dict(op_checks())
     assert ops <= set(checks)
     for case in checks:
@@ -542,7 +556,8 @@ def test_every_op_has_a_gradient_check_case():
 def test_untaped_ops_make_no_handles():
     one, two = ad.constant([[1.0]]), ad.constant([[1.0], [2.0]])
     (users, avg_u), (items, avg_i) = averaging_operators(sp.csr_matrix([[1.0]]))
-    for out in (ad.sigmoid(ad.scale(one, 2.0)),
+    for out in (ad.add(one, one),
+                ad.graph_flow(two, two, two, sp.csr_matrix((2, 2)), 0.1, 2, 0.125),
                 ad.instant_update(two, 1, users, items, avg_u, avg_i, one, one, one, one),
                 *ad.gated_fusion([two], 1, [[(one, one), (ad.constant([[1.0, 2.0]]),) * 2,
                                              (one, one)]] * 2)):
@@ -618,8 +633,8 @@ def test_fused_head_ops_are_the_generic_op_chain_byte_for_byte(b, m, d, checkpoi
 
     def run(gathered, nce, wrap):
         def day(z):
-            return ad.scale(_head(gathered, nce, e, z, w_u, b_u, w_i, b_i,
-                                  users, items, neg_u, neg_i), 0.37),
+            return scale(_head(gathered, nce, e, z, w_u, b_u, w_i, b_i,
+                               users, items, neg_u, neg_i), 0.37),
         with ad.Tape() as tape:
             (loss,) = wrap(day, z)
             n_nodes = len(tape.nodes)
@@ -932,7 +947,8 @@ def test_every_public_autodiff_function_has_a_caller_in_src():
         used |= names
         if path.name != "gradcheck.py":
             used_by_model |= names
-    assert {"graph_flow", "backward"} <= public and {"add", "graph_flow"} <= ops
+    assert "backward" in public and ops == {"add", "gated_fusion", "gathered_linear", "info_nce",
+                                            "instant_update", "graph_flow"}
     assert sorted(public - used) == []
     assert sorted(ops - used_by_model) == []
 
@@ -941,7 +957,7 @@ def test_fanout_gradients_sum():
     # x used twice: d/dx (x*x + 3x) = 2x + 3
     x = ad.constant([[4.0]])
     with ad.Tape() as tape:
-        loss = sum_all(ad.add(hadamard(x, x), ad.scale(x, 3.0)))
+        loss = sum_all(ad.add(hadamard(x, x), scale(x, 3.0)))
     g = ad.backward(loss, tape)
     assert g[x][0, 0] == pytest.approx(11.0)
 
@@ -969,8 +985,7 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_sigmoid_extreme_no_overflow():
-    x = ad.constant([[-800.0, 800.0]])
-    s = ad.sigmoid(x).value
+    s = ad._sigmoid(np.array([[-800.0, 800.0]]))
     np.testing.assert_allclose(s, [[0.0, 1.0]], atol=1e-300)
 
 
@@ -1144,27 +1159,44 @@ def _flow_inputs(graph, seed):
     x, e, g = (rng.normal(size=(12, 4)) for _ in range(3))
     for a in (x, e, g):
         a[rng.random(a.shape) < 0.25] = -0.0
-    # gates near 0 and near 1, as sigmoid(alpha) gives at large |alpha|
-    gate = rng.choice([1e-14, 3e-9, 0.5, 1.0 - 1e-9, 1.0 - 1e-15], size=(12, 1))
-    return n, x, e, gate, g
+    # gate logits whose sigmoids are 1.0e-14, 3.1e-9, 0.5, 1 - 1.0e-9,
+    # 1 - 1.1e-15 and 1; not 0: the step-matrix reference drops the zero
+    # entries a gate of 0 gives M, where 0 * inf is NaN in the flow
+    alpha = rng.choice([-32.2, -19.6, 0.0, 20.7, 34.5, np.inf], size=(12, 1))
+    return n, x, e, alpha, g
+
+
+def gate_flow(x, e, gate, n, dt, order, tau_max):
+    """``graph_flow`` on the gates themselves, not their logits: the
+    step-matrix reference forward, and the transposed recurrence as its rule."""
+    steps = max(1, math.ceil(dt / tau_max))
+    tau = dt / steps
+    y, kept = _reference_step_flow(x.value, e.value, gate.value, n, tau, steps, order)
+    out = ad.Var(y)
+    ad._record(out, (x, e, gate), lambda g: _reference_flow_adjoint(
+        g, e.value, gate.value, n, tau, steps, order, list(kept)))
+    return out
 
 
 @pytest.mark.parametrize("graph", ["random", "normalized"])
 @pytest.mark.parametrize("order", [1, 3, 6])
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, steps):
-    """The forward is the step-matrix reference's bytes, untaped and taped,
-    and within 1e-13 normwise of the gate-then-subtract form it replaced; the
-    gradients are that form's transposed recurrence run on the step-matrix
-    iterates, byte for byte."""
-    n, x, e, gate, g = _flow_inputs(graph, 100 * order + steps)
+    """The forward is the step-matrix reference's bytes on the gates
+    sigmoid(alpha), untaped and taped, and within 1e-13 normwise of the
+    gate-then-subtract form it replaced; the gradients are that form's
+    transposed recurrence run on the step-matrix iterates, and sigmoid's rule
+    on the gate's, byte for byte."""
+    n, x, e, alpha, g = _flow_inputs(graph, 100 * order + steps)
     assert graph == "normalized" or (n != n.T).nnz > 0
     tau = 0.37 / steps                   # graph_flow's dt / ceil(dt / tau_max)
+    gate = ad._sigmoid(alpha)
     want, kept = _reference_step_flow(x, e, gate, n, tau, steps, order)
-    want_grads = _reference_flow_adjoint(g, e, gate, n, tau, steps, order, kept)
+    *want_grads, g_gate = _reference_flow_adjoint(g, e, gate, n, tau, steps, order, kept)
+    want_grads.append(g_gate * gate * (1.0 - gate))
     assert _normwise(want, _reference_flow(x, e, gate, n, tau, steps, order)[0]) <= 1e-13
 
-    xv, ev, sv = ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(gate.copy())
+    xv, ev, sv = ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(alpha.copy())
     flow = functools.partial(ad.graph_flow, xv, ev, sv, n, 0.37, order, 0.4 / steps)
     assert flow().value.tobytes() == want.tobytes()
     with ad.Tape() as tape:
@@ -1176,12 +1208,50 @@ def test_graph_flow_is_the_reference_arithmetic_byte_for_byte(graph, order, step
     assert not np.array_equal(x, want) and np.abs(want_grads[2]).max() > 0
 
 
+@pytest.mark.parametrize("graph", ["random", "normalized"])
+@pytest.mark.parametrize("order", [1, 3, 6])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_graph_flow_on_logits_is_sigmoid_then_the_gate_flow_byte_for_byte(graph, order, steps):
+    """``graph_flow`` on the logits alpha is one node with the bytes of two,
+    ``sigmoid`` and then ``gate_flow`` on its gates: the forward, and the
+    gradients of x, E and alpha."""
+    n, x, e, alpha, g = _flow_inputs(graph, 100 * order + steps)
+
+    def run(flow):
+        xv, ev, av = ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(alpha.copy())
+        with ad.Tape() as tape:
+            out = flow(xv, ev, av, n, 0.37, order, 0.4 / steps)
+            n_nodes = len(tape.nodes)
+            loss = sum_all(hadamard(out, ad.constant(g)))
+        grads = ad.backward(loss, tape, params=[xv, ev, av])
+        return n_nodes, [out.value, *(grads[v] for v in (xv, ev, av))]
+
+    got_nodes, got = run(ad.graph_flow)
+    want_nodes, want = run(lambda x, e, a, *args: gate_flow(x, e, sigmoid(a), *args))
+    assert (got_nodes, want_nodes) == (1, 2)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert np.abs(got[3]).max() > 0
+
+
+@pytest.mark.parametrize("graph", ["random", "normalized"])
+def test_evolve_is_the_flow_gated_by_ones_byte_for_byte(graph):
+    """``evolve`` passes +inf logits, whose gates are exactly 1, so it gives
+    the bytes of ``gate_flow`` on gates of ones."""
+    from cpmr.model import evolve
+    n, x, e, _, _ = _flow_inputs(graph, 5)
+    assert ad._sigmoid(np.array([[np.inf]])).tobytes() == np.ones((1, 1)).tobytes()
+    for order, dt in ((1, 0.1), (6, 0.37), (4, 1.3)):
+        want = gate_flow(ad.Var(x), ad.Var(e), ad.Var(np.ones((12, 1))), n, dt, order, 0.125)
+        assert evolve(x, e, n, dt, order, 0.125).tobytes() == want.value.tobytes()
+
+
 @pytest.mark.parametrize("order, steps", [(1, 1), (4, 1), (6, 3)])
 def test_graph_flow_forward_with_signed_zeros_inf_and_nan_is_the_reference(order, steps):
     """With -0.0, infinities and NaNs in the states and the embeddings the
     forward keeps the step-matrix reference's bytes, untaped and taped, and
     its infinities and NaNs are where the gate-then-subtract form has them."""
-    n, x, e, gate, _ = _flow_inputs("random", 10 * order + steps)
+    n, x, e, alpha, _ = _flow_inputs("random", 10 * order + steps)
+    gate = ad._sigmoid(alpha)
     n = sp.csr_matrix(n.multiply(sp.random(12, 12, density=0.4, random_state=order)
                                  .astype(bool)))          # sparser: the NaNs reach few rows
     x[0, 0], x[1, 1], e[2, 2], x[3], e[3, 1] = np.inf, -np.inf, np.nan, -0.0, -0.0
@@ -1189,7 +1259,7 @@ def test_graph_flow_forward_with_signed_zeros_inf_and_nan_is_the_reference(order
     with np.errstate(invalid="ignore", over="ignore"):
         want, _ = _reference_step_flow(x, e, gate, n, tau, steps, order)
         old, _ = _reference_flow(x, e, gate, n, tau, steps, order)
-        args = (ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(gate.copy()), n, 0.37, order,
+        args = (ad.Var(x.copy()), ad.Var(e.copy()), ad.Var(alpha.copy()), n, 0.37, order,
                 0.4 / steps)
         got = ad.graph_flow(*args).value
         with ad.Tape():
@@ -1251,9 +1321,9 @@ def test_graph_flow_on_awkward_operators_is_within_the_tolerance_and_leaves_n_al
     elif case == "stored_zeros":
         assert np.count_nonzero(n.data == 0.0) > 1
     arrays = [a.copy() for a in (n.data, n.indices, n.indptr)]
-    _, x, e, gate, g = _flow_inputs("random", 7)
-    want, _ = _reference_flow(x, e, gate, n, 0.37 / 3, 3, 6)
-    xv, ev, sv = ad.Var(x), ad.Var(e), ad.Var(gate)
+    _, x, e, alpha, g = _flow_inputs("random", 7)
+    want, _ = _reference_flow(x, e, ad._sigmoid(alpha), n, 0.37 / 3, 3, 6)
+    xv, ev, sv = ad.Var(x), ad.Var(e), ad.Var(alpha)
     with ad.Tape() as tape:
         out = ad.graph_flow(xv, ev, sv, n, 0.37, 6, 0.125)
         loss = sum_all(hadamard(out, ad.constant(g)))
@@ -1279,11 +1349,12 @@ def test_graph_flow_at_the_benchmark_shapes_is_within_the_tolerance():
         n = normalize_adjacency(EdgeStore.from_dataset(ds).history_biadjacency(ds.days.max()))
         rng = np.random.default_rng(w.salt)
         x, e = rng.normal(size=(n.shape[0], w.d)), rng.normal(size=(n.shape[0], w.d))
-        gate = ad._sigmoid(rng.normal(scale=1.5, size=(n.shape[0], 1)))
+        alpha = rng.normal(scale=1.5, size=(n.shape[0], 1))
+        gate = ad._sigmoid(alpha)
         dt = w.time_scale / (w.n_days - 1)                    # a one-day gap
         steps = math.ceil(dt / 0.125)
         assert steps == max(1, w.substeps)
-        got = ad.graph_flow(ad.Var(x), ad.Var(e), ad.Var(gate), n, dt, 6, 0.125).value
+        got = ad.graph_flow(ad.Var(x), ad.Var(e), ad.Var(alpha), n, dt, 6, 0.125).value
         want, _ = _reference_step_flow(x, e, gate, n, dt / steps, steps, 6)
         assert got.tobytes() == want.tobytes()
         assert _normwise(got, _reference_flow(x, e, gate, n, dt / steps, steps, 6)[0]) <= 1e-13
@@ -1333,9 +1404,9 @@ def test_graph_flow_backward_recomputes_k_minus_1_products_per_earlier_substep(
     sub-step's iterates, so the backward recomputes the K-1 products of each
     earlier sub-step and runs the S·K transposed products of the adjoint."""
     steps = 3
-    n, x, e, gate, g = _flow_inputs("random", 9)
+    n, x, e, alpha, g = _flow_inputs("random", 9)
     counts = _count_kernel_calls(monkeypatch)
-    xv, ev, sv = ad.Var(x), ad.Var(e), ad.Var(gate)
+    xv, ev, sv = ad.Var(x), ad.Var(e), ad.Var(alpha)
     with ad.Tape() as tape:
         # 0.6 over at most 0.25: 3 sub-steps
         out = ad.graph_flow(xv, ev, sv, n, 0.6, order, 0.25)

@@ -469,6 +469,19 @@ def test_zero_day_unit_exit_code(workspace, capsys):
     assert not (out / "train.log").exists()
 
 
+def test_days_off_the_unit_span_exit_code(workspace, capsys):
+    """A dataset file whose days start past 0 used to train, its first day's
+    states evolved from E for a gap no day of the log has."""
+    tmp_path, out, cfg = workspace
+    path = out / "dataset.bin"
+    meta, arrays = arrayfile.load(path, "dataset")
+    arrays["days"] += 5
+    arrayfile.save(path, "dataset", arrays, meta)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "days not from 0 to 1 / day unit" in capsys.readouterr().err
+    assert not (out / "train.log").exists()
+
+
 def test_malformed_dataset_record_exit_code(workspace, capsys):
     tmp_path, out, cfg = workspace
     path = out / "dataset.bin"

@@ -300,6 +300,23 @@ def test_incremental_eval_rejects_non_finite_scores():
         incremental_eval(ds, model)
 
 
+def test_incremental_eval_rejects_scores_that_overflow_to_minus_inf():
+    """A raw score of -inf used to pass as an item left out of the ranking:
+    with zero head weights, user biases of +1e200 and item biases of -1e200
+    every score overflows to -inf, and the test split read MRR 0.0714, the
+    filter off or on."""
+    ds = synthetic_trend_dataset(np.random.default_rng(0), 20)
+    model = CpmrModel(ds.n_users, ds.n_items, ds.day_unit, ModelConfig(d=8),
+                      rng=np.random.default_rng(0))
+    for cls, bias in (("user", 1e200), ("item", -1e200)):
+        model.params[f"predict.fc_{cls}.w"].value[:] = 0.0
+        model.params[f"predict.fc_{cls}.b"].value[:] = bias
+    for filtered in (False, True):
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalError, match=r"day 18, user \d+: non-finite item scores"):
+            incremental_eval(ds, model, filter_interacted=filtered)
+
+
 def test_training_validation_rejects_non_finite_scores(monkeypatch):
     ds = synthetic_trend_dataset(np.random.default_rng(0), n_days=30)
     item_repr = CpmrModel.item_repr

@@ -10,7 +10,7 @@ from cpmr import autodiff as ad
 from cpmr.data import RawEvent, SECONDS_PER_DAY, canonicalize
 from cpmr.errors import ConfigError, NumericalError
 from cpmr.graphs import EdgeStore
-from cpmr.model import CpmrModel, ModelConfig
+from cpmr.model import CpmrModel, ModelConfig, TemporalStates
 from cpmr.training import (InteractionHistory, TrainConfig, _train_day, batch_loss,
                            sample_negatives, train)
 
@@ -414,17 +414,40 @@ def test_day_checkpoints_give_the_plain_tapes_gradients(variant, substeps, monke
                          **{name: g[v] for name, v in model.params.items()}}
 
     n_nodes, got = grads()
-    # E's copies and one checkpoint a day
-    assert n_nodes == len(config.scenarios) + len(days)
+    assert n_nodes == len(days)                  # one checkpoint a day
     monkeypatch.setattr(ad, "checkpoint", plain)
     plain_nodes, want = grads()
-    # E's copies, each day's step and 5 head nodes; the first day (dt = 0)
-    # has no flow, one node a scenario fewer
-    step = {"full": 7, "wo_ctx": 4, "wo_his": 4, "wo_fusion": 7}[variant]
-    assert plain_nodes == len(days) * (step + 5)
+    # each day's step and 5 head nodes; the first day (dt = 0) has no flow,
+    # one node a scenario fewer
+    step = {"full": 5, "wo_ctx": 3, "wo_his": 3, "wo_fusion": 5}[variant]
+    assert plain_nodes == len(days) * (step + 5) - len(config.scenarios)
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("variant", ["full", "wo_fusion"])
+def test_a_segment_from_e_itself_gives_the_gradients_of_copies_of_e(variant, monkeypatch):
+    """A segment from day 0 starts every scenario from E itself and gives
+    every gradient byte for byte as one that starts each from its own
+    differentiable copy ``scale(E, 1.0)``: at dt = 0 the first day's fusion,
+    or wo_fusion's sum, is the one node that reads the states, and it hands
+    out the ctx part's gradient before the his part's, the order in which
+    the copies' nodes add theirs to E."""
+    from test_autodiff import scale
+    ds, store, days = few_days()
+    assert days[0] == 0
+    config = ModelConfig(**SMALL_MODEL, variant=variant)
+
+    def grads():
+        model, losses, tape = taped_days(ds, store, days[:5], config)
+        g = ad.backward(losses, tape, params=model.params.values())
+        return {name: g[v].tobytes() for name, v in model.params.items()}
+
+    got = grads()
+    monkeypatch.setattr(CpmrModel, "init_states", lambda self: TemporalStates(
+        {sc: scale(self.params["embed"], 1.0) for sc in self.config.scenarios}, day=0))
+    assert got == grads()
 
 
 def test_a_taped_days_forward_runs_no_head_and_its_replay_runs_it_once(monkeypatch):
@@ -478,7 +501,7 @@ def test_a_day_checkpoint_keeps_no_float_array_but_its_input_states():
         states = model.init_states()
         _train_day(model, store, states, days[1], InteractionHistory(ds.n_users, ds.n_items),
                    3, np.random.default_rng(1))
-    (_, (_, replay)), = tape.nodes[len(states.x):]
+    (_, (_, replay)), = tape.nodes
     (arrays,) = replay.__defaults__              # the checkpoint's input arrays
     assert [a is x.value for a, x in zip(arrays, states.x.values())] == [True, True]
     cells = closure(closure(replay)["fn"])       # the day's recurrence
@@ -650,8 +673,9 @@ def test_taped_step_and_loss_keep_only_what_backward_reads():
             kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # each day's input states and the last day's new states, plus ~0.5 a day
-    # (here 2.1 in all) of graph views, averaging operators and negatives
-    states_kept = 2 * (len(seg_days) + 1)
+    # each day's input states but the first day's, which are E itself, and
+    # the last day's new states, plus ~0.5 a day (here 2.0 in all) of graph
+    # views, averaging operators and negatives
+    states_kept = 2 * len(seg_days)
     assert states_kept * state_bytes < kept < (states_kept + 0.75 * len(seg_days)) * state_bytes
     ad.backward(losses, tape, params=model.params.values())
