@@ -35,7 +35,8 @@ class Dataset:
     """Chronological interaction log with dense ids and day-level splits.
 
     ``split`` holds two indices (i_val, i_test): train is [0, i_val),
-    validation [i_val, i_test), test [i_test, n).
+    validation [i_val, i_test), test [i_test, n). The arrays are read-only
+    once the dataset has its ``EdgeStore`` (``EdgeStore.from_dataset``).
     """
 
     user_ids: np.ndarray

@@ -14,6 +14,8 @@ CSR order (rows ascending, columns ascending within a row), so each view,
 the normalized adjacency and the instant averaging operators are written
 as CSR arrays directly, the same arrays scipy's COO round-trips produced.
 The two operators take only such views: canonical CSR whose values are 1.0.
+A model reads a day's operators through :meth:`EdgeStore.memo` of the dataset's
+one store, which keeps each asked for twice; the dataset is then read-only.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from scipy.sparse import _sparsetools
 from .errors import ConfigError
 
 ALPHA0 = 0.98
+MEMO_BYTES = 8 * 2**20      # the arrays a store's memo may hold; past that it builds anew
 
 
 class EdgeStore:
-    """Sorted interaction log with per-day ranges and a first-day pair index."""
+    """Sorted interaction log with per-day ranges, a first-day pair index and an operator memo."""
 
     def __init__(self, user_ids, item_ids, days, n_users, n_items):
         days = np.asarray(days, dtype=np.int64)
@@ -43,10 +46,31 @@ class EdgeStore:
         # distinct pairs, ascending, and the day each first appears
         self._pairs, first = np.unique(self._keys, return_index=True)
         self._first_day = days[first]
+        self._memo, self._memo_bytes, self._asked = {}, 0, set()
 
     @classmethod
     def from_dataset(cls, ds):
-        return cls(ds.user_ids, ds.item_ids, ds.days, ds.n_users, ds.n_items)
+        """The one store of ``ds``; the call that makes it sets the arrays it aliases read-only."""
+        if not hasattr(ds, "_edge_store"):
+            for a in (ds.user_ids, ds.item_ids, ds.days):
+                a.flags.writeable = False
+            ds._edge_store = cls(ds.user_ids, ds.item_ids, ds.days, ds.n_users, ds.n_items)
+        return ds._edge_store
+
+    def memo(self, key, build):
+        """``build()``'s operator for ``key`` (all it depends on but the log), read-only; kept
+        from the second call for ``key`` on, while the memo's arrays fit ``MEMO_BYTES``."""
+        op = self._memo.get(key)
+        if op is None:
+            op = build()
+            arrays = _arrays(op)
+            for a in arrays:
+                a.flags.writeable = False
+            size = sum(a.nbytes for a in arrays)
+            if key in self._asked and self._memo_bytes + size <= MEMO_BYTES:
+                self._memo[key], self._memo_bytes = op, self._memo_bytes + size
+            self._asked.add(key)
+        return op
 
     def interaction_days(self, hi=None):
         """Distinct days with at least one edge, restricted to days < hi."""
@@ -99,6 +123,13 @@ def _csr(data, indices, indptr, shape, ascending=True):
     if ascending:
         mat.has_canonical_format = True
     return mat
+
+
+def _arrays(op):
+    """The arrays of an array, a CSR matrix or nested tuples of them."""
+    if isinstance(op, tuple):
+        return [a for part in op for a in _arrays(part)]
+    return [op.data, op.indices, op.indptr] if sp.issparse(op) else [op]
 
 
 def _view(biadj):

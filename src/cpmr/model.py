@@ -215,22 +215,29 @@ class CpmrModel:
         costs nothing); under a tape, a None z raises ``CpmrError``. The new
         states do not depend on ``predict``.
 
-        The views and the instant averaging operators are built first; the day
-        itself, a pure function of the states, runs through ``ad.checkpoint``,
-        one tape node under a tape and a plain call without one. Given
-        ``score``, the day returns ``score(z)``, computed after the jumps, in
-        place of z, so a training day's loss is part of its checkpoint. Under
-        a tape the forward runs as a ``predict=False`` day, and the loss is a
-        1 x 1 NaN until the day's replay in ``backward`` computes it.
+        The normalized views and the instant averaging operators come first,
+        from ``store.memo``: a dataset's one store keeps each from its second
+        request on. The day itself, a pure function of the states, runs
+        through ``ad.checkpoint``, one tape node under a tape and a plain call
+        without one. Given ``score``, the day returns ``score(z)``, computed
+        after the jumps, in place of z, so a training day's loss is part of
+        its checkpoint. Under a tape the forward runs as a ``predict=False``
+        day, and the loss is a 1 x 1 NaN until the day's replay in
+        ``backward`` computes it.
         """
         cfg = self.config
         if day_k < states.day:
             raise SequencingError(f"cannot step backwards {states.day} -> {day_k}")
         dt = (day_k - states.day) * self.day_unit * cfg.time_scale
-        nadj = [normalize_adjacency(store.history_biadjacency(day_k) if sc == "his"
-                                    else store.context_biadjacency(day_k, cfg.s_days), cfg.alpha0)
-                for sc in cfg.scenarios]
-        ops = averaging_operators(store.instant_biadjacency(day_k))
+
+        def normalized(sc):         # the history view, or that of the last s_days days
+            args = (day_k,) if sc == "his" else (day_k, cfg.s_days)
+            view = store.history_biadjacency if sc == "his" else store.context_biadjacency
+            return store.memo((sc, *args, cfg.alpha0),
+                              lambda: normalize_adjacency(view(*args), cfg.alpha0))
+        nadj = [normalized(sc) for sc in cfg.scenarios]
+        ops = store.memo(("instant", day_k),
+                         lambda: averaging_operators(store.instant_biadjacency(day_k)))
 
         def advance(*xs, loss=True):
             minus = {sc: self.evolve_states(x, n, sc, dt)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import cpmr.graphs
 import cpmr.model
 from cpmr.data import SECONDS_PER_DAY, RawEvent, canonicalize
 from cpmr.errors import ConfigError, ShapeError
@@ -396,26 +397,29 @@ def test_operators_reject_what_is_not_a_zero_one_view(why):
     assert all(np.array_equal(x, y) for x, y in zip(before, _raw_arrays(b), strict=True))
 
 
-def test_training_and_replay_match_the_coo_constructions_byte_for_byte(monkeypatch):
-    """Two epochs and a test replay give the same segment losses, test MRR
-    and parameters, byte for byte, with the CSR builders as with the COO
-    constructions they replaced."""
+def _log_events():
+    """24 days of 5 users and 8 items, several items per user and day, so the
+    averaging rows sum three or more terms; every fifth day is empty."""
     rng = np.random.default_rng(23)
-    # several items per user and day, so the averaging rows sum three or more terms
-    events = [RawEvent(f"u{rng.integers(5)}", f"i{rng.integers(8)}", day * SECONDS_PER_DAY)
-              for day in range(24) if day % 5 != 3          # every fifth day is empty
-              for _ in range(int(rng.integers(1, 13)))]
-    ds = canonicalize(events)
+    return [RawEvent(f"u{rng.integers(5)}", f"i{rng.integers(8)}", day * SECONDS_PER_DAY)
+            for day in range(24) if day % 5 != 3
+            for _ in range(int(rng.integers(1, 13)))]
 
-    def run():
-        model, hist = train(ds, ModelConfig(d=6, s_days=3, taylor_order=3, time_scale=5.0),
-                            TrainConfig(lr=1e-2, n_tbptt=4, n_neg=2, max_epochs=2, seed=0),
-                            eval_fn=lambda m, states: validation_mrr(m, states, ds))
-        report = incremental_eval(ds, model, split="test", seed=0)
-        return ([float(r.mean_loss).hex() for r in hist["segments"]], float(report.mrr).hex(),
-                {name: p.value.tobytes() for name, p in model.params.items()})
 
-    got = run()
+def _train_and_test(ds, epochs=2, **model):
+    """Segment losses, test MRR and parameters of a training run and test replay on ``ds``."""
+    mcfg = ModelConfig(**{"d": 6, "s_days": 3, "taylor_order": 3, "time_scale": 5.0, **model})
+    model, hist = train(ds, mcfg, TrainConfig(lr=1e-2, n_tbptt=4, n_neg=2, max_epochs=epochs,
+                                              seed=0),
+                        eval_fn=lambda m, states: validation_mrr(m, states, ds))
+    report = incremental_eval(ds, model, split="test", seed=0)
+    return ([float(r.mean_loss).hex() for r in hist["segments"]], float(report.mrr).hex(),
+            {name: p.value.tobytes() for name, p in model.params.items()})
+
+
+def _count_builds(monkeypatch, builders):
+    """Patch the store's view methods and the model's operator builders with
+    ``builders`` (name -> function) wrapped to count their calls."""
     calls = {}
 
     def counted(name, fn):
@@ -424,14 +428,131 @@ def test_training_and_replay_match_the_coo_constructions_byte_for_byte(monkeypat
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(EdgeStore, "history_biadjacency", counted("history", reference_history))
-    monkeypatch.setattr(EdgeStore, "context_biadjacency", counted("context", reference_context))
-    monkeypatch.setattr(EdgeStore, "instant_biadjacency", counted("instant", reference_instant))
-    monkeypatch.setattr(cpmr.model, "normalize_adjacency",
-                        counted("normalize", reference_normalize))
-    monkeypatch.setattr(cpmr.model, "averaging_operators",
-                        counted("averaging", reference_averaging))
-    want = run()
+    for name in ("history", "context", "instant"):
+        monkeypatch.setattr(EdgeStore, f"{name}_biadjacency", counted(name, builders[name]))
+    for name, attr in (("normalize", "normalize_adjacency"), ("averaging", "averaging_operators")):
+        monkeypatch.setattr(cpmr.model, attr, counted(name, builders[name]))
+    return calls
+
+
+def test_training_and_replay_match_the_coo_constructions_byte_for_byte(monkeypatch):
+    """Two epochs and a test replay give the same segment losses, test MRR
+    and parameters, byte for byte, with the CSR builders as with the COO
+    constructions they replaced. Each run has a dataset of its own, so the
+    reference run builds every operator afresh rather than read the first
+    run's from the dataset's store."""
+    got = _train_and_test(canonicalize(_log_events()))
+    calls = _count_builds(monkeypatch, {
+        "history": reference_history, "context": reference_context,
+        "instant": reference_instant, "normalize": reference_normalize,
+        "averaging": reference_averaging})
+    want = _train_and_test(canonicalize(_log_events()))
     assert sorted(calls) == ["averaging", "context", "history", "instant", "normalize"]
     assert len(got[0]) >= 4
     assert got == want
+
+
+# -- one store per dataset, and its operator memo ------------------------------
+
+def test_a_run_on_one_dataset_builds_only_what_no_earlier_run_asked_for_twice(monkeypatch):
+    """A second training run and test replay on a dataset build only the
+    operators the first asked for once, the test days', once each; a third
+    reads every operator from the store's memo. Each gives a fresh dataset's
+    run byte for byte."""
+    fresh = _train_and_test(canonicalize(_log_events()))
+    ds = canonicalize(_log_events())
+    assert _train_and_test(ds) == fresh
+    calls = _count_builds(monkeypatch, {
+        "history": EdgeStore.history_biadjacency, "context": EdgeStore.context_biadjacency,
+        "instant": EdgeStore.instant_biadjacency, "normalize": normalize_adjacency,
+        "averaging": averaging_operators})
+    assert _train_and_test(ds) == fresh
+    n_test = len(np.unique(ds.days[ds.split_slice("test")]))
+    assert calls == {"history": n_test, "context": n_test, "instant": n_test,
+                     "normalize": 2 * n_test, "averaging": n_test}
+    calls.clear()
+    assert _train_and_test(ds) == fresh
+    assert calls == {}
+
+
+def test_models_of_other_configs_on_one_dataset_give_their_fresh_runs_bytes():
+    """Models that differ in s_days, alpha0 or variant, trained in turn on one
+    dataset, each give the bytes of their run on a dataset of their own: the
+    memo keys every operator on all it depends on."""
+    configs = [{}, {"s_days": 2}, {"alpha0": 0.9}, {"variant": "wo_his"},
+               {"variant": "wo_ctx", "s_days": 2}, {"variant": "wo_fusion", "alpha0": 0.9}]
+    ds = canonicalize(_log_events())
+    shared = [_train_and_test(ds, epochs=1, **cfg) for cfg in configs]
+    for cfg, got in zip(configs, shared, strict=True):
+        assert got == _train_and_test(canonicalize(_log_events()), epochs=1, **cfg), cfg
+
+
+def test_a_memo_over_its_budget_builds_anew_with_the_same_bytes(monkeypatch):
+    """With a budget of a few KiB the memo keeps what fits and builds the
+    rest on every call; the bytes are those of a run with the full budget."""
+    fresh = _train_and_test(canonicalize(_log_events()))
+    budget = 6 * 2**10
+    monkeypatch.setattr(cpmr.graphs, "MEMO_BYTES", budget)
+    ds = canonicalize(_log_events())
+    assert _train_and_test(ds) == fresh
+    store = EdgeStore.from_dataset(ds)
+    kept = sum(a.nbytes for op in store._memo.values() for a in cpmr.graphs._arrays(op))
+    assert 0 < kept == store._memo_bytes <= budget
+    n_days = len(np.unique(ds.days))
+    assert len(store._memo) < 3 * n_days      # some operators did not fit
+
+
+def test_a_replays_memo_holds_the_replayed_days_operators_and_nothing_else():
+    """A lone test replay, which asks for each operator once, keeps none.
+    After a second the memo holds, for each replayed day, its his and ctx
+    views normalized and its instant averaging operators, in exactly their
+    bytes: no bi-adjacency and no copy."""
+    ds = canonicalize(_log_events())
+    cfg = ModelConfig(d=4, s_days=3, taylor_order=2)
+    model = cpmr.model.CpmrModel(ds.n_users, ds.n_items, ds.day_unit, cfg)
+    incremental_eval(ds, model, split="test")
+    store = EdgeStore.from_dataset(ds)
+    assert store._memo == {} and store._memo_bytes == 0
+    incremental_eval(ds, model, split="test")
+    days = [int(d) for d in np.unique(ds.days)]     # the test replay runs every day
+    want = {}
+    for d in days:
+        want["his", d, cfg.alpha0] = normalize_adjacency(store.history_biadjacency(d))
+        want["ctx", d, 3, cfg.alpha0] = normalize_adjacency(store.context_biadjacency(d, 3))
+        want["instant", d] = averaging_operators(store.instant_biadjacency(d))
+    assert store._memo.keys() == want.keys()
+    for key, op in store._memo.items():
+        if key[0] == "instant":
+            assert operators_bytes(op) == operators_bytes(want[key])
+        else:
+            assert csr_bytes(op) == csr_bytes(want[key])
+    nbytes = [sum(a.nbytes for a in cpmr.graphs._arrays(op)) for op in want.values()]
+    assert store._memo_bytes == sum(nbytes)
+    owners = []                 # the buffer each kept array reads, past any views
+    for op in store._memo.values():
+        for a in cpmr.graphs._arrays(op):
+            assert not a.flags.writeable
+            while a.base is not None:
+                a = a.base
+            owners.append(a)
+    # each buffer is its array's alone, and none is kept twice
+    assert sum(a.nbytes for a in owners) == store._memo_bytes
+    assert len({id(a) for a in owners}) == len(owners)
+
+
+def test_a_dataset_has_one_store_and_is_read_only_from_then_on():
+    """``from_dataset`` returns one store per dataset and sets the arrays it
+    aliases read-only, so a write raises rather than leave operators stale;
+    before that the arrays are writable."""
+    ds, other = canonicalize(_log_events()), canonicalize(_log_events())
+    ds.user_ids[0] = ds.user_ids[0]
+    store = EdgeStore.from_dataset(ds)
+    assert other.days.flags.writeable
+    assert EdgeStore.from_dataset(ds) is store and EdgeStore.from_dataset(other) is not store
+    assert store.users is ds.user_ids and store.items is ds.item_ids and store.days is ds.days
+    for name in ("user_ids", "item_ids", "days"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0] = 0
+    op = store.memo("key", lambda: normalize_adjacency(store.history_biadjacency(5)))
+    with pytest.raises(ValueError, match="read-only"):
+        op.data[0] = 0.0
